@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .evaluate import (
@@ -32,8 +32,8 @@ from .evaluate import (
 from .gestures import GestureConfig, load_gesture_config, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig, load_filter_config
-from .pipeline import ReplayConfig, replay_bytes
-from .protocol import ScaleConfig, write_trace
+from .pipeline import ReplayConfig, map_chunks, replay_bytes, replay_lockstep
+from .protocol import FrameColumns, ScaleConfig, decode_stream, write_trace
 from .simulate import (
     GESTURE_KINDS,
     NOISE_PRESETS,
@@ -144,21 +144,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _score_trial(task: tuple[str, str, TrialSpec, str]) -> "object":
-    root, rel, spec, mount = task
-    trial_dir = Path(root) / rel
-    data = (trial_dir / "sensor.3dt").read_bytes()
+def _score_chunk(root: str, mount: str, trials: list[tuple[str, TrialSpec]]) -> list:
+    """Replay a chunk of campaign trials in lockstep; score and write each as it ends."""
+    streams = []
+    for rel, _ in trials:
+        frames, _ = decode_stream((Path(root) / rel / "sensor.3dt").read_bytes())
+        if not frames:
+            raise DataError(f"{rel}: no frames decoded")
+        streams.append(FrameColumns.of(frames))
     config = ReplayConfig(mount=MountMode.from_name(mount), with_gestures=False)
-    result, _ = replay_bytes(data, config)
-    if result is None:
-        raise DataError(f"{rel}: no frames decoded")
-    truth = read_csv(trial_dir / "truth.csv")
-    try:
-        trial = evaluate_trial(spec, result.pointer, truth)
-    except TrajectoryMismatchError as exc:
-        raise DataError(f"{rel}: {exc}") from exc
-    (trial_dir / "metrics.json").write_text(trial.metrics_json() + "\n", encoding="utf-8")
-    return trial
+    results = [None] * len(trials)
+    for i, replayed in replay_lockstep(streams, config):
+        rel, spec = trials[i]
+        trial_dir = Path(root) / rel
+        truth = read_csv(trial_dir / "truth.csv")
+        try:
+            trial = evaluate_trial(spec, replayed.pointer, truth)
+        except TrajectoryMismatchError as exc:
+            raise DataError(f"{rel}: {exc}") from exc
+        (trial_dir / "metrics.json").write_text(trial.metrics_json() + "\n", encoding="utf-8")
+        results[i] = trial
+    return results
 
 
 def cmd_campaign(args) -> int:
@@ -167,12 +173,7 @@ def cmd_campaign(args) -> int:
     if not manifest.exists():
         raise DataError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
-    tasks = [(str(root), rel, spec, args.mount) for spec, rel in zip(specs, dirs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_score_trial, tasks, chunksize=8))
-    else:
-        results = [_score_trial(t) for t in tasks]
+    results = map_chunks(partial(_score_chunk, str(root), args.mount), list(zip(dirs, specs)), args.jobs)
     try:
         summary = summarize_campaign(results)
     except ValueError as exc:
@@ -234,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="replay + score every trial in a campaign dir")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes; each replays one contiguous chunk of the grid in lockstep",
+    )
     p.add_argument("--mount", choices=[m.value for m in MountMode], default="fingerpad")
     p.set_defaults(func=cmd_campaign)
 

@@ -44,7 +44,7 @@ class MountMode(str, Enum):
             ) from None
 
 
-_FINGERTIP_COMPENSATION = axis_angle_quat(EY, 90.0)
+FINGERTIP_COMPENSATION = axis_angle_quat(EY, 90.0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def derive_plane(q: UnitQuat, mode: MountMode, origin: Vec3 = Vec3(0, 0, 0)) -> 
     mount first applies the fixed +90 degree pitch compensation.
     """
     if mode is MountMode.FINGERTIP:
-        q = q.multiply(_FINGERTIP_COMPENSATION)
+        q = q.multiply(FINGERTIP_COMPENSATION)
     return plane_from_quat(q, origin)
 
 

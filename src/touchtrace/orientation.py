@@ -15,6 +15,14 @@ with Jacobian [h]x w.r.t. the body attitude error. The innovation
 covariance is inverted in closed form (it is only 3x3) and the
 covariance is re-symmetrized once per predict, which keeps it positive
 semi-definite to well below test tolerances.
+
+The formulation is the error-state filter of Solà, *Quaternion
+kinematics for the error-state Kalman filter* (arXiv:1711.02508). It
+exists twice, with one set of equations: ``OrientationFilter`` runs one
+stream sample by sample (the streaming replay path), and ``batch_step``
+advances many streams at once over stacked states, ``q (N,4)``,
+``bias (N,3)`` and ``P (N,6,6)``, for the campaign's lockstep replay.
+The property tests hold the batched step to the streaming filter.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import numpy as np
 
 from .geom import GRAVITY_WORLD, IDENTITY_QUAT, UnitQuat, Vec3, integrate_gyro, quat_from_matrix, rotate_vector
 from .protocol import CalibratedSample
+from .trajectory import quat_multiply, rotate_vectors
 
 _DEG = math.pi / 180.0
 
@@ -148,11 +157,15 @@ def _process_noise(cfg: FilterConfig, dt: float) -> np.ndarray:
     key = (cfg.gyro_noise_density, cfg.bias_random_walk, dt)
     q = _Q_CACHE.get(key)
     if q is None:
-        q = np.zeros((6, 6))
-        q[0, 0] = q[1, 1] = q[2, 2] = (cfg.gyro_noise_density * _DEG) ** 2 * dt
-        q[3, 3] = q[4, 4] = q[5, 5] = (cfg.bias_random_walk * _DEG) ** 2 * dt
-        _Q_CACHE[key] = q
+        q = _Q_CACHE[key] = np.diag(_noise_per_second(cfg) * dt)
     return q
+
+
+def _noise_per_second(cfg: FilterConfig) -> np.ndarray:
+    """Diagonal of the process noise per second of dt: attitude, then bias."""
+    gyro = (cfg.gyro_noise_density * _DEG) ** 2
+    bias = (cfg.bias_random_walk * _DEG) ** 2
+    return np.array((gyro, gyro, gyro, bias, bias, bias))
 
 
 def predict(state: FilterState, cfg: FilterConfig, gyro_dps: Vec3, dt_s: float) -> FilterState:
@@ -202,25 +215,8 @@ def _vector_update(
     s = hx @ pht[:3, :]  # H P H^T; add R on the diagonal below
     r = sigma * sigma
     (s00, s01, s02), (_, s11, s12), (_, _, s22) = s.tolist()
-    s00 += r
-    s11 += r
-    s22 += r
-    # closed-form inverse of the symmetric innovation covariance
-    c00 = s11 * s22 - s12 * s12
-    c01 = s02 * s12 - s01 * s22
-    c02 = s01 * s12 - s02 * s11
-    det = s00 * c00 + s01 * c01 + s02 * c02
-    c11 = s00 * s22 - s02 * s02
-    c12 = s01 * s02 - s00 * s12
-    c22 = s00 * s11 - s01 * s01
-    inv_det = 1.0 / det
-    s_inv = np.array(
-        (
-            (c00 * inv_det, c01 * inv_det, c02 * inv_det),
-            (c01 * inv_det, c11 * inv_det, c12 * inv_det),
-            (c02 * inv_det, c12 * inv_det, c22 * inv_det),
-        )
-    )
+    i00, i01, i02, i11, i12, i22 = _sym3_inverse(s00 + r, s01, s02, s11 + r, s12, s22 + r)
+    s_inv = np.array(((i00, i01, i02), (i01, i11, i12), (i02, i12, i22)))
     k = pht @ s_inv  # 6x3 Kalman gain
     delta = k @ np.array((z.x - h.x, z.y - h.y, z.z - h.z))
 
@@ -233,6 +229,23 @@ def _vector_update(
     # noise at ~1e-18 and predict re-symmetrizes once per sample
     p_new = p - k @ pht.T
     return FilterState(q=q_new, gyro_bias_dps=bias_new, covariance=p_new)
+
+
+def _sym3_inverse(s00, s01, s02, s11, s12, s22):
+    """Closed-form inverse of a symmetric 3x3 given by its upper triangle.
+
+    Returns the inverse's upper triangle in the same order. Works on
+    floats and, elementwise, on arrays of stacked matrices alike.
+    """
+    c00 = s11 * s22 - s12 * s12
+    c01 = s02 * s12 - s01 * s22
+    c02 = s01 * s12 - s02 * s11
+    det = s00 * c00 + s01 * c01 + s02 * c02
+    c11 = s00 * s22 - s02 * s02
+    c12 = s01 * s02 - s00 * s12
+    c22 = s00 * s11 - s01 * s01
+    inv_det = 1.0 / det
+    return c00 * inv_det, c01 * inv_det, c02 * inv_det, c11 * inv_det, c12 * inv_det, c22 * inv_det
 
 
 def update_accel(state: FilterState, cfg: FilterConfig, accel_g: Vec3) -> tuple[FilterState, bool]:
@@ -292,6 +305,164 @@ class OrientationFilter:
             gyro_bias_dps=self.state.gyro_bias_dps,
             covariance=self.state.covariance,
         )
+
+
+# -- lockstep over many streams -----------------------------------------------
+
+_DIAG3 = np.arange(3)
+_DIAG6 = np.arange(6)
+_CONJUGATE = np.array((1.0, -1.0, -1.0, -1.0))
+_SKEW_PLUS = [7, 2, 3]  # flat slots of +x, +y, +z in [[0,-z,y],[z,0,-x],[-y,x,0]]
+_SKEW_MINUS = [5, 6, 1]
+
+
+@dataclass(eq=False)
+class BatchState:
+    """Filter states of N streams, stacked for ``batch_step``.
+
+    Rows are streams sorted by length, longest first, so the streams
+    still running at any step are a prefix ``[:n]``. The counters are
+    the per-stream ``FilterDiagnostics``.
+    """
+
+    q: np.ndarray  # (N, 4), (w, x, y, z)
+    gyro_bias_dps: np.ndarray  # (N, 3)
+    covariance: np.ndarray  # (N, 6, 6)
+    clamped_dt: np.ndarray  # (N,) int
+    gated_accel: np.ndarray  # (N,) int
+
+    def diagnostics(self, i: int) -> FilterDiagnostics:
+        return FilterDiagnostics(int(self.clamped_dt[i]), int(self.gated_accel[i]))
+
+
+def initial_batch(cfg: FilterConfig, accel_g: np.ndarray, mag_gauss: np.ndarray) -> BatchState:
+    """Stacked ``initial_state`` of each stream's first accel+mag pair, (N,3) each."""
+    n = len(accel_g)
+    q = [
+        initial_state(cfg, Vec3(*a), Vec3(*m)).q.as_tuple()
+        for a, m in zip(accel_g.tolist(), mag_gauss.tolist())
+    ]
+    return BatchState(
+        q=np.array(q, dtype=float).reshape(n, 4),
+        gyro_bias_dps=np.zeros((n, 3)),
+        covariance=np.repeat(_init_covariance(cfg)[None], n, axis=0),
+        clamped_dt=np.zeros(n, dtype=np.int64),
+        gated_accel=np.zeros(n, dtype=np.int64),
+    )
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [v]x, (N,3,3)."""
+    m = np.zeros((len(v), 9))
+    m[:, _SKEW_PLUS] = v
+    m[:, _SKEW_MINUS] = -v
+    return m.reshape(-1, 3, 3)
+
+
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """Stacked transposes, contiguous: matmul is several times slower on a view."""
+    return np.ascontiguousarray(m.transpose(0, 2, 1))
+
+
+def _assign(dst: np.ndarray, src: np.ndarray, rows: np.ndarray) -> None:
+    """dst[i] = src[i] for the rows i where ``rows`` holds."""
+    if rows.all():
+        dst[...] = src
+    else:
+        np.copyto(dst, src, where=rows.reshape((-1,) + (1,) * (dst.ndim - 1)))
+
+
+def batch_step(
+    state: BatchState,
+    cfg: FilterConfig,
+    dt_s: np.ndarray,
+    gyro_dps: np.ndarray,
+    accel_g: np.ndarray,
+    mag_gauss: np.ndarray,
+) -> None:
+    """Advance the first ``len(dt_s)`` streams of ``state`` by one sample, in place.
+
+    Per stream this is ``OrientationFilter.process`` on a sample after the
+    first: predict when dt > 0 (dt above MAX_DT_S clamped and counted),
+    then the accel update unless gated (counted) and the mag update unless
+    the field reads zero. Each stream gets its own masks, so a stream that
+    skips a stage keeps its state bit for bit.
+    """
+    n = len(dt_s)
+    q, bias, p = state.q[:n], state.gyro_bias_dps[:n], state.covariance[:n]
+    state.clamped_dt[:n] += dt_s > MAX_DT_S
+    _batch_predict(q, bias, p, cfg, gyro_dps, dt_s)
+    accepted = np.abs(_norms(accel_g) - 1.0) <= cfg.accel_gate
+    state.gated_accel[:n] += ~accepted
+    _batch_vector_update(q, bias, p, accel_g, GRAVITY_WORLD, cfg.accel_noise, accepted)
+    _batch_vector_update(q, bias, p, mag_gauss, cfg.mag_reference, cfg.mag_noise, _norms(mag_gauss) >= 1e-9)
+
+
+def _batch_predict(
+    q: np.ndarray, bias: np.ndarray, p: np.ndarray, cfg: FilterConfig, gyro_dps: np.ndarray, dt_s: np.ndarray
+) -> None:
+    """``predict`` for every row with dt > 0, in place: integrate_gyro, then P = F P F^T + Q."""
+    moving = dt_s > 0.0
+    dt = np.minimum(dt_s, MAX_DT_S)
+    r = (gyro_dps - bias) * _DEG * dt[:, None]
+    angle = _norms(r)
+    tiny = angle < 1e-12
+    safe = np.where(tiny, 1.0, angle)
+    half = 0.5 * angle
+    dq = np.empty((len(q), 4))
+    dq[:, 0] = np.where(tiny, 1.0, np.cos(half))
+    dq[:, 1:] = r * np.where(tiny, 0.5, np.sin(half) / safe)[:, None]
+    _assign(q, quat_multiply(q, dq), moving)
+
+    sk = _skew(r)
+    a = (np.sin(safe) / safe)[:, None, None]
+    b = ((1.0 - np.cos(safe)) / (safe * safe))[:, None, None]
+    f = np.zeros((len(q), 6, 6))
+    f[:, :3, :3] = (_EYE3 + a * sk + b * (sk @ sk)).transpose(0, 2, 1)
+    small = angle < 1e-3
+    if small.any():
+        f[small, :3, :3] = _EYE3 - sk[small]
+    f[:, _DIAG3 + 3, _DIAG3 + 3] = 1.0
+    f[:, _DIAG3, _DIAG3 + 3] = -dt[:, None]
+    p_new = (f @ p) @ _transposed(f)
+    p_new[:, _DIAG6, _DIAG6] += _noise_per_second(cfg) * dt[:, None]
+    _assign(p, 0.5 * (p_new + p_new.transpose(0, 2, 1)), moving)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _batch_vector_update(
+    q: np.ndarray,
+    bias: np.ndarray,
+    p: np.ndarray,
+    z: np.ndarray,
+    reference: Vec3,
+    sigma: float,
+    accepted: np.ndarray,
+) -> None:
+    """``_vector_update`` for every row where ``accepted``, in place."""
+    h = rotate_vectors(q * _CONJUGATE, reference.as_tuple())
+    hx = _skew(h)
+    pht = p[:, :, :3] @ _skew(-h)  # [-h]x is [h]x transposed
+    s = hx @ pht[:, :3, :]
+    r = sigma * sigma
+    i00, i01, i02, i11, i12, i22 = _sym3_inverse(
+        s[:, 0, 0] + r, s[:, 0, 1], s[:, 0, 2], s[:, 1, 1] + r, s[:, 1, 2], s[:, 2, 2] + r
+    )
+    s_inv = np.stack((i00, i01, i02, i01, i11, i12, i02, i12, i22), axis=1).reshape(-1, 3, 3)
+    k = pht @ s_inv
+    delta = np.einsum("nij,nj->ni", k, z - h)
+
+    dq = np.empty((len(q), 4))
+    dq[:, 0] = 1.0
+    dq[:, 1:] = 0.5 * delta[:, :3]
+    dq /= np.sqrt(dq[:, 0] ** 2 + dq[:, 1] ** 2 + dq[:, 2] ** 2 + dq[:, 3] ** 2)[:, None]
+    _assign(q, quat_multiply(q, dq), accepted)
+    _assign(bias, bias + delta[:, 3:] / _DEG, accepted)
+    _assign(p, p - k @ _transposed(pht), accepted)
 
 
 def save_filter_config(cfg: FilterConfig, path) -> None:

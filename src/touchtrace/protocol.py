@@ -21,9 +21,12 @@ A ``.3dt`` trace file is just concatenated frames, exactly as on the wire.
 
 from __future__ import annotations
 
+import binascii
 import json
 import struct
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geom import Vec3
 
@@ -35,26 +38,13 @@ SQUAL_MAX = 169
 
 _FRAME_STRUCT = struct.Struct("<4BIhh2B9hH")
 
-# CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xor-out.
-# Table-driven; the test suite cross-checks against a bitwise reference.
-def _build_crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if (crc & 0x8000) else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return table
-
-
-_CRC_TABLE = _build_crc_table()
-
-
 def crc16_ccitt_false(data: bytes) -> int:
-    crc = 0xFFFF
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[((crc >> 8) ^ b) & 0xFF]
-    return crc
+    """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xor-out.
+
+    The stdlib's CRC-CCITT with the 0xFFFF seed is exactly this; the test
+    suite cross-checks it against a bitwise reference.
+    """
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,6 +159,7 @@ def _unpack_frame(raw: bytes) -> SensorFrame:
 class DecoderDiagnostics:
     frames: int = 0
     crc_failures: int = 0
+    field_errors: int = 0  # intact CRC, but a field out of range (SQUAL > 169)
     resyncs: int = 0
     bytes_skipped: int = 0
 
@@ -177,6 +168,7 @@ class DecoderDiagnostics:
             {
                 "frames": self.frames,
                 "crc_failures": self.crc_failures,
+                "field_errors": self.field_errors,
                 "resyncs": self.resyncs,
                 "bytes_skipped": self.bytes_skipped,
             }
@@ -237,8 +229,8 @@ class DecoderState:
             try:
                 frame = _unpack_frame(raw)
             except ValueError:
-                # intact bytes carrying an invalid field; treat as corruption
-                self.diagnostics.crc_failures += 1
+                # intact bytes carrying an invalid field: skip it like corruption
+                self.diagnostics.field_errors += 1
                 self._skip(1)
                 pos += 1
                 continue
@@ -262,6 +254,26 @@ def decode_stream(data: bytes) -> tuple[list[SensorFrame], DecoderDiagnostics]:
     frames = state.feed(data)
     state.flush()
     return frames, state.diagnostics
+
+
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """Decoded frames as columns: what the lockstep replay reads of a stream."""
+
+    t_ms: np.ndarray  # (n,) int64
+    imu_raw: np.ndarray  # (n, 9) int16: accel, gyro, mag
+    dxdy: np.ndarray  # (n, 2) int16
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    @staticmethod
+    def of(frames: list[SensorFrame]) -> "FrameColumns":
+        rows = np.array(
+            [(f.dx, f.dy, *f.accel_raw, *f.gyro_raw, *f.mag_raw) for f in frames], dtype=np.int16
+        ).reshape(len(frames), 11)
+        t_ms = np.fromiter((f.timestamp_ms for f in frames), dtype=np.int64, count=len(frames))
+        return FrameColumns(t_ms, rows[:, 2:], rows[:, :2])
 
 
 def write_trace(path, frames) -> None:

@@ -6,7 +6,7 @@ Both ground-truth files (``truth.csv``) and replayed pointer output
     t_ms,x_mm,y_mm,z_mm,qw,qx,qy,qz
 
 Also home to the vectorized quaternion-array helpers shared by the
-sensor synthesizer and the evaluation metrics.
+sensor synthesizer, the lockstep filter and the evaluation metrics.
 """
 
 from __future__ import annotations
@@ -81,6 +81,36 @@ def quat_matrices(q: np.ndarray) -> np.ndarray:
     m[:, 2, 1] = 2 * (y * z + w * x)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products a ⊗ b, renormalized, as ``UnitQuat.multiply``.
+
+    ``a`` is (N,4); ``b`` is (N,4) or one (4,) quaternion for every row.
+    """
+    w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty((len(a), 4))
+    w = out[:, 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = out[:, 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = out[:, 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    z = out[:, 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    out /= np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+    return out
+
+
+def rotate_vectors(q: np.ndarray, v: tuple[float, float, float]) -> np.ndarray:
+    """R(q_k) v for each row of q, (N,3), as ``geom.rotate_vector``."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    vx, vy, vz = v
+    out = np.empty((len(q), 3))
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    out[:, 0] = vx + w * tx + (y * tz - z * ty)
+    out[:, 1] = vy + w * ty + (z * tx - x * tz)
+    out[:, 2] = vz + w * tz + (x * ty - y * tx)
+    return out
 
 
 def quat_forward_axes(q: np.ndarray) -> np.ndarray:

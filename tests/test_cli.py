@@ -115,20 +115,28 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_campaign_partial_grid_scores_then_reports_missing(tmp_path, capsys):
-    """A partial campaign dir exercises scoring (parallel branch included)
-    and must exit 1 naming the missing cells."""
+def _partial_campaign(root, n, noise="zero"):
+    """A campaign dir holding the first n trials of the seed-6 grid."""
     from touchtrace.simulate import campaign_specs, trial_dirname, write_manifest
 
-    camp = tmp_path / "camp"
+    camp = root / "camp"
     camp.mkdir()
-    specs = campaign_specs(6)[:4]
-    write_manifest(camp / "manifest.json", 6, "zero", specs)
+    specs = campaign_specs(6)[:n]
+    write_manifest(camp / "manifest.json", 6, noise, specs)
     for i, spec in enumerate(specs):
         trial = camp / trial_dirname(i, spec)
         run(["simulate", "--texture", spec.texture, "--size", str(spec.size_mm),
              "--shape", spec.shape, "--rep", str(spec.rep), "--tilt", str(spec.tilt_deg),
-             "--seed", str(spec.seed), "--noise", "zero", "--out", str(trial)])
+             "--seed", str(spec.seed), "--noise", noise, "--out", str(trial)])
+    return camp, specs
+
+
+def test_campaign_partial_grid_scores_then_reports_missing(tmp_path, capsys):
+    """A partial campaign dir exercises scoring (parallel branch included)
+    and must exit 1 naming the missing cells."""
+    from touchtrace.simulate import trial_dirname
+
+    camp, specs = _partial_campaign(tmp_path, 4)
     capsys.readouterr()
     code = run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json"),
                 "--jobs", "2"])
@@ -144,3 +152,30 @@ def test_campaign_without_manifest_is_data_error(tmp_path, capsys):
     code = run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")])
     assert code == 1
     assert "manifest" in capsys.readouterr().err
+
+
+def test_campaign_metrics_are_identical_for_any_job_count(tmp_path, capsys):
+    from touchtrace.simulate import trial_dirname
+
+    camp, specs = _partial_campaign(tmp_path, 5, noise="default")
+    written = []
+    for jobs in ("1", "2", "3"):
+        assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json"),
+                    "--jobs", jobs]) == 1  # scored, then the grid check fails
+        written.append([(camp / trial_dirname(i, s) / "metrics.json").read_bytes()
+                        for i, s in enumerate(specs)])
+    assert written[0] == written[1] == written[2]
+
+
+def test_campaign_backward_timestamp_exits_1(tmp_path, capsys):
+    from touchtrace.protocol import read_trace, write_trace
+    from touchtrace.simulate import trial_dirname
+
+    camp, specs = _partial_campaign(tmp_path, 2)
+    trace = camp / trial_dirname(1, specs[1]) / "sensor.3dt"
+    frames, _ = read_trace(trace)
+    frames[3], frames[4] = frames[4], frames[3]
+    write_trace(trace, frames)
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
+    assert "out-of-order timestamp" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from touchtrace.geom import (
     EX,
@@ -17,9 +18,12 @@ from touchtrace.geom import (
     to_euler,
 )
 from touchtrace.orientation import (
+    MAX_DT_S,
     FilterConfig,
     FilterState,
     OrientationFilter,
+    batch_step,
+    initial_batch,
     initial_state,
     load_filter_config,
     predict,
@@ -281,3 +285,66 @@ def test_filter_config_unknown_key_rejected(tmp_path):
 def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(accel_noise=0.0)
+
+
+def ragged_stream(rng: np.random.Generator, length: int):
+    """(t_ms, gyro, accel, mag) of one stream with every case the filter masks.
+
+    About one sample in eight each repeats its timestamp, follows a step
+    of exactly MAX_DT_S (not clamped), follows a gap over MAX_DT_S,
+    carries accel outside the gate, or reads zero mag.
+    """
+    steps = rng.choice([0, 20, 20, 20, 20, 20, 20, int(MAX_DT_S * 1000)], length)
+    gaps = rng.random(length) < 1 / 8
+    steps[gaps] = rng.integers(int(MAX_DT_S * 1000) + 1, 2000, gaps.sum())
+    t_ms = int(rng.integers(0, 10_000)) + np.cumsum(steps) - steps[0]
+    q_true = axis_angle_quat(Vec3(*rng.normal(size=3)), float(rng.uniform(-180, 180)))
+    accel, mag = (np.array(v.as_tuple()) for v in body_measurements(q_true))
+    gyro = rng.normal(0.0, 20.0, (length, 3))
+    accel = accel + rng.normal(0.0, 0.05, (length, 3))
+    accel[rng.random(length) < 1 / 8] *= rng.choice([0.0, 0.5, 1.6])
+    mag = mag + rng.normal(0.0, 0.01, (length, 3))
+    mag[rng.random(length) < 1 / 8] = 0.0
+    return t_ms, gyro, accel, mag
+
+
+def scalar_run(stream):
+    """Per-sample (q, bias) of the streaming filter, and its diagnostics."""
+    t_ms, gyro, accel, mag = stream
+    filt = OrientationFilter(CFG)
+    out = []
+    for k in range(len(t_ms)):
+        sample = CalibratedSample(
+            int(t_ms[k]), 0, 0, 60, Vec3(*accel[k]), Vec3(*gyro[k]), Vec3(*mag[k])
+        )
+        est = filt.process(sample)
+        out.append((est.q.as_tuple(), est.gyro_bias_dps.as_tuple()))
+    return out, filt.diagnostics
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_step_equals_streaming_filter(lengths, seed):
+    rng = np.random.default_rng(seed)
+    streams = [ragged_stream(rng, n) for n in sorted(lengths, reverse=True)]
+    expected = [scalar_run(s) for s in streams]
+
+    state = initial_batch(
+        CFG, np.array([s[2][0] for s in streams]), np.array([s[3][0] for s in streams])
+    )
+    for k in range(max(lengths)):
+        active = [s for s in streams if len(s[0]) > k]
+        n = len(active)
+        if k > 0:
+            dt = np.array([(s[0][k] - s[0][k - 1]) / 1000.0 for s in active])
+            gyro, accel, mag = (np.array([s[j][k] for s in active]) for j in (1, 2, 3))
+            batch_step(state, CFG, dt, gyro, accel, mag)
+        for i in range(n):
+            q, bias = expected[i][0][k]
+            np.testing.assert_allclose(state.q[i], q, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.gyro_bias_dps[i], bias, rtol=0, atol=1e-12)
+    for i, (_, diagnostics) in enumerate(expected):
+        assert state.diagnostics(i) == diagnostics

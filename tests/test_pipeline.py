@@ -5,13 +5,17 @@ from touchtrace.evaluate import evaluate_trial
 from touchtrace.gestures import DOUBLE_TAP, PRESS_BEGIN, TAP
 from touchtrace.pipeline import (
     ReplayConfig,
+    map_chunks,
     replay_bytes,
     replay_cylinder_demo,
     replay_frames,
+    replay_lockstep,
+    run_campaign,
     run_trial,
-    _campaign_worker,
+    run_trials,
 )
-from touchtrace.protocol import encode_frames
+from touchtrace.interaction import MountMode
+from touchtrace.protocol import FrameColumns, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
     campaign_specs,
@@ -57,9 +61,46 @@ def test_replay_deterministic():
 
 
 def test_worker_matches_direct_run():
-    spec = SPECS[40]
-    direct = run_trial(spec, noise_for_preset("default", TEXTURES[spec.texture]))
-    assert _campaign_worker((spec, "default")) == direct
+    # the lockstep runner against run_trial, the sequential reference
+    sampled = SPECS[40::37]
+    for mount in MountMode:
+        config = ReplayConfig(mount=mount, with_gestures=False)
+        for spec, trial in zip(sampled, run_trials(sampled, "default", config)):
+            direct = run_trial(spec, noise_for_preset("default", TEXTURES[spec.texture]), config)
+            assert trial.spec == direct.spec
+            assert trial.n_samples == direct.n_samples
+            for field in ("mean_pos_err_mm", "pos_err_sigma", "mean_ori_err_deg", "ori_err_sigma"):
+                assert getattr(trial, field) == pytest.approx(getattr(direct, field), rel=1e-9, abs=0)
+
+
+def test_lockstep_replay_matches_replay_frames():
+    streams = [simulate_trial(spec, NoiseModel())[1] for spec in SPECS[::60]]
+    streams.append(streams[0][:1])
+    for mount in MountMode:
+        config = ReplayConfig(mount=mount, with_gestures=False)
+        got = dict(replay_lockstep([FrameColumns.of(f) for f in streams], config))
+        assert sorted(got) == list(range(len(streams)))
+        for i, frames in enumerate(streams):
+            want = replay_frames(frames, config)
+            assert np.array_equal(got[i].pointer.t_ms, want.pointer.t_ms)
+            np.testing.assert_allclose(got[i].pointer.quat, want.pointer.quat, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[i].pointer.pos_mm, want.pointer.pos_mm, rtol=0, atol=1e-9)
+            assert got[i].filter_diagnostics == want.filter_diagnostics
+            assert got[i].events == []
+
+
+def test_lockstep_replay_rejects_backward_timestamps():
+    _, frames = simulate_trial(SPECS[3], NoiseModel.zero())
+    frames[5], frames[6] = frames[6], frames[5]
+    with pytest.raises(ValueError, match="out-of-order timestamp: 100 ms arrived after 120 ms"):
+        list(replay_lockstep([FrameColumns.of(frames)]))
+
+
+def test_campaign_is_bitwise_independent_of_jobs():
+    one, summary_one = run_campaign(11, "default", 1)
+    two, summary_two = run_campaign(11, "default", 2)
+    assert one == two
+    assert summary_one.to_json() == summary_two.to_json()
 
 
 def test_gesture_traces_through_full_replay():
@@ -128,3 +169,9 @@ def test_evaluate_trial_pipeline_consistency():
     trial = evaluate_trial(spec, result.pointer, truth)
     assert trial.n_samples == len(truth)
     assert trial.spec == spec
+
+
+def test_map_chunks_runs_small_inputs_in_process():
+    # fewer items than jobs: no worker is spawned, so a lambda is fine
+    assert map_chunks(lambda items: [x * 2 for x in items], [], 4) == []
+    assert map_chunks(lambda items: [x * 2 for x in items], [3], 4) == [6]

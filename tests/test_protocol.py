@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,8 +176,18 @@ def test_diagnostics_json_schema():
     import json
 
     payload = json.loads(diag.to_json())
-    assert set(payload) == {"frames", "crc_failures", "resyncs", "bytes_skipped"}
+    assert set(payload) == {"frames", "crc_failures", "field_errors", "resyncs", "bytes_skipped"}
     assert payload["frames"] == 1
+
+
+def test_valid_crc_with_squal_out_of_range_is_a_field_error():
+    body = bytearray(encode_frame(_zero_frame())[:32])
+    body[12] = 170  # SQUAL one past its maximum
+    bad = bytes(body) + struct.pack("<H", crc16_ccitt_false(bytes(body)))
+    frames, diag = decode_stream(bad + encode_frame(_zero_frame(20)))
+    assert frames == [_zero_frame(20)]
+    assert (diag.field_errors, diag.crc_failures) == (1, 0)
+    assert (diag.resyncs, diag.bytes_skipped) == (1, FRAME_SIZE)
 
 
 def test_apply_scales():
