@@ -17,18 +17,11 @@ writes byte-identical output. Exit codes: 0 success, 1 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 from pathlib import Path
 
-from .evaluate import (
-    TrajectoryMismatchError,
-    evaluate_trial,
-    summarize_campaign,
-    trial_metrics,
-    write_summary,
-)
+from .evaluate import TrajectoryMismatchError, evaluate_trial, summarize_campaign, write_summary
 from .gestures import GestureConfig, load_gesture_config, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig, load_filter_config
@@ -131,15 +124,15 @@ def cmd_eval(args) -> int:
     pred = read_csv(args.pred)
     truth = read_csv(args.truth)
     try:
-        metrics = trial_metrics(pred, truth)
+        trial = evaluate_trial(None, pred, truth)
     except TrajectoryMismatchError as exc:
         raise DataError(f"{args.pred} vs {args.truth}: {exc}") from exc
     if args.out:
-        Path(args.out).write_text(json.dumps(metrics) + "\n", encoding="utf-8")
+        Path(args.out).write_text(trial.metrics_json() + "\n", encoding="utf-8")
     print(
-        f"mean position error {metrics['mean_pos_err_mm']:.4f} mm, "
-        f"mean orientation error {metrics['mean_ori_err_deg']:.4f} deg "
-        f"over {metrics['n']} samples"
+        f"mean position error {trial.mean_pos_err_mm:.4f} mm, "
+        f"mean orientation error {trial.mean_ori_err_deg:.4f} deg "
+        f"over {trial.n_samples} samples"
     )
     return 0
 
@@ -199,6 +192,13 @@ def cmd_gesture(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="touchtrace", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=positive_int, default=1,
         help="worker processes; each replays one contiguous chunk of the grid in lockstep",
     )
     p.add_argument("--mount", choices=[m.value for m in MountMode], default="fingerpad")

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import betainc
 
+from .geom import quat_matrices
 from .simulate import SHAPE_NAMES, SIZES_MM, TEXTURE_NAMES, REPS, TrialSpec
-from .trajectory import Trajectory, quat_forward_axes
+from .trajectory import Trajectory
 
 
 class TrajectoryMismatchError(ValueError):
@@ -62,8 +63,8 @@ def orientation_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float
         raise TrajectoryMismatchError(
             f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}"
         )
-    fa = quat_forward_axes(pred.quat)
-    fb = quat_forward_axes(truth.quat)
+    fa = quat_matrices(pred.quat)[:, :, 0]
+    fb = quat_matrices(truth.quat)[:, :, 0]
     dots = np.clip(np.einsum("ni,ni->n", fa, fb), -1.0, 1.0)
     series = np.degrees(np.arccos(dots))
     return float(series.mean()), float(series.std()), series
@@ -71,7 +72,7 @@ def orientation_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float
 
 @dataclass(frozen=True)
 class TrialResult:
-    spec: TrialSpec
+    spec: TrialSpec | None
     mean_pos_err_mm: float
     pos_err_sigma: float
     mean_ori_err_deg: float
@@ -90,21 +91,8 @@ class TrialResult:
         )
 
 
-def trial_metrics(pred: Trajectory, truth: Trajectory) -> dict:
-    """Aligned error metrics for a pred/truth pair, as the metrics.json payload."""
-    aligned = align(pred, truth)
-    pos_mean, pos_sigma, _ = position_error(aligned, truth)
-    ori_mean, ori_sigma, _ = orientation_error(aligned, truth)
-    return {
-        "mean_pos_err_mm": pos_mean,
-        "pos_sigma": pos_sigma,
-        "mean_ori_err_deg": ori_mean,
-        "ori_sigma": ori_sigma,
-        "n": len(truth),
-    }
-
-
-def evaluate_trial(spec: TrialSpec, pred: Trajectory, truth: Trajectory) -> TrialResult:
+def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> TrialResult:
+    """Align pred to truth and score it; ``spec`` only labels the result."""
     aligned = align(pred, truth)
     pos_mean, pos_sigma, _ = position_error(aligned, truth)
     ori_mean, ori_sigma, _ = orientation_error(aligned, truth)
@@ -196,12 +184,14 @@ def _cell_stats(results) -> dict:
 
 
 def summarize_campaign(results) -> CampaignSummary:
-    """Aggregate the full 360-trial grid; missing cells are an error."""
+    """Aggregate the full 360-trial grid; a missing or repeated cell is an error."""
     results = list(results)
-    seen = {}
+    seen = set()
     for r in results:
         key = (r.spec.texture, r.spec.size_mm, r.spec.shape, r.spec.rep)
-        seen[key] = r
+        if key in seen:
+            raise ValueError("campaign has cell {}/{}/{}/rep{} more than once".format(*key))
+        seen.add(key)
     missing = [
         f"{tex}/{size}/{shape}/rep{rep}"
         for tex in TEXTURE_NAMES

@@ -10,12 +10,22 @@ Conventions, fixed once for the whole package:
 * Euler angles are intrinsic Z-Y-X (yaw about world up, then pitch about
   the body lateral axis, then roll), in degrees. Pitch lies in [-90, +90];
   at gimbal lock the roll is defined to be zero.
+
+Two forms of the same algebra live here: scalar ``UnitQuat``/``Vec3``
+operations for the streaming filter and the interaction techniques, and
+quaternion-array helpers over ``(N,4)`` arrays for the sensor
+synthesizer, the lockstep filter, pointer projection and the evaluation
+metrics. ``quat_matrices`` is the one place the rotation matrix of a
+quaternion is written; Euler angles, touch-plane bases and the forward
+axes the metrics compare are all read from its entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _DEG = math.pi / 180.0
 
@@ -116,12 +126,11 @@ class EulerAngles:
 
 @dataclass(frozen=True, slots=True)
 class PlaneBasis:
-    """Orthonormal in-plane axes (u, v) and normal n, plus an origin in mm."""
+    """Orthonormal in-plane axes (u, v) and normal n."""
 
     u: Vec3
     v: Vec3
     n: Vec3
-    origin: Vec3
 
 
 def axis_angle_quat(axis: Vec3, angle_deg: float) -> UnitQuat:
@@ -165,16 +174,6 @@ def integrate_gyro(q: UnitQuat, omega_dps: Vec3, dt_s: float) -> UnitQuat:
         k = math.sin(half) / angle
         dq = UnitQuat(math.cos(half), rx * k, ry * k, rz * k)
     return q.multiply(dq)
-
-
-def quat_to_matrix(q: UnitQuat) -> list[list[float]]:
-    """3x3 rotation matrix of q (columns are the rotated body axes)."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return [
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ]
 
 
 def quat_from_matrix(m: list[list[float]]) -> UnitQuat:
@@ -228,7 +227,7 @@ def to_euler(q: UnitQuat) -> EulerAngles:
 
     At |pitch| = 90 deg the yaw/roll split is by convention roll := 0.
     """
-    m = quat_to_matrix(q)
+    m = quat_matrices(q.as_tuple())
     sp = -m[2][0]
     if sp >= 1.0 - 1e-12:
         pitch = 90.0
@@ -256,13 +255,92 @@ def angle_between(a: Vec3, b: Vec3) -> float:
     return math.degrees(math.acos(c))
 
 
-def plane_from_quat(q: UnitQuat, origin: Vec3 = Vec3(0.0, 0.0, 0.0)) -> PlaneBasis:
-    """Plane basis whose u/v/n are the body x/y/z axes rotated by q."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    # columns of R(q), i.e. the rotated body axes, in one pass
-    return PlaneBasis(
-        u=Vec3(1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)),
-        v=Vec3(2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)),
-        n=Vec3(2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)),
-        origin=origin,
+# -- quaternion-array helpers ------------------------------------------------
+
+
+def quat_matrices(q):
+    """Rotation matrices ``(N,3,3)`` of an ``(N,4)`` array of unit quaternions.
+
+    Column j of each matrix is body axis j rotated into the world frame.
+    One quaternion given as a tuple of floats yields its matrix as a tuple
+    of row tuples, so per-frame scalar callers pay no numpy call per entry.
+    """
+    scalar = isinstance(q, tuple)
+    w, x, y, z = q if scalar else q.T
+    rows = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
+    if scalar:
+        return rows
+    m = np.empty((len(q), 3, 3))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            m[:, i, j] = entry
+    return m
+
+
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products a ⊗ b, renormalized, as ``UnitQuat.multiply``.
+
+    ``a`` is (N,4); ``b`` is (N,4) or one (4,) quaternion for every row.
+    """
+    w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty((len(a), 4))
+    w = out[:, 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = out[:, 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = out[:, 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    z = out[:, 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    out /= np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+    return out
+
+
+def rotate_vectors(q: np.ndarray, v: tuple[float, float, float]) -> np.ndarray:
+    """R(q_k) v for each row of q, (N,3), as ``rotate_vector``."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    vx, vy, vz = v
+    out = np.empty((len(q), 3))
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    out[:, 0] = vx + w * tx + (y * tz - z * ty)
+    out[:, 1] = vy + w * ty + (z * tx - x * tz)
+    out[:, 2] = vz + w * tz + (x * ty - y * tx)
+    return out
+
+
+def quat_midpoints(q: np.ndarray) -> np.ndarray:
+    """Geodesic midpoints of consecutive quaternions, (N-1,4).
+
+    The normalized mean of two sign-aligned unit quaternions is exactly
+    the slerp midpoint, which is all the synthesizer needs.
+    """
+    a = q[:-1]
+    b = q[1:].copy()
+    flip = np.sum(a * b, axis=1) < 0
+    b[flip] *= -1.0
+    mid = a + b
+    mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+    return mid
+
+
+def quat_relative_rotvec(q: np.ndarray) -> np.ndarray:
+    """Body-frame rotation vectors between consecutive poses, (N-1,3) rad.
+
+    rotvec_k = log(q_k^-1 * q_{k+1}); dividing by dt gives the exact
+    body rate a gyro would have to report for the step to integrate back.
+    """
+    a, b = q[:-1], q[1:]
+    # Hamilton product conj(a) * b, componentwise
+    w = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
+    x = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] - a[:, 2] * b[:, 3] + a[:, 3] * b[:, 2]
+    y = a[:, 0] * b[:, 2] + a[:, 1] * b[:, 3] - a[:, 2] * b[:, 0] - a[:, 3] * b[:, 1]
+    z = a[:, 0] * b[:, 3] - a[:, 1] * b[:, 2] + a[:, 2] * b[:, 1] - a[:, 3] * b[:, 0]
+    sign = np.where(w < 0, -1.0, 1.0)
+    w, x, y, z = w * sign, x * sign, y * sign, z * sign
+    vec_norm = np.sqrt(x * x + y * y + z * z)
+    angle = 2.0 * np.arctan2(vec_norm, w)
+    scale = np.where(vec_norm > 1e-12, angle / np.where(vec_norm > 1e-12, vec_norm, 1.0), 2.0)
+    return np.stack([x * scale, y * scale, z * scale], axis=1)

@@ -6,6 +6,10 @@ body x/y axes rotated into the world, so plane attitude follows finger
 attitude directly. For the fingertip mount the sensor sits rotated a
 quarter turn about the body lateral axis, which is compensated by
 pre-composing a fixed +90 degree pitch before deriving the plane.
+
+Translation moves the pointer by each optical delta along the touch
+plane of its frame; ``pointer_track`` does this for a whole stream and
+is what both replay paths call.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .geom import (
     EX,
     PlaneBasis,
     UnitQuat,
     Vec3,
     axis_angle_quat,
-    plane_from_quat,
+    quat_matrices,
+    quat_multiply,
     rotate_vector,
     to_euler,
     EY,
@@ -45,16 +52,10 @@ class MountMode(str, Enum):
 
 
 FINGERTIP_COMPENSATION = axis_angle_quat(EY, 90.0)
+_FINGERTIP = np.array(FINGERTIP_COMPENSATION.as_tuple())
 
 
-@dataclass(frozen=True)
-class PointerState:
-    position: Vec3  # mm, relative to session start
-    plane: PlaneBasis
-    forward: Vec3  # unit finger pointing direction
-
-
-def derive_plane(q: UnitQuat, mode: MountMode, origin: Vec3 = Vec3(0, 0, 0)) -> PlaneBasis:
+def derive_plane(q: UnitQuat, mode: MountMode) -> PlaneBasis:
     """Touch-plane basis for the device attitude under the given mount.
 
     Fingerpad and ring mounts map the body axes directly; the fingertip
@@ -62,21 +63,22 @@ def derive_plane(q: UnitQuat, mode: MountMode, origin: Vec3 = Vec3(0, 0, 0)) -> 
     """
     if mode is MountMode.FINGERTIP:
         q = q.multiply(FINGERTIP_COMPENSATION)
-    return plane_from_quat(q, origin)
+    u, v, n = zip(*quat_matrices(q.as_tuple()))  # the matrix's columns
+    return PlaneBasis(Vec3(*u), Vec3(*v), Vec3(*n))
 
 
-def pointer_state(q: UnitQuat, mode: MountMode, position: Vec3 = Vec3(0, 0, 0)) -> PointerState:
-    return PointerState(position=position, plane=derive_plane(q, mode), forward=rotate_vector(q, EX))
+def pointer_track(quat: np.ndarray, dxdy: np.ndarray, scales: ScaleConfig, mode: MountMode) -> np.ndarray:
+    """Pointer positions (N,3) in mm for attitudes (N,4) and optical deltas (N,2).
 
-
-def project_delta(state: PointerState, dx: int, dy: int, scales: ScaleConfig) -> PointerState:
-    """Advance the pointer by one optical delta along the current plane."""
-    mm = scales.mm_per_count
-    u, v = state.plane.u, state.plane.v
-    step = u.scale(dx * mm) + v.scale(dy * mm)
-    return PointerState(
-        position=state.position + step, plane=state.plane, forward=state.forward
-    )
+    Row k is the sum of the first k+1 steps, each delta taken along the
+    u/v axes of its own frame's touch plane (as ``derive_plane``).
+    """
+    q = quat_multiply(quat, _FINGERTIP) if mode is MountMode.FINGERTIP else quat
+    axes = quat_matrices(q)  # columns are the plane's u, v, n
+    step = dxdy * scales.mm_per_count
+    pos = np.cumsum(axes[:, :, 0] * step[:, 0:1] + axes[:, :, 1] * step[:, 1:2], axis=0)
+    pos += 0.0  # a zero step along a negative axis is -0.0; the track starts from +0.0
+    return pos
 
 
 @dataclass(frozen=True)
@@ -167,11 +169,6 @@ class Scene:
 
 
 _EPS_T = 1e-9
-
-# the cast ray starts from a pre-configured point: screen-center-bottom in
-# normalized display coordinates for 2D scenes, the world origin for 3D
-DEFAULT_RAY_ORIGIN_2D = Vec3(0.5, 0.0, 0.0)
-DEFAULT_RAY_ORIGIN_3D = Vec3(0.0, 0.0, 0.0)
 
 
 def _ray_sphere(origin: Vec3, direction: Vec3, s: Sphere) -> float | None:

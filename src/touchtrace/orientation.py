@@ -33,9 +33,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import GRAVITY_WORLD, IDENTITY_QUAT, UnitQuat, Vec3, integrate_gyro, quat_from_matrix, rotate_vector
+from .geom import (
+    GRAVITY_WORLD,
+    IDENTITY_QUAT,
+    UnitQuat,
+    Vec3,
+    integrate_gyro,
+    quat_from_matrix,
+    quat_multiply,
+    rotate_vector,
+    rotate_vectors,
+)
 from .protocol import CalibratedSample
-from .trajectory import quat_multiply, rotate_vectors
 
 _DEG = math.pi / 180.0
 

@@ -6,11 +6,13 @@ and integrate optical deltas along the derived touch plane into a 3D
 pointer track (one row per frame).
 
 There are two ways through it. ``replay_frames`` runs one stream frame
-by frame with the streaming filter; it is the path of ``replay`` and the
-sequential reference ``run_trial``. ``replay_lockstep`` runs many
-streams at once: one batched filter step per sample index across every
-stream still running, then the touch plane and the pointer of each
-stream as whole arrays, with no gesture detection. The campaign runners
+by frame through the streaming filter and the gesture detector; it is
+the path of ``replay`` and the sequential reference ``run_trial``.
+``replay_lockstep`` runs many streams at once: one batched filter step
+per sample index across every stream still running, with no gesture
+detection. Both then turn a stream's attitudes and optical deltas into
+its pointer track in one call to ``interaction.pointer_track``, which
+alone knows the touch plane and the mount rule. The campaign runners
 (``run_campaign`` and the CLI's ``campaign``) push every trial through
 the lockstep path, bytes included, and score each trial against its
 ground truth as soon as its stream ends, so their numbers measure the
@@ -31,7 +33,7 @@ import numpy as np
 
 from .evaluate import CampaignSummary, TrialResult, evaluate_trial, summarize_campaign
 from .gestures import GestureConfig, GestureDetector, GestureEvent
-from .interaction import FINGERTIP_COMPENSATION, MountMode, derive_plane
+from .interaction import MountMode, pointer_track
 from .orientation import FilterConfig, FilterDiagnostics, OrientationFilter, batch_step, initial_batch
 from .protocol import (
     DecoderDiagnostics,
@@ -52,7 +54,7 @@ from .simulate import (
     noise_for_preset,
     simulate_trial,
 )
-from .trajectory import Trajectory, quat_matrices, quat_multiply
+from .trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -78,29 +80,18 @@ def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None)
         raise ValueError("replay needs at least one frame")
     filt = OrientationFilter(config.filter_config)
     detector = GestureDetector(config.gesture_config) if config.with_gestures else None
-    mm = config.scales.mm_per_count
 
     n = len(frames)
     t_ms = np.empty(n, dtype=np.int64)
-    pos = np.empty((n, 3))
+    dxdy = np.empty((n, 2), dtype=np.int64)
     quat = np.empty((n, 4))
-    px = py = pz = 0.0
     events: list[GestureEvent] = []
 
     for i, frame in enumerate(frames):
-        sample = apply_scales(frame, config.scales)
-        estimate = filt.process(sample)
-        plane = derive_plane(estimate.q, config.mount)
-        sx = frame.dx * mm
-        sy = frame.dy * mm
-        px += plane.u.x * sx + plane.v.x * sy
-        py += plane.u.y * sx + plane.v.y * sy
-        pz += plane.u.z * sx + plane.v.z * sy
+        q = filt.process(apply_scales(frame, config.scales)).q
         t_ms[i] = frame.timestamp_ms
-        pos[i, 0] = px
-        pos[i, 1] = py
-        pos[i, 2] = pz
-        q = estimate.q
+        dxdy[i, 0] = frame.dx
+        dxdy[i, 1] = frame.dy
         quat[i, 0] = q.w
         quat[i, 1] = q.x
         quat[i, 2] = q.y
@@ -110,6 +101,7 @@ def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None)
     if detector is not None:
         events.extend(detector.finish())
 
+    pos = pointer_track(quat, dxdy, config.scales, config.mount)
     return ReplayResult(
         pointer=Trajectory(t_ms, pos, quat),
         events=events,
@@ -128,8 +120,6 @@ def replay_bytes(
 
 
 # -- lockstep replay -------------------------------------------------------------
-
-_FINGERTIP = np.array(FINGERTIP_COMPENSATION.as_tuple())
 
 
 def replay_lockstep(
@@ -171,7 +161,8 @@ def replay_lockstep(
         n = int(np.searchsorted(-lengths, -k, side="left"))  # streams longer than k
         for j in range(n, running):
             rows = slice(starts[j], starts[j] + lengths[j])
-            pointer = _project(t_ms[rows], quat[rows], dxdy[rows], config)
+            pos = pointer_track(quat[rows], dxdy[rows], sc, config.mount)
+            pointer = Trajectory(t_ms[rows], pos, quat[rows].copy())
             yield int(order[j]), ReplayResult(pointer, [], state.diagnostics(j))
         running = n
         if n == 0:
@@ -190,15 +181,6 @@ def _check_timestamps(t_ms: np.ndarray) -> None:
     if len(back):
         k = back[0] + 1
         raise ValueError(f"out-of-order timestamp: {t_ms[k]} ms arrived after {t_ms[k - 1]} ms")
-
-
-def _project(t_ms: np.ndarray, quat: np.ndarray, dxdy: np.ndarray, config: ReplayConfig) -> Trajectory:
-    """Pointer track of one stream: optical steps along its touch planes, summed."""
-    q = quat_multiply(quat, _FINGERTIP) if config.mount is MountMode.FINGERTIP else quat
-    axes = quat_matrices(q)  # columns are the plane's u, v, n
-    step = dxdy * config.scales.mm_per_count
-    pos = np.cumsum(axes[:, :, 0] * step[:, 0:1] + axes[:, :, 1] * step[:, 1:2], axis=0)
-    return Trajectory(t_ms, pos, quat.copy())
 
 
 # -- campaign -----------------------------------------------------------------

@@ -276,16 +276,10 @@ class FrameColumns:
         return FrameColumns(t_ms, rows[:, 2:], rows[:, :2])
 
 
-def write_trace(path, frames) -> None:
-    with open(path, "wb") as fh:
-        for frame in frames:
-            fh.write(encode_frame(frame))
-
-
-def read_trace(path) -> tuple[list[SensorFrame], DecoderDiagnostics]:
-    with open(path, "rb") as fh:
-        return decode_stream(fh.read())
-
-
 def encode_frames(frames) -> bytes:
     return b"".join(encode_frame(f) for f in frames)
+
+
+def write_trace(path, frames) -> None:
+    with open(path, "wb") as fh:
+        fh.write(encode_frames(frames))

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import EY, Vec3, axis_angle_quat
+from .geom import EY, Vec3, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
 from .gestures import GestureConfig
 from .orientation import FilterConfig
 from .protocol import ScaleConfig, SensorFrame
-from .trajectory import Trajectory, quat_matrices, quat_midpoints, quat_relative_rotvec
+from .trajectory import Trajectory
 
 TEXTURE_NAMES = ("mousepad", "wood", "jeans")
 SIZES_MM = (12, 21, 42, 84)
@@ -131,25 +131,6 @@ class TrialSpec:
             raise ValueError("rate_hz and speed_mm_s must be > 0")
 
 
-@dataclass(frozen=True)
-class GroundTruthSample:
-    t_ms: int
-    position: Vec3
-    orientation: tuple[float, float, float, float]  # (w, x, y, z)
-
-
-def truth_samples(truth: Trajectory) -> list[GroundTruthSample]:
-    """Per-sample view of a ground-truth trajectory."""
-    return [
-        GroundTruthSample(
-            t_ms=int(truth.t_ms[i]),
-            position=Vec3(*truth.pos_mm[i]),
-            orientation=tuple(truth.quat[i]),
-        )
-        for i in range(len(truth))
-    ]
-
-
 def _shape_vertices(shape: str, s: float) -> np.ndarray | None:
     """Polyline vertices in plane coordinates; None for the circle."""
     r2 = 1.0 / math.sqrt(2.0)
@@ -210,13 +191,7 @@ def gen_trajectory(spec: TrialSpec) -> Trajectory:
         return _cylinder_trajectory(spec, arcs, t_ms)
 
     q = axis_angle_quat(EY, spec.tilt_deg)
-    rot = np.array(
-        [
-            [1 - 2 * (q.y**2 + q.z**2), 2 * (q.x * q.y - q.w * q.z), 2 * (q.x * q.z + q.w * q.y)],
-            [2 * (q.x * q.y + q.w * q.z), 1 - 2 * (q.x**2 + q.z**2), 2 * (q.y * q.z - q.w * q.x)],
-            [2 * (q.x * q.z - q.w * q.y), 2 * (q.y * q.z + q.w * q.x), 1 - 2 * (q.x**2 + q.y**2)],
-        ]
-    )
+    rot = np.array(quat_matrices(q.as_tuple()))
     local = _local_coords(spec.shape, float(spec.size_mm), arcs)
     pos = local[:, 0:1] * rot[:, 0] + local[:, 1:2] * rot[:, 1]
     quat = np.tile([q.w, q.x, q.y, q.z], (len(arcs), 1))

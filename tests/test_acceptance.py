@@ -45,8 +45,7 @@ from touchtrace.interaction import (
     StrokeAccumulator,
     derive_plane,
     end_stroke_rotation,
-    pointer_state,
-    project_delta,
+    pointer_track,
     raycast_select,
 )
 from touchtrace.orientation import (
@@ -341,12 +340,10 @@ def test_criterion_8_interaction_algebra():
 
     residency_ok = True
     for _ in range(200):
-        state = pointer_state(_rand_quat(rng), MountMode.FINGERPAD)
-        n = state.plane.n
-        start = state.position
-        for _ in range(25):
-            state = project_delta(state, rng.randint(-80, 80), rng.randint(-80, 80), scales)
-        if abs((state.position - start).dot(n)) > 1e-9:
+        q = _rand_quat(rng)
+        deltas = np.array([(rng.randint(-80, 80), rng.randint(-80, 80)) for _ in range(25)])
+        end = pointer_track(np.tile(q.as_tuple(), (25, 1)), deltas, scales, MountMode.FINGERPAD)[-1]
+        if abs(Vec3(*end).dot(derive_plane(q, MountMode.FINGERPAD).n)) > 1e-9:
             residency_ok = False
             break
 

@@ -168,14 +168,35 @@ def test_campaign_metrics_are_identical_for_any_job_count(tmp_path, capsys):
 
 
 def test_campaign_backward_timestamp_exits_1(tmp_path, capsys):
-    from touchtrace.protocol import read_trace, write_trace
+    from touchtrace.protocol import decode_stream, write_trace
     from touchtrace.simulate import trial_dirname
 
     camp, specs = _partial_campaign(tmp_path, 2)
     trace = camp / trial_dirname(1, specs[1]) / "sensor.3dt"
-    frames, _ = read_trace(trace)
+    frames, _ = decode_stream(trace.read_bytes())
     frames[3], frames[4] = frames[4], frames[3]
     write_trace(trace, frames)
     capsys.readouterr()
     assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
     assert "out-of-order timestamp" in capsys.readouterr().err
+
+
+def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):
+    camp, _ = _partial_campaign(tmp_path, 2)
+    manifest = json.loads((camp / "manifest.json").read_text())
+    manifest["trials"].append(manifest["trials"][0])
+    (camp / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
+    assert "campaign has cell mousepad/12/hline/rep1 more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, jobs):
+    import touchtrace.cli
+
+    monkeypatch.setattr(touchtrace.cli, "map_chunks", lambda *a: pytest.fail("a worker started"))
+    with pytest.raises(SystemExit) as exc:
+        run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -175,6 +175,12 @@ def test_summarize_campaign_missing_cells():
         summarize_campaign(results)
 
 
+def test_summarize_campaign_rejects_a_repeated_cell():
+    results = _fake_results()
+    with pytest.raises(ValueError, match="cell wood/21/vline/rep3 more than once"):
+        summarize_campaign(results + [results[157]])
+
+
 def test_summary_json_schema():
     summary = summarize_campaign(_fake_results())
     payload = json.loads(summary.to_json())

@@ -15,9 +15,8 @@ from touchtrace.geom import (
     axis_angle_quat,
     from_euler,
     integrate_gyro,
-    plane_from_quat,
     quat_from_matrix,
-    quat_to_matrix,
+    quat_matrices,
     rotate_vector,
     to_euler,
 )
@@ -146,18 +145,18 @@ def test_angle_between_zero_vector_rejected():
 
 @given(unit_quats)
 def test_plane_basis_orthonormal(q):
-    p = plane_from_quat(q)
-    assert abs(p.u.dot(p.v)) <= 1e-9
-    assert abs(p.u.dot(p.n)) <= 1e-9
-    assert abs(p.v.dot(p.n)) <= 1e-9
-    assert_vec_close(p.u.cross(p.v), p.n, tol=1e-9)
-    for axis in (p.u, p.v, p.n):
+    u, v, n = (Vec3(*column) for column in zip(*quat_matrices(q.as_tuple())))
+    assert abs(u.dot(v)) <= 1e-9
+    assert abs(u.dot(n)) <= 1e-9
+    assert abs(v.dot(n)) <= 1e-9
+    assert_vec_close(u.cross(v), n, tol=1e-9)
+    for axis in (u, v, n):
         assert abs(axis.norm() - 1.0) <= 1e-9
 
 
 @given(unit_quats)
 def test_matrix_round_trip(q):
-    back = quat_from_matrix(quat_to_matrix(q))
+    back = quat_from_matrix(quat_matrices(q.as_tuple()))
     # q and -q encode the same rotation
     sign = 1.0 if back.w * q.w + back.x * q.x + back.y * q.y + back.z * q.z >= 0 else -1.0
     for a, b in zip(q.as_tuple(), back.as_tuple()):

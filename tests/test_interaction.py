@@ -28,8 +28,7 @@ from touchtrace.interaction import (
     end_stroke_rotation,
     load_scene,
     map_pointer_2d,
-    pointer_state,
-    project_delta,
+    pointer_track,
     raycast_select,
     save_scene,
 )
@@ -83,52 +82,66 @@ def test_ring_mount_uses_raw_attitude():
     assert a == b
 
 
+def track(q, deltas, mode=MountMode.FINGERPAD):
+    """Pointer track of a constant attitude q over the given (dx, dy) deltas."""
+    return pointer_track(np.tile(q.as_tuple(), (len(deltas), 1)), np.array(deltas), SCALES, mode)
+
+
 def test_project_identity_plane():
-    state = pointer_state(IDENTITY_QUAT, MountMode.FINGERPAD)
-    state = project_delta(state, 10, 0, SCALES)
-    assert state.position.as_tuple() == pytest.approx((0.635, 0, 0), abs=1e-12)
+    pos = track(IDENTITY_QUAT, [(10, 0)])
+    assert tuple(pos[-1]) == pytest.approx((0.635, 0, 0), abs=1e-12)
 
 
 def test_project_zero_delta_is_noop():
-    state = pointer_state(axis_angle_quat(EY, 40.0), MountMode.FINGERPAD)
-    moved = project_delta(state, 0, 0, SCALES)
-    assert moved.position.as_tuple() == state.position.as_tuple()
+    pos = track(axis_angle_quat(EY, 40.0), [(0, 0), (7, -3), (0, 0)])
+    assert pos[0].tolist() == [0.0, 0.0, 0.0]
+    assert pos[2].tolist() == pos[1].tolist()
 
 
 def test_project_on_30_degree_plane_vertical_component():
     # plane tilted 30 deg about the in-plane u axis so v carries the slope;
     # hand trigonometry: dy=100 counts must rise 100*0.0635*sin(30)
     q = axis_angle_quat(EX, 30.0)
-    state = pointer_state(q, MountMode.FINGERPAD)
-    state = project_delta(state, 0, 100, SCALES)
-    assert state.position.z == pytest.approx(100 * 0.0635 * math.sin(math.radians(30)), abs=1e-9)
+    pos = track(q, [(0, 100)])[-1]
+    assert pos[2] == pytest.approx(100 * 0.0635 * math.sin(math.radians(30)), abs=1e-9)
     oracle = rotate_vector(q, EY).scale(100 * SCALES.mm_per_count)
-    assert state.position.as_tuple() == pytest.approx(oracle.as_tuple(), abs=1e-12)
+    assert tuple(pos) == pytest.approx(oracle.as_tuple(), abs=1e-12)
 
 
 def test_translation_stays_on_plane():
     rng = random.Random(7)
     for _ in range(100):
         q = random_quat(rng)
-        state = pointer_state(q, MountMode.FINGERPAD)
-        n = state.plane.n
-        start = state.position
-        for _ in range(20):
-            state = project_delta(state, rng.randint(-50, 50), rng.randint(-50, 50), SCALES)
-        disp = state.position - start
+        n = derive_plane(q, MountMode.FINGERPAD).n
+        disp = Vec3(*track(q, [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(20)])[-1])
         assert abs(disp.dot(n)) < 1e-9
 
 
 def test_translation_is_path_additive():
     q = axis_angle_quat(Vec3(1, 1, 0), 37.0)
     deltas = [(3, -2), (10, 4), (-7, 1), (0, 5), (25, -25)]
-    one = pointer_state(q, MountMode.FINGERPAD)
-    for dx, dy in deltas:
-        one = project_delta(one, dx, dy, SCALES)
     total_dx = sum(d[0] for d in deltas)
     total_dy = sum(d[1] for d in deltas)
-    lump = project_delta(pointer_state(q, MountMode.FINGERPAD), total_dx, total_dy, SCALES)
-    assert one.position.as_tuple() == pytest.approx(lump.position.as_tuple(), abs=1e-12)
+    lump = track(q, [(total_dx, total_dy)])
+    assert tuple(track(q, deltas)[-1]) == pytest.approx(tuple(lump[-1]), abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(MountMode))
+def test_pointer_track_equals_stepwise_projection(mode):
+    # the reference: one delta at a time along derive_plane's axes, from +0.0
+    rng = random.Random(11)
+    quats = [random_quat(rng) for _ in range(300)]
+    deltas = [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in quats]
+    deltas[:3] = [(0, 0), (0, 5), (-4, 0)]
+    pos = pointer_track(np.array([q.as_tuple() for q in quats]), np.array(deltas), SCALES, mode)
+    mm = SCALES.mm_per_count
+    p = [0.0, 0.0, 0.0]
+    for k, (q, (dx, dy)) in enumerate(zip(quats, deltas)):
+        plane = derive_plane(q, mode)
+        sx, sy = dx * mm, dy * mm
+        p = [a + (u * sx + v * sy) for a, u, v in zip(p, plane.u.as_tuple(), plane.v.as_tuple())]
+        assert pos[k].tolist() == p
+    assert not np.signbit(pos[pos == 0.0]).any()
 
 
 def test_stroke_rotation_along_u():

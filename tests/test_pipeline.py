@@ -18,7 +18,9 @@ from touchtrace.interaction import MountMode
 from touchtrace.protocol import FrameColumns, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
+    TrialSpec,
     campaign_specs,
+    draw_tilt,
     noise_for_preset,
     script_gesture_trace,
     simulate_trial,
@@ -87,6 +89,18 @@ def test_lockstep_replay_matches_replay_frames():
             np.testing.assert_allclose(got[i].pointer.pos_mm, want.pointer.pos_mm, rtol=0, atol=1e-9)
             assert got[i].filter_diagnostics == want.filter_diagnostics
             assert got[i].events == []
+
+
+def test_pointer_tracks_hold_no_negative_zero():
+    # this trace's first optical step is 0 counts along a negative plane axis
+    spec = TrialSpec("jeans", 84, "square", rep=1, tilt_deg=draw_tilt(9), seed=9)
+    _, frames = simulate_trial(spec, noise_for_preset("default", TEXTURES["jeans"]))
+    for mount in MountMode:
+        config = ReplayConfig(mount=mount, with_gestures=False)
+        (_, lockstep), = replay_lockstep([FrameColumns.of(frames)], config)
+        for result in (replay_frames(frames, config), lockstep):
+            pos = result.pointer.pos_mm
+            assert not np.signbit(pos[pos == 0.0]).any(), mount
 
 
 def test_lockstep_replay_rejects_backward_timestamps():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from touchtrace.geom import Vec3
 from touchtrace.protocol import ScaleConfig, encode_frames
 from touchtrace.simulate import (
     CYLINDER_SHAPE,
@@ -23,7 +22,6 @@ from touchtrace.simulate import (
     synthesize_sensors,
     script_gesture_trace,
     trial_streams,
-    truth_samples,
     write_manifest,
 )
 from touchtrace.trajectory import Trajectory
@@ -109,7 +107,7 @@ def test_zero_noise_count_conservation_all_shapes():
         truth, frames = simulate_trial(spec, NoiseModel.zero())
         cum = np.array([sum(f.dx for f in frames), sum(f.dy for f in frames)])
         # project the true displacement into the (constant) plane basis
-        from touchtrace.trajectory import quat_matrices
+        from touchtrace.geom import quat_matrices
 
         rot = quat_matrices(truth.quat[:1])[0]
         dp = truth.pos_mm[-1] - truth.pos_mm[0]
@@ -210,13 +208,11 @@ def test_cylinder_synthesis_is_on_plane():
     assert sum(abs(f.dy) for f in frames) == 0  # wrap direction is pure u
 
 
-def test_truth_samples_view():
+def test_trajectory_sampling():
     truth = gen_trajectory(spec_for("hline", 12))
-    samples = truth_samples(truth)
-    assert len(samples) == len(truth)
-    assert samples[0].t_ms == 0
-    assert isinstance(samples[0].position, Vec3)
-    assert samples[1].t_ms - samples[0].t_ms == 20
+    assert len(truth.t_ms) == len(truth.pos_mm) == len(truth.quat) == len(truth)
+    assert truth.t_ms[0] == 0
+    assert np.all(np.diff(truth.t_ms) == 20)
 
 
 def test_trial_spec_validation():
