@@ -30,12 +30,16 @@ class TrajectoryMismatchError(ValueError):
     pass
 
 
-def align(pred: Trajectory, truth: Trajectory) -> Trajectory:
-    """Translate pred so its first sample coincides with truth's first."""
+def _check_lengths(pred: Trajectory, truth: Trajectory) -> None:
     if len(pred) != len(truth):
         raise TrajectoryMismatchError(
             f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}"
         )
+
+
+def align(pred: Trajectory, truth: Trajectory) -> Trajectory:
+    """Translate pred so its first sample coincides with truth's first."""
+    _check_lengths(pred, truth)
     if len(pred) == 0:
         raise TrajectoryMismatchError("cannot align empty trajectories")
     if not np.array_equal(pred.t_ms, truth.t_ms):
@@ -49,20 +53,14 @@ def align(pred: Trajectory, truth: Trajectory) -> Trajectory:
 
 def position_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float, np.ndarray]:
     """(mean mm, population sigma mm, per-sample series)."""
-    if len(pred) != len(truth):
-        raise TrajectoryMismatchError(
-            f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}"
-        )
+    _check_lengths(pred, truth)
     series = np.linalg.norm(pred.pos_mm - truth.pos_mm, axis=1)
     return float(series.mean()), float(series.std()), series
 
 
 def orientation_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float, np.ndarray]:
     """(mean deg, population sigma deg, per-sample series) of forward axes."""
-    if len(pred) != len(truth):
-        raise TrajectoryMismatchError(
-            f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}"
-        )
+    _check_lengths(pred, truth)
     fa = quat_matrices(pred.quat)[:, :, 0]
     fb = quat_matrices(truth.quat)[:, :, 0]
     dots = np.clip(np.einsum("ni,ni->n", fa, fb), -1.0, 1.0)

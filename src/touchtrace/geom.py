@@ -11,13 +11,14 @@ Conventions, fixed once for the whole package:
   the body lateral axis, then roll), in degrees. Pitch lies in [-90, +90];
   at gimbal lock the roll is defined to be zero.
 
-Two forms of the same algebra live here: scalar ``UnitQuat``/``Vec3``
-operations for the streaming filter and the interaction techniques, and
-quaternion-array helpers over ``(N,4)`` arrays for the sensor
-synthesizer, the lockstep filter, pointer projection and the evaluation
-metrics. ``quat_matrices`` is the one place the rotation matrix of a
-quaternion is written; Euler angles, touch-plane bases and the forward
-axes the metrics compare are all read from its entries.
+Each operation is written once, as plain component expressions that
+run alike on floats (the ``UnitQuat``/``Vec3`` methods used by the
+streaming filter and the interaction techniques) and on the columns of
+``(N,4)`` quaternion arrays (the sensor synthesizer, the lockstep filter,
+pointer projection and the evaluation metrics): ``_hamilton`` is the
+quaternion product, ``_rotate`` the rotation of a vector, and
+``quat_matrices`` the rotation matrix, from whose entries Euler angles,
+touch-plane bases and the forward axes the metrics compare are all read.
 """
 
 from __future__ import annotations
@@ -93,14 +94,8 @@ class UnitQuat:
 
     def multiply(self, other: "UnitQuat") -> "UnitQuat":
         """Hamilton product self ⊗ other, renormalized."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return UnitQuat(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ).normalized()
+        product = _hamilton(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
+        return UnitQuat(*product).normalized()
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -111,7 +106,6 @@ IDENTITY_QUAT = UnitQuat(1.0, 0.0, 0.0, 0.0)
 EX = Vec3(1.0, 0.0, 0.0)
 EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)
-WORLD_UP = EZ
 GRAVITY_WORLD = Vec3(0.0, 0.0, -1.0)  # in g
 
 
@@ -141,18 +135,37 @@ def axis_angle_quat(axis: Vec3, angle_deg: float) -> UnitQuat:
     return UnitQuat(math.cos(half), a.x * s, a.y * s, a.z * s).normalized()
 
 
+def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2):
+    """Components of the Hamilton product (w1, x1, y1, z1) ⊗ (w2, x2, y2, z2).
+
+    Takes and returns floats or, elementwise, arrays of components alike.
+    """
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _rotate(w, x, y, z, vx, vy, vz):
+    """Components of R(q)·v, expanded; cheaper than building the full matrix.
+
+    Takes and returns floats or, elementwise, arrays of components alike.
+    """
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
+
+
 def rotate_vector(q: UnitQuat, v: Vec3) -> Vec3:
     """Apply the rotation q to v (body frame -> world frame)."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    # R(q)·v expanded; cheaper than building the full matrix
-    tx = 2.0 * (y * v.z - z * v.y)
-    ty = 2.0 * (z * v.x - x * v.z)
-    tz = 2.0 * (x * v.y - y * v.x)
-    return Vec3(
-        v.x + w * tx + (y * tz - z * ty),
-        v.y + w * ty + (z * tx - x * tz),
-        v.z + w * tz + (x * ty - y * tx),
-    )
+    return Vec3(*_rotate(q.w, q.x, q.y, q.z, v.x, v.y, v.z))
 
 
 def integrate_gyro(q: UnitQuat, omega_dps: Vec3, dt_s: float) -> UnitQuat:
@@ -286,28 +299,17 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` is (N,4); ``b`` is (N,4) or one (4,) quaternion for every row.
     """
-    w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    w, x, y, z = _hamilton(*a.T, *b.T)
     out = np.empty((len(a), 4))
-    w = out[:, 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    x = out[:, 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    y = out[:, 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    z = out[:, 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    out.T[...] = w, x, y, z  # a fill, several times cheaper than np.stack
     out /= np.sqrt(w * w + x * x + y * y + z * z)[:, None]
     return out
 
 
 def rotate_vectors(q: np.ndarray, v: tuple[float, float, float]) -> np.ndarray:
     """R(q_k) v for each row of q, (N,3), as ``rotate_vector``."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    vx, vy, vz = v
     out = np.empty((len(q), 3))
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    out[:, 0] = vx + w * tx + (y * tz - z * ty)
-    out[:, 1] = vy + w * ty + (z * tx - x * tz)
-    out[:, 2] = vz + w * tz + (x * ty - y * tx)
+    out.T[...] = _rotate(*q.T, *v)
     return out
 
 
@@ -332,12 +334,8 @@ def quat_relative_rotvec(q: np.ndarray) -> np.ndarray:
     rotvec_k = log(q_k^-1 * q_{k+1}); dividing by dt gives the exact
     body rate a gyro would have to report for the step to integrate back.
     """
-    a, b = q[:-1], q[1:]
-    # Hamilton product conj(a) * b, componentwise
-    w = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
-    x = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] - a[:, 2] * b[:, 3] + a[:, 3] * b[:, 2]
-    y = a[:, 0] * b[:, 2] + a[:, 1] * b[:, 3] - a[:, 2] * b[:, 0] - a[:, 3] * b[:, 1]
-    z = a[:, 0] * b[:, 3] - a[:, 1] * b[:, 2] + a[:, 2] * b[:, 1] - a[:, 3] * b[:, 0]
+    aw, ax, ay, az = q[:-1].T
+    w, x, y, z = _hamilton(aw, -ax, -ay, -az, *q[1:].T)  # conj(a) ⊗ b
     sign = np.where(w < 0, -1.0, 1.0)
     w, x, y, z = w * sign, x * sign, y * sign, z * sign
     vec_norm = np.sqrt(x * x + y * y + z * z)

@@ -299,7 +299,8 @@ def load_gesture_config(path, texture: str = "mousepad") -> GestureConfig:
     """Flat key=value profile file.
 
     Unprefixed keys set the base profile; ``texture.key`` lines override
-    a single texture. Keys are exactly the GestureConfig field names.
+    a single texture. Keys are exactly the GestureConfig field names, and
+    every line is checked, whichever texture it names.
     """
     base: dict[str, int] = {}
     override: dict[str, int] = {}
@@ -315,9 +316,7 @@ def load_gesture_config(path, texture: str = "mousepad") -> GestureConfig:
         target = base
         if "." in key:
             prefix, _, key = key.partition(".")
-            if prefix != texture:
-                continue
-            target = override
+            target = override if prefix == texture else {}
         if key not in _INT_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown gesture config key {key!r}")
         target[key] = int(value)

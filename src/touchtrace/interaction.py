@@ -100,9 +100,6 @@ class StrokeAccumulator:
         v = v - plane.n.scale(v.dot(plane.n))
         self.in_plane_vector = v
 
-    def reset(self) -> None:
-        self.in_plane_vector = Vec3(0.0, 0.0, 0.0)
-
 
 def end_stroke_rotation(
     stroke: StrokeAccumulator | Vec3,

@@ -28,12 +28,13 @@ The property tests hold the batched step to the streaming filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .geom import (
+    _DEG,
     GRAVITY_WORLD,
     IDENTITY_QUAT,
     UnitQuat,
@@ -45,8 +46,6 @@ from .geom import (
     rotate_vectors,
 )
 from .protocol import CalibratedSample
-
-_DEG = math.pi / 180.0
 
 MAX_DT_S = 0.1
 
@@ -475,16 +474,12 @@ def _batch_vector_update(
 
 
 def save_filter_config(cfg: FilterConfig, path) -> None:
-    lines = [
-        f"gyro_noise_density={cfg.gyro_noise_density!r}",
-        f"bias_random_walk={cfg.bias_random_walk!r}",
-        f"accel_noise={cfg.accel_noise!r}",
-        f"mag_noise={cfg.mag_noise!r}",
-        f"mag_reference={cfg.mag_reference.x!r},{cfg.mag_reference.y!r},{cfg.mag_reference.z!r}",
-        f"accel_gate={cfg.accel_gate!r}",
-        f"init_attitude_sigma_deg={cfg.init_attitude_sigma_deg!r}",
-        f"init_bias_sigma_dps={cfg.init_bias_sigma_dps!r}",
-    ]
+    """One key=value line per FilterConfig field, in field order; a vector as x,y,z."""
+    lines = []
+    for f in fields(FilterConfig):
+        value = getattr(cfg, f.name)
+        parts = value.as_tuple() if isinstance(value, Vec3) else (value,)
+        lines.append(f"{f.name}=" + ",".join(map(repr, parts)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -5,14 +5,16 @@ the byte stream, scale the channels, fuse orientation, detect gestures,
 and integrate optical deltas along the derived touch plane into a 3D
 pointer track (one row per frame).
 
-There are two ways through it. ``replay_frames`` runs one stream frame
-by frame through the streaming filter and the gesture detector; it is
-the path of ``replay`` and the sequential reference ``run_trial``.
-``replay_lockstep`` runs many streams at once: one batched filter step
-per sample index across every stream still running, with no gesture
-detection. Both then turn a stream's attitudes and optical deltas into
-its pointer track in one call to ``interaction.pointer_track``, which
-alone knows the touch plane and the mount rule. The campaign runners
+There are two ways through it, which differ only in how they run the
+orientation filter. ``replay_frames`` runs one stream frame by frame
+through the streaming filter, then the gesture detector over the whole
+stream; it is the path of ``replay`` and the sequential reference
+``run_trial``. ``replay_lockstep`` runs many streams at once: one
+batched filter step per sample index across every stream still running,
+with no gesture detection. Both end in the same tail, which turns a
+stream's attitudes and optical deltas into its pointer track in one call
+to ``interaction.pointer_track`` (which alone knows the touch plane and
+the mount rule) and packages the result. The campaign runners
 (``run_campaign`` and the CLI's ``campaign``) push every trial through
 the lockstep path, bytes included, and score each trial against its
 ground truth as soon as its stream ends, so their numbers measure the
@@ -32,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .evaluate import CampaignSummary, TrialResult, evaluate_trial, summarize_campaign
-from .gestures import GestureConfig, GestureDetector, GestureEvent
+from .gestures import GestureConfig, GestureEvent, run_detector
 from .interaction import MountMode, pointer_track
 from .orientation import FilterConfig, FilterDiagnostics, OrientationFilter, batch_step, initial_batch
 from .protocol import (
@@ -79,34 +81,23 @@ def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None)
     if not frames:
         raise ValueError("replay needs at least one frame")
     filt = OrientationFilter(config.filter_config)
-    detector = GestureDetector(config.gesture_config) if config.with_gestures else None
+    quat = np.array([filt.process(apply_scales(f, config.scales)).q.as_tuple() for f in frames])
+    events = run_detector(frames, config.gesture_config) if config.with_gestures else []
+    columns = FrameColumns.of(frames)
+    return _replayed(columns.t_ms, columns.dxdy, quat, config, events, filt.diagnostics)
 
-    n = len(frames)
-    t_ms = np.empty(n, dtype=np.int64)
-    dxdy = np.empty((n, 2), dtype=np.int64)
-    quat = np.empty((n, 4))
-    events: list[GestureEvent] = []
 
-    for i, frame in enumerate(frames):
-        q = filt.process(apply_scales(frame, config.scales)).q
-        t_ms[i] = frame.timestamp_ms
-        dxdy[i, 0] = frame.dx
-        dxdy[i, 1] = frame.dy
-        quat[i, 0] = q.w
-        quat[i, 1] = q.x
-        quat[i, 2] = q.y
-        quat[i, 3] = q.z
-        if detector is not None:
-            events.extend(detector.step(frame))
-    if detector is not None:
-        events.extend(detector.finish())
-
+def _replayed(
+    t_ms: np.ndarray,
+    dxdy: np.ndarray,
+    quat: np.ndarray,
+    config: ReplayConfig,
+    events: list[GestureEvent],
+    diagnostics: FilterDiagnostics,
+) -> ReplayResult:
+    """The tail both replay paths share: one stream's pointer track and result."""
     pos = pointer_track(quat, dxdy, config.scales, config.mount)
-    return ReplayResult(
-        pointer=Trajectory(t_ms, pos, quat),
-        events=events,
-        filter_diagnostics=filt.diagnostics,
-    )
+    return ReplayResult(Trajectory(t_ms, pos, quat), events, diagnostics)
 
 
 def replay_bytes(
@@ -161,9 +152,9 @@ def replay_lockstep(
         n = int(np.searchsorted(-lengths, -k, side="left"))  # streams longer than k
         for j in range(n, running):
             rows = slice(starts[j], starts[j] + lengths[j])
-            pos = pointer_track(quat[rows], dxdy[rows], sc, config.mount)
-            pointer = Trajectory(t_ms[rows], pos, quat[rows].copy())
-            yield int(order[j]), ReplayResult(pointer, [], state.diagnostics(j))
+            yield int(order[j]), _replayed(
+                t_ms[rows], dxdy[rows], quat[rows].copy(), config, [], state.diagnostics(j)
+            )
         running = n
         if n == 0:
             break
@@ -196,11 +187,18 @@ def run_trial(
     The sequential reference for the lockstep campaign: one trial, one
     streaming filter.
     """
-    config = config or ReplayConfig(with_gestures=False)
+    truth, result = _simulated_replay(spec, noise, config or ReplayConfig(with_gestures=False))
+    return evaluate_trial(spec, result.pointer, truth)
+
+
+def _simulated_replay(
+    spec: TrialSpec, noise: NoiseModel, config: ReplayConfig
+) -> tuple[Trajectory, ReplayResult]:
+    """Synthesize a trial at ``config.scales``, encode it to bytes, replay the bytes."""
     truth, frames = simulate_trial(spec, noise, config.scales)
     result, _ = replay_bytes(encode_frames(frames), config)
     assert result is not None
-    return evaluate_trial(spec, result.pointer, truth)
+    return truth, result
 
 
 def map_chunks(fn: Callable[[list], list], items: list, jobs: int) -> list:
@@ -266,8 +264,4 @@ def replay_cylinder_demo(
         tilt_deg=0.0,
         seed=seed,
     )
-    truth, frames = simulate_trial(spec, NoiseModel.zero())
-    config = config or ReplayConfig(with_gestures=False)
-    result, _ = replay_bytes(encode_frames(frames), config)
-    assert result is not None
-    return truth, result
+    return _simulated_replay(spec, NoiseModel.zero(), config or ReplayConfig(with_gestures=False))

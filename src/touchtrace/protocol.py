@@ -24,7 +24,7 @@ from __future__ import annotations
 import binascii
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -164,15 +164,7 @@ class DecoderDiagnostics:
     bytes_skipped: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "frames": self.frames,
-                "crc_failures": self.crc_failures,
-                "field_errors": self.field_errors,
-                "resyncs": self.resyncs,
-                "bytes_skipped": self.bytes_skipped,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass

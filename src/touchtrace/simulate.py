@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .geom import EY, Vec3, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
+from .geom import _DEG, EY, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
 from .gestures import GestureConfig
 from .orientation import FilterConfig
 from .protocol import ScaleConfig, SensorFrame
@@ -30,8 +30,6 @@ SIZES_MM = (12, 21, 42, 84)
 SHAPE_NAMES = ("hline", "vline", "diag", "triangle", "square", "circle")
 REPS = 5
 CYLINDER_SHAPE = "cylinder"  # curved-surface wrap demo; not in the campaign grid
-
-_DEG = math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,6 @@ def synthesize_sensors(
     rng: np.random.Generator,
     scales: ScaleConfig | None = None,
     contact: np.ndarray | None = None,
-    mag_reference: Vec3 | None = None,
 ) -> list[SensorFrame]:
     """Fabricate the wire frames a device tracing ``truth`` would emit.
 
@@ -243,7 +240,6 @@ def synthesize_sensors(
     contact squal, lift squal, gyro bias, gyro, accel, mag.
     """
     scales = scales or ScaleConfig()
-    mag_ref = mag_reference or FilterConfig().mag_reference
     n = len(truth)
     if n == 0:
         return []
@@ -285,7 +281,7 @@ def synthesize_sensors(
     squal = np.where(contact, squal_contact, squal_lift).astype(np.int64)
 
     gravity = np.array([0.0, 0.0, -1.0])
-    mag_world = np.array(mag_ref.as_tuple())
+    mag_world = np.array(FilterConfig().mag_reference.as_tuple())
     accel = np.einsum("nij,i->nj", rot, gravity)
     mag = np.einsum("nij,i->nj", rot, mag_world)
 
@@ -382,44 +378,30 @@ def write_manifest(path, campaign_seed: int, noise_preset: str, specs: list[Tria
     payload = {
         "campaign_seed": campaign_seed,
         "noise": noise_preset,
-        "trials": [
-            {
-                "index": i,
-                "texture": s.texture,
-                "size_mm": s.size_mm,
-                "shape": s.shape,
-                "rep": s.rep,
-                "tilt_deg": s.tilt_deg,
-                "seed": s.seed,
-                "rate_hz": s.rate_hz,
-                "speed_mm_s": s.speed_mm_s,
-                "dir": trial_dirname(i, s),
-            }
-            for i, s in enumerate(specs)
-        ],
+        "trials": [{"index": i, **asdict(s), "dir": trial_dirname(i, s)} for i, s in enumerate(specs)],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def read_manifest(path) -> tuple[int, str, list[TrialSpec], list[str]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    specs = []
-    dirs = []
-    for entry in payload["trials"]:
-        specs.append(
-            TrialSpec(
-                texture=entry["texture"],
-                size_mm=entry["size_mm"],
-                shape=entry["shape"],
-                rep=entry["rep"],
-                tilt_deg=entry["tilt_deg"],
-                seed=entry["seed"],
-                rate_hz=entry.get("rate_hz", 50.0),
-                speed_mm_s=entry.get("speed_mm_s", 30.0),
-            )
-        )
-        dirs.append(entry["dir"])
-    return payload["campaign_seed"], payload["noise"], specs, dirs
+    """(campaign seed, noise preset, specs, trial dirs) of a ``write_manifest`` file.
+
+    A spec field an entry leaves out takes its default, as in manifests
+    written before the field existed. Raises ValueError naming ``path``
+    when the manifest is malformed.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise TypeError("the top level is not a JSON object")
+        names = [f.name for f in fields(TrialSpec)]
+        specs = [TrialSpec(**{k: entry[k] for k in names if k in entry}) for entry in payload["trials"]]
+        dirs = [entry["dir"] for entry in payload["trials"]]
+        return payload["campaign_seed"], payload["noise"], specs, dirs
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed manifest: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed manifest: {exc}") from exc
 
 
 # -- scripted gesture fixtures ----------------------------------------------

@@ -181,6 +181,33 @@ def test_campaign_backward_timestamp_exits_1(tmp_path, capsys):
     assert "out-of-order timestamp" in capsys.readouterr().err
 
 
+def _drop_dir(payload):
+    del payload["trials"][0]["dir"]
+    return payload
+
+
+def _rep_as_text(payload):
+    payload["trials"][0]["rep"] = "1"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_drop_dir, lambda p: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p: p["trials"]],
+    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array"],
+)
+def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
+    camp, _ = _partial_campaign(tmp_path, 1)
+    manifest = camp / "manifest.json"
+    manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(manifest) in err
+    assert "Traceback" not in err
+
+
 def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):
     camp, _ = _partial_campaign(tmp_path, 2)
     manifest = json.loads((camp / "manifest.json").read_text())

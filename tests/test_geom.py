@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +18,9 @@ from touchtrace.geom import (
     integrate_gyro,
     quat_from_matrix,
     quat_matrices,
+    quat_multiply,
     rotate_vector,
+    rotate_vectors,
     to_euler,
 )
 
@@ -161,3 +164,30 @@ def test_matrix_round_trip(q):
     sign = 1.0 if back.w * q.w + back.x * q.x + back.y * q.y + back.z * q.z >= 0 else -1.0
     for a, b in zip(q.as_tuple(), back.as_tuple()):
         assert a == pytest.approx(sign * b, abs=1e-7)
+
+
+def _random_quats(rng, n):
+    q = rng.normal(size=(n, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def test_quat_product_is_bitwise_equal_on_floats_and_arrays():
+    rng = np.random.default_rng(5)
+    a, b = _random_quats(rng, 500), _random_quats(rng, 500)
+    rows = quat_multiply(a, b)
+    for k in range(500):
+        scalar = UnitQuat(*a[k]).multiply(UnitQuat(*b[k]))
+        assert scalar.as_tuple() == tuple(rows[k])
+    # one right-hand quaternion for every row
+    rows = quat_multiply(a, b[0])
+    for k in range(500):
+        assert UnitQuat(*a[k]).multiply(UnitQuat(*b[0])).as_tuple() == tuple(rows[k])
+
+
+def test_vector_rotation_is_bitwise_equal_on_floats_and_arrays():
+    rng = np.random.default_rng(6)
+    q = _random_quats(rng, 500)
+    for v in rng.normal(scale=10.0, size=(5, 3)).tolist():
+        rows = rotate_vectors(q, tuple(v))
+        for k in range(500):
+            assert rotate_vector(UnitQuat(*q[k]), Vec3(*v)).as_tuple() == tuple(rows[k])

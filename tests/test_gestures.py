@@ -273,6 +273,15 @@ def test_gesture_config_file_with_texture_profiles(tmp_path):
     assert wood.tap_move_limit_counts == GestureConfig().tap_move_limit_counts
 
 
+@pytest.mark.parametrize("texture", ["mousepad", "wood", "jeans"])
+@pytest.mark.parametrize("line", ["wood.bogus_key=3", "jeans.tap_squal=many"])
+def test_gesture_config_checks_lines_of_every_texture(tmp_path, texture, line):
+    path = tmp_path / "gestures.cfg"
+    path.write_text(f"contact_squal=12\n{line}\n")
+    with pytest.raises(ValueError, match="bogus_key|invalid literal"):
+        load_gesture_config(path, texture)
+
+
 def test_gesture_config_validation():
     with pytest.raises(ValueError):
         GestureConfig(contact_squal=50, tap_squal=40)

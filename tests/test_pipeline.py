@@ -15,7 +15,7 @@ from touchtrace.pipeline import (
     run_trials,
 )
 from touchtrace.interaction import MountMode
-from touchtrace.protocol import FrameColumns, encode_frames
+from touchtrace.protocol import FrameColumns, ScaleConfig, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
     TrialSpec,
@@ -174,6 +174,14 @@ def test_cylinder_scales_with_diameter():
         _, result = replay_cylinder_demo(diameter_mm=d)
         span = result.pointer.pos_mm[:, 0].max() - result.pointer.pos_mm[:, 0].min()
         assert span == pytest.approx(d, rel=0.02)
+
+
+def test_cylinder_demo_synthesizes_at_the_replay_scales():
+    # at 800 counts per inch a count is half as long: the synthesized deltas
+    # must double for the replayed wrap to keep its diameter
+    config = ReplayConfig(scales=ScaleConfig(counts_per_inch=800.0), with_gestures=False)
+    truth, result = replay_cylinder_demo(diameter_mm=30.0, config=config)
+    assert np.abs(result.pointer.pos_mm - truth.pos_mm).max() <= 1.0
 
 
 def test_evaluate_trial_pipeline_consistency():

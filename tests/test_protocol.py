@@ -176,7 +176,7 @@ def test_diagnostics_json_schema():
     import json
 
     payload = json.loads(diag.to_json())
-    assert set(payload) == {"frames", "crc_failures", "field_errors", "resyncs", "bytes_skipped"}
+    assert list(payload) == ["frames", "crc_failures", "field_errors", "resyncs", "bytes_skipped"]
     assert payload["frames"] == 1
 
 

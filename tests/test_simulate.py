@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_manifest_round_trip(tmp_path):
     assert (seed, preset) == (7, "zero")
     assert loaded == specs
     assert len(dirs) == 5 and dirs[0].startswith("trial_000_")
+
+
+def test_manifest_key_order_and_defaults_for_older_manifests(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, 7, "zero", campaign_specs(7)[:2])
+    payload = json.loads(path.read_text())
+    assert list(payload["trials"][0]) == [
+        "index", "texture", "size_mm", "shape", "rep", "tilt_deg", "seed", "rate_hz", "speed_mm_s", "dir"
+    ]
+    for entry in payload["trials"]:  # as written before the rate and speed were recorded
+        del entry["rate_hz"], entry["speed_mm_s"]
+    path.write_text(json.dumps(payload))
+    _, _, loaded, _ = read_manifest(path)
+    assert loaded == campaign_specs(7)[:2]
+    assert (loaded[0].rate_hz, loaded[0].speed_mm_s) == (50.0, 30.0)
 
 
 def test_cylinder_trajectory_geometry():
