@@ -8,7 +8,7 @@ between the finger-forward axes.
 
 Per-trial statistics use the population sigma; the ANOVA uses the
 classical between/within mean squares with the p-value taken from the
-F survival function (a regularized incomplete beta).
+F survival function (a regularized incomplete beta, computed here).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
 
 from .geom import quat_matrices
 from .simulate import SHAPE_NAMES, SIZES_MM, TEXTURE_NAMES, REPS, TrialSpec
@@ -104,6 +103,36 @@ def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) 
     )
 
 
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+
+    I_x(a, 1) = x**a. Otherwise the continued fraction of Numerical Recipes (3rd ed.,
+    sec. 6.4) by the modified Lentz method, taken through I_x(a, b) = 1 - I_{1-x}(b, a)
+    for x > (a + 1) / (a + b + 2), where it would converge slowly.
+    """
+    if x <= 0.0 or x >= 1.0:
+        return 0.0 if x <= 0.0 else 1.0
+    if b == 1.0:
+        return x**a
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    c, d, f = 1.0, 0.0, 1.0
+    for m in range(1000):
+        for term in (-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+                     (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):
+            d = 1.0 + term * d
+            d = 1.0 / (d if abs(d) > 1e-300 else 1e-300)
+            c = 1.0 + term / c
+            c = c if abs(c) > 1e-300 else 1e-300
+            f *= c * d
+        if abs(c * d - 1.0) <= math.ulp(1.0):
+            p = math.exp(log_front) / (a * f)
+            return 1.0 - p if flip else p
+    raise ArithmeticError(f"I_{x}({a}, {b}) did not converge in 1000 terms")
+
+
 @dataclass(frozen=True)
 class AnovaResult:
     F: float
@@ -135,7 +164,7 @@ def one_way_anova(groups) -> AnovaResult:
             return AnovaResult(F=0.0, df_between=df_b, df_within=df_w, p=1.0)
         return AnovaResult(F=math.inf, df_between=df_b, df_within=df_w, p=0.0)
     f = msb / msw
-    p = float(betainc(df_w / 2.0, df_b / 2.0, df_w / (df_w + df_b * f)))
+    p = _betainc(df_w / 2.0, df_b / 2.0, df_w / (df_w + df_b * f))
     return AnovaResult(F=f, df_between=df_b, df_within=df_w, p=p)
 
 

@@ -35,12 +35,8 @@ DOUBLE_TAP = "DoubleTap"
 PRESS_BEGIN = "PressBegin"
 PRESS_END = "PressEnd"
 
-# Operational lift range of the modeled optical sensor, in mm.
-LIFT_RANGE_MM = 5.0
-# Mousepad anchor: squal 40 at 2.4 mm lens-to-surface distance.
-_ANCHOR_SQUAL = 40.0
-_ANCHOR_DISTANCE_MM = 2.4
-_REFERENCE_SQUAL_MEAN = 70.0  # mousepad in-contact average
+# The drawing surfaces; a gesture-config line may override one by name.
+TEXTURE_NAMES = ("mousepad", "wood", "jeans")
 
 
 @dataclass(frozen=True)
@@ -248,29 +244,6 @@ def run_detector(frames, config: GestureConfig | None = None) -> list[GestureEve
     return events
 
 
-# -- SQUAL <-> lift distance model ----------------------------------------
-
-
-def _full_contact_squal(texture_model) -> float:
-    """SQUAL the texture would report at zero lens-to-surface distance."""
-    mousepad_s0 = _ANCHOR_SQUAL / (1.0 - _ANCHOR_DISTANCE_MM / LIFT_RANGE_MM)
-    return mousepad_s0 * texture_model.squal_mean / _REFERENCE_SQUAL_MEAN
-
-
-def distance_to_squal(distance_mm: float, texture_model) -> float:
-    """Monotone-decreasing lift model; squal 40 at 2.4 mm on mousepad."""
-    if not 0.0 <= distance_mm <= LIFT_RANGE_MM:
-        raise ValueError(f"distance must be within [0, {LIFT_RANGE_MM}] mm, got {distance_mm}")
-    return _full_contact_squal(texture_model) * (1.0 - distance_mm / LIFT_RANGE_MM)
-
-
-def squal_to_distance(squal: float, texture_model) -> float:
-    s0 = _full_contact_squal(texture_model)
-    if not 0.0 <= squal <= s0:
-        raise ValueError(f"squal must be within [0, {s0:.1f}] for this texture, got {squal}")
-    return LIFT_RANGE_MM * (1.0 - squal / s0)
-
-
 # -- event stream serialization -------------------------------------------
 
 
@@ -300,7 +273,8 @@ def load_gesture_config(path, texture: str = "mousepad") -> GestureConfig:
 
     Unprefixed keys set the base profile; ``texture.key`` lines override
     a single texture. Keys are exactly the GestureConfig field names, and
-    every line is checked, whichever texture it names.
+    every line is checked, whichever texture it names; a prefix that names
+    no texture is an error.
     """
     base: dict[str, int] = {}
     override: dict[str, int] = {}
@@ -316,9 +290,14 @@ def load_gesture_config(path, texture: str = "mousepad") -> GestureConfig:
         target = base
         if "." in key:
             prefix, _, key = key.partition(".")
+            if prefix not in TEXTURE_NAMES:
+                raise ValueError(f"{path}:{lineno}: unknown texture {prefix!r}")
             target = override if prefix == texture else {}
         if key not in _INT_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown gesture config key {key!r}")
-        target[key] = int(value)
+        try:
+            target[key] = int(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     base.update(override)
     return GestureConfig(**base)

@@ -495,14 +495,16 @@ def load_filter_config(path) -> FilterConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "mag_reference":
-            parts = [float(p) for p in value.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: mag_reference needs 3 components")
-            values[key] = Vec3(*parts)
-        else:
-            values[key] = float(value)
-    unknown = set(values) - set(FilterConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"{path}: unknown filter config keys: {sorted(unknown)}")
+        if key not in FilterConfig.__dataclass_fields__:
+            raise ValueError(f"{path}:{lineno}: unknown filter config key {key!r}")
+        try:
+            if key == "mag_reference":
+                parts = [float(p) for p in value.split(",")]
+                if len(parts) != 3:
+                    raise ValueError("mag_reference needs 3 components")
+                values[key] = Vec3(*parts)
+            else:
+                values[key] = float(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return FilterConfig(**values)  # type: ignore[arg-type]

@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .geom import _DEG, EY, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
-from .gestures import GestureConfig
+from .gestures import TEXTURE_NAMES, GestureConfig
 from .orientation import FilterConfig
 from .protocol import ScaleConfig, SensorFrame
 from .trajectory import Trajectory
 
-TEXTURE_NAMES = ("mousepad", "wood", "jeans")
 SIZES_MM = (12, 21, 42, 84)
 SHAPE_NAMES = ("hline", "vline", "diag", "triangle", "square", "circle")
 REPS = 5

@@ -1,0 +1,45 @@
+"""Fixtures shared across test modules."""
+
+import contextlib
+import io
+
+import pytest
+
+from touchtrace.cli import main as cli_main
+
+# The README's campaign commands, run from the directory that holds camp/.
+CAMPAIGN_COMMANDS = (
+    "simulate --campaign --seed 42 --noise default --out camp/",
+    "campaign --dir camp/ --out summary.json",
+)
+
+
+def run_commands(commands) -> str:
+    """Run CLI commands in the working directory; return the transcript.
+
+    Each command is echoed as ``$ touchtrace <args>`` and followed by
+    what it printed to stdout. A command that does not exit 0 fails the
+    calling test.
+    """
+    transcript = []
+    for command in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(command.split())
+        assert code == 0, f"touchtrace {command} exited {code}"
+        transcript.append(f"$ touchtrace {command}\n{out.getvalue()}")
+    return "".join(transcript)
+
+
+@pytest.fixture(scope="session")
+def cli_campaign(tmp_path_factory):
+    """Seed-42 default-noise campaign through the real CLI file workflow.
+
+    Returns the directory holding ``camp/`` and ``summary.json``, and the
+    transcript of the two commands.
+    """
+    root = tmp_path_factory.mktemp("campaign")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        transcript = run_commands(CAMPAIGN_COMMANDS)
+    return root, transcript

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from touchtrace.cli import main as cli_main
 from touchtrace.geom import (
     EX,
     EY,
@@ -89,19 +88,10 @@ def zero_campaign():
 
 
 @pytest.fixture(scope="session")
-def default_summary(tmp_path_factory):
+def default_summary(cli_campaign):
     """Seed-42 default-noise campaign through the real CLI file workflow."""
-    root = tmp_path_factory.mktemp("campaign")
-    camp = root / "camp"
-    code = cli_main(
-        ["simulate", "--campaign", "--seed", str(CAMPAIGN_SEED), "--noise", "default",
-         "--out", str(camp)]
-    )
-    assert code == 0
-    out = root / "summary.json"
-    code = cli_main(["campaign", "--dir", str(camp), "--out", str(out)])
-    assert code == 0
-    return json.loads(out.read_text())
+    root, _ = cli_campaign
+    return json.loads((root / "summary.json").read_text())
 
 
 def test_criterion_1_zero_noise_end_to_end(zero_campaign):

@@ -227,3 +227,26 @@ def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, j
         run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json"), "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--filter-config", "accel_gate=0.3\naccel_noise=abc\n"),
+        ("--filter-config", "accel_gate=0.3\nmag_reference=0.2,x,-0.4\n"),
+        ("--filter-config", "accel_gate=0.3\nbogus_key=1\n"),
+        ("--gesture-config", "contact_squal=12\njeans.tap_squal=x\n"),
+        ("--gesture-config", "contact_squal=12\nmousepda.tap_squal=3\n"),
+    ],
+    ids=["filter-value", "filter-vector", "filter-unknown-key", "gesture-value", "gesture-unknown-texture"],
+)
+def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text):
+    trace = tmp_path / "tap.3dt"
+    assert run(["gesture", "--kind", "tap", "--out", str(trace)]) == 0
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    capsys.readouterr()
+    assert run(["replay", "--in", str(trace), "--out", str(tmp_path / "out"), option, str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:2: ")
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ from touchtrace.evaluate import (
     AnovaResult,
     TrajectoryMismatchError,
     TrialResult,
+    _betainc,
     align,
     evaluate_trial,
     one_way_anova,
@@ -120,12 +121,48 @@ def test_anova_translation_and_scale_invariance():
     assert one_way_anova(scaled).F == pytest.approx(f0, abs=1e-9)
 
 
-def test_anova_p_monotone_in_f():
-    """p must fall as F rises for fixed dfs."""
-    from scipy.special import betainc
+@pytest.mark.parametrize("groups", [2, 3, 5])
+def test_anova_p_monotone_in_f(groups):
+    """p must fall as F rises for fixed dfs (three groups take the closed form)."""
+    results = [one_way_anova([[j * k, j * k + 1, j * k + 2, j * k + 4] for j in range(groups)])
+               for k in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)]
+    assert results[0].F == 0.0 and results[0].p == 1.0
+    assert all(a.F < b.F and a.p > b.p for a, b in zip(results, results[1:]))
 
-    ps = [float(betainc(3.0, 1.0, 6.0 / (6.0 + 2.0 * f))) for f in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    assert all(a > b for a, b in zip(ps, ps[1:]))
+
+def test_anova_three_groups_p_is_the_closed_form():
+    """df_between = 2: p = I_x(df_w / 2, 1) = x ** (df_w / 2), bit for bit."""
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 120):
+        res = one_way_anova([rng.normal(mu, 1.0, n) for mu in (0.0, 0.3, 0.6)])
+        x = res.df_within / (res.df_within + 2 * res.F)
+        assert res.p == x ** (res.df_within / 2)
+
+
+def test_betainc_edges():
+    with pytest.raises(ArithmeticError, match="did not converge in 1000 terms"):
+        _betainc(1e8, 1e8, 0.5)  # needs about sqrt(a) terms
+    assert _betainc(3.0, 0.5, 0.0) == 0.0
+    assert _betainc(3.0, 0.5, 1.0) == 1.0
+    assert _betainc(0.5, 3.0, 1e-300) == pytest.approx(0.0, abs=1e-140)
+    assert 0.0 < _betainc(0.5, 3.0, 1e-300) < _betainc(0.5, 3.0, 1e-299)
+    assert _betainc(3.0, 0.5, 1.0 - 1e-15) == pytest.approx(1.0, abs=1e-6)
+    assert _betainc(3.0, 0.5, 1.0 - 1e-15) < 1.0
+    assert 0.0 < one_way_anova([[0, 1], [1e8, 1e8 + 1], [2e8, 2e8 + 1]]).p < 1e-20
+    assert one_way_anova([[0, 2], [1e-12, 2], [0, 2 + 1e-12]]).p == 1.0
+
+
+def test_betainc_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for df_b in range(1, 20):
+        for df_w in np.unique(np.geomspace(2, 5000, 25).round().astype(int)):
+            for f in np.geomspace(1e-6, 1e4, 21):
+                a, b, x = df_w / 2, df_b / 2, float(df_w / (df_w + df_b * f))
+                # Near the underflow threshold scipy keeps fewer digits than
+                # this code (checked against mpmath), so the bound is absolute there.
+                assert _betainc(a, b, x) == pytest.approx(
+                    special.betainc(a, b, x), rel=1e-10, abs=1e-290
+                ), (df_b, df_w, f)
 
 
 def test_anova_validates_input():

@@ -12,14 +12,12 @@ from touchtrace.gestures import (
     GestureConfig,
     GestureDetector,
     GestureEvent,
-    distance_to_squal,
     load_gesture_config,
     read_events_jsonl,
     run_detector,
-    squal_to_distance,
     write_events_jsonl,
 )
-from touchtrace.simulate import TEXTURES, script_gesture_trace
+from touchtrace.simulate import script_gesture_trace
 from touchtrace.protocol import SensorFrame
 
 CFG = GestureConfig()
@@ -221,28 +219,6 @@ def test_determinism_and_split_invariance_sampled(seed):
     assert split_events == whole
 
 
-def test_squal_distance_anchor_and_inverse():
-    mousepad = TEXTURES["mousepad"]
-    assert distance_to_squal(2.4, mousepad) == pytest.approx(40.0, abs=1e-9)
-    assert distance_to_squal(5.0, mousepad) == pytest.approx(0.0, abs=1e-9)
-    for d in [1.0, 1.7, 2.4, 3.3, 4.4]:
-        back = squal_to_distance(distance_to_squal(d, mousepad), mousepad)
-        assert back == pytest.approx(d, abs=0.05)
-
-
-def test_squal_distance_monotone_decreasing_per_texture():
-    for texture in TEXTURES.values():
-        values = [distance_to_squal(d / 10, texture) for d in range(0, 51, 5)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_distance_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        distance_to_squal(5.5, TEXTURES["mousepad"])
-    with pytest.raises(ValueError):
-        distance_to_squal(-0.1, TEXTURES["mousepad"])
-
-
 def test_events_jsonl_round_trip(tmp_path):
     events = [
         GestureEvent(TAP, 120, 3, -1),
@@ -274,11 +250,11 @@ def test_gesture_config_file_with_texture_profiles(tmp_path):
 
 
 @pytest.mark.parametrize("texture", ["mousepad", "wood", "jeans"])
-@pytest.mark.parametrize("line", ["wood.bogus_key=3", "jeans.tap_squal=many"])
+@pytest.mark.parametrize("line", ["wood.bogus_key=3", "jeans.tap_squal=many", "mousepda.tap_squal=3"])
 def test_gesture_config_checks_lines_of_every_texture(tmp_path, texture, line):
     path = tmp_path / "gestures.cfg"
     path.write_text(f"contact_squal=12\n{line}\n")
-    with pytest.raises(ValueError, match="bogus_key|invalid literal"):
+    with pytest.raises(ValueError, match=":2: (.*bogus_key|invalid literal|unknown texture 'mousepda')"):
         load_gesture_config(path, texture)
 
 

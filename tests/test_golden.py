@@ -1,0 +1,157 @@
+"""Golden outputs: the README command sequence, byte for byte.
+
+``tests/golden/`` holds what the README commands print and write:
+
+* ``stdout.txt``: every command and what it printed, in README order;
+* ``files/``: every file the commands write, whole, except under ``camp/``;
+* ``campaign.sha256``: the SHA-256 of every file under ``camp/`` (the
+  360 trials), in ``sha256sum`` format;
+* ``versions.json``: the Python and numpy versions they were made with.
+
+Under those versions every byte must match. Under other versions the
+numbers in stdout and in the text files must agree within 1e-9
+relative, the ``.3dt`` traces (integers only) must match exactly, and
+the digests are skipped. Regenerate the files only in a change that
+means to alter outputs, and list what changed:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import math
+import platform
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import CAMPAIGN_COMMANDS, run_commands
+
+GOLDEN = Path(__file__).with_name("golden")
+
+# The README commands before and after its campaign, which the shared
+# ``cli_campaign`` fixture runs, plus a default-noise trace under every mount.
+TRIAL_COMMANDS = (
+    "simulate --texture mousepad --size 42 --shape circle --seed 7 --noise zero --out trial/",
+    "replay --in trial/sensor.3dt --out replayed/",
+    "eval --pred replayed/pointer.csv --truth trial/truth.csv --out metrics.json",
+)
+FIXTURE_COMMANDS = (
+    "gesture --kind doubletap --out dtap.3dt",
+    "replay --in dtap.3dt --out gestures/",
+    "simulate --texture jeans --size 84 --shape square --seed 9 --noise default --out jeans9/",
+    *(
+        f"replay --in jeans9/sensor.3dt --out {mount}/ --mount {mount}"
+        for mount in ("fingertip", "fingerpad", "ring")
+    ),
+)
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def readme_outputs(work: Path, campaign_root: Path, campaign_transcript: str):
+    """Run the non-campaign commands in ``work``.
+
+    Returns the transcript of the whole sequence and the files to keep
+    whole (relative path -> bytes).
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        transcript = run_commands(TRIAL_COMMANDS) + campaign_transcript + run_commands(FIXTURE_COMMANDS)
+    files = {p.relative_to(work).as_posix(): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+    files["summary.json"] = (campaign_root / "summary.json").read_bytes()
+    return transcript, files
+
+
+def campaign_digests(campaign_root: Path) -> str:
+    """``sha256sum`` lines for every file under ``camp/``."""
+    return "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(campaign_root).as_posix()}\n"
+        for p in sorted((campaign_root / "camp").rglob("*"))
+        if p.is_file()
+    )
+
+
+def values_close(got: str, want: str, rel: float = 1e-9) -> bool:
+    """Equal text between the numbers, and each number within ``rel`` relative."""
+    return _NUMBER.split(got) == _NUMBER.split(want) and all(
+        math.isclose(float(a), float(b), rel_tol=rel)
+        for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want))
+    )
+
+
+def _recorded_versions() -> dict:
+    return json.loads((GOLDEN / "versions.json").read_text())
+
+
+def test_readme_outputs_match_golden(tmp_path, cli_campaign):
+    transcript, files = readme_outputs(tmp_path, *cli_campaign)
+    golden_files = GOLDEN / "files"
+    want = {
+        p.relative_to(golden_files).as_posix(): p.read_bytes()
+        for p in golden_files.rglob("*")
+        if p.is_file()
+    }
+    assert sorted(files) == sorted(want)
+    want_transcript = (GOLDEN / "stdout.txt").read_text()
+    if _recorded_versions() == versions():
+        assert transcript == want_transcript
+        for rel, data in files.items():
+            assert data == want[rel], f"{rel} differs from tests/golden/files/{rel}"
+    else:
+        assert values_close(transcript, want_transcript)
+        for rel, data in files.items():
+            if rel.endswith(".3dt"):
+                assert data == want[rel], f"{rel} differs from tests/golden/files/{rel}"
+            else:
+                assert values_close(data.decode(), want[rel].decode()), f"{rel} differs beyond 1e-9"
+
+
+def test_campaign_files_match_golden_digests(cli_campaign):
+    recorded = _recorded_versions()
+    if recorded != versions():
+        pytest.skip(
+            f"digests were recorded under {recorded} and this is {versions()}; "
+            "a digest can only be compared byte for byte"
+        )
+    digests = campaign_digests(cli_campaign[0])
+    assert digests.splitlines() == (GOLDEN / "campaign.sha256").read_text().splitlines()
+
+
+def test_values_close_holds_numbers_to_1e_9_relative():
+    assert values_close("p=0.5000000000001, n 357\n", "p=0.5, n 357\n")
+    assert not values_close("p=0.500001, n 357\n", "p=0.5, n 357\n")
+    assert not values_close("F=0.5, n 357\n", "p=0.5, n 357\n")
+
+
+def record() -> None:
+    """Rewrite tests/golden/ from the current code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        campaign_root, work = Path(tmp, "campaign"), Path(tmp, "work")
+        campaign_root.mkdir()
+        work.mkdir()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(campaign_root)
+            campaign_transcript = run_commands(CAMPAIGN_COMMANDS)
+        transcript, files = readme_outputs(work, campaign_root, campaign_transcript)
+        digests = campaign_digests(campaign_root)
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for rel, data in files.items():
+        path = GOLDEN / "files" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    (GOLDEN / "stdout.txt").write_text(transcript)
+    (GOLDEN / "campaign.sha256").write_text(digests)
+    (GOLDEN / "versions.json").write_text(json.dumps(versions(), indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    record()
