@@ -83,13 +83,14 @@ class _CompletedTap:
 class GestureDetector:
     """Deterministic per-stream state machine over sensor frames.
 
-    Feed frames in timestamp order via :meth:`step`; call :meth:`finish`
-    exactly once at end of stream to flush a still-withheld tap.
+    Feed frames via :meth:`step`; call :meth:`finish` exactly once at end
+    of stream to flush a still-withheld tap. Timestamps must not decrease;
+    replay checks this once per stream, before the detector runs, so the
+    detector does not.
     """
 
     def __init__(self, config: GestureConfig | None = None):
         self.config = config or GestureConfig()
-        self._last_t: int | None = None
         self._cum_x = 0
         self._cum_y = 0
         # contact bookkeeping
@@ -158,10 +159,6 @@ class GestureDetector:
         """Process one frame (anything with timestamp_ms/dx/dy/squal)."""
         cfg = self.config
         t = frame.timestamp_ms
-        if self._last_t is not None and t < self._last_t:
-            raise ValueError(f"out-of-order timestamp: {t} ms arrived after {self._last_t} ms")
-        self._last_t = t
-
         out: list[GestureEvent] = []
 
         # a withheld tap whose pairing window has lapsed becomes a plain Tap,
@@ -300,4 +297,7 @@ def load_gesture_config(path, texture: str = "mousepad") -> GestureConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     base.update(override)
-    return GestureConfig(**base)
+    try:
+        return GestureConfig(**base)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

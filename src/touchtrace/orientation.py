@@ -52,7 +52,7 @@ MAX_DT_S = 0.1
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Noise tuning, all strictly positive.
+    """Noise tuning: every value finite, every scalar strictly positive.
 
     The defaults are calibrated for the synthetic sensor model shipped in
     :mod:`touchtrace.simulate`: measurement trust is deliberately weak so
@@ -70,17 +70,13 @@ class FilterConfig:
     init_bias_sigma_dps: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in (
-            "gyro_noise_density",
-            "bias_random_walk",
-            "accel_noise",
-            "mag_noise",
-            "accel_gate",
-            "init_attitude_sigma_deg",
-            "init_bias_sigma_dps",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            vector = isinstance(value, Vec3)
+            if not all(map(math.isfinite, value.as_tuple() if vector else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if not vector and value <= 0:
+                raise ValueError(f"{f.name} must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +84,6 @@ class FilterState:
     q: UnitQuat
     gyro_bias_dps: Vec3
     covariance: np.ndarray  # 6x6; attitude rad^2, bias (rad/s)^2
-
-
-@dataclass(frozen=True)
-class OrientationEstimate:
-    timestamp_ms: int
-    q: UnitQuat
-    gyro_bias_dps: Vec3
-    covariance: np.ndarray
 
 
 @dataclass
@@ -278,8 +266,9 @@ class OrientationFilter:
     """Streaming wrapper: one instance per sensor stream.
 
     Initializes from the first sample's accel+mag pair (TRIAD), then runs
-    predict + accel update + mag update per sample, emitting an estimate
-    synchronized to the frame timestamp.
+    predict + accel update + mag update per sample and returns the state
+    after it. Timestamps must not decrease; replay checks this once per
+    stream, before the filter runs, so the filter does not.
     """
 
     def __init__(self, config: FilterConfig | None = None):
@@ -288,12 +277,8 @@ class OrientationFilter:
         self.diagnostics = FilterDiagnostics()
         self._last_t_ms: int | None = None
 
-    def process(self, sample: CalibratedSample) -> OrientationEstimate:
+    def process(self, sample: CalibratedSample) -> FilterState:
         t = sample.timestamp_ms
-        if self._last_t_ms is not None and t < self._last_t_ms:
-            raise ValueError(
-                f"out-of-order timestamp: {t} ms arrived after {self._last_t_ms} ms"
-            )
         if self.state is None:
             self.state = initial_state(self.config, sample.accel_g, sample.mag_gauss)
         else:
@@ -307,12 +292,7 @@ class OrientationFilter:
                 self.diagnostics.gated_accel += 1
             self.state, _ = update_mag(self.state, self.config, sample.mag_gauss)
         self._last_t_ms = t
-        return OrientationEstimate(
-            timestamp_ms=t,
-            q=self.state.q,
-            gyro_bias_dps=self.state.gyro_bias_dps,
-            covariance=self.state.covariance,
-        )
+        return self.state
 
 
 # -- lockstep over many streams -----------------------------------------------
@@ -507,4 +487,7 @@ def load_filter_config(path) -> FilterConfig:
                 values[key] = float(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return FilterConfig(**values)  # type: ignore[arg-type]
+    try:
+        return FilterConfig(**values)  # type: ignore[arg-type]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

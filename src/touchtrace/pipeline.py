@@ -76,14 +76,16 @@ class ReplayResult:
 
 
 def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None) -> ReplayResult:
-    """Run decoded frames through filter, gestures and pointer projection."""
+    """Run decoded frames through filter, gestures and pointer projection.
+
+    Raises ValueError on an empty stream or a backward timestamp.
+    """
     config = config or ReplayConfig()
-    if not frames:
-        raise ValueError("replay needs at least one frame")
+    columns = FrameColumns.of(frames)
+    _check_timestamps(columns.t_ms)
     filt = OrientationFilter(config.filter_config)
     quat = np.array([filt.process(apply_scales(f, config.scales)).q.as_tuple() for f in frames])
     events = run_detector(frames, config.gesture_config) if config.with_gestures else []
-    columns = FrameColumns.of(frames)
     return _replayed(columns.t_ms, columns.dxdy, quat, config, events, filt.diagnostics)
 
 
@@ -166,6 +168,7 @@ def replay_lockstep(
 
 
 def _check_timestamps(t_ms: np.ndarray) -> None:
+    """Both replay paths' one order check per stream; the filter and detector rely on it."""
     if len(t_ms) == 0:
         raise ValueError("replay needs at least one frame")
     back = np.flatnonzero(t_ms[1:] < t_ms[:-1])

@@ -36,7 +36,7 @@ VERSION = 0x01
 FRAME_SIZE = 34
 SQUAL_MAX = 169
 
-_FRAME_STRUCT = struct.Struct("<4BIhh2B9hH")
+_BODY = struct.Struct("<4BIhh2B9h")  # bytes 0..31, which the CRC covers
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xor-out.
@@ -127,7 +127,7 @@ def apply_scales(frame: SensorFrame, scales: ScaleConfig) -> CalibratedSample:
 
 
 def encode_frame(frame: SensorFrame) -> bytes:
-    body = _FRAME_STRUCT.pack(
+    body = _BODY.pack(
         SYNC0,
         SYNC1,
         VERSION,
@@ -140,19 +140,8 @@ def encode_frame(frame: SensorFrame) -> bytes:
         *frame.accel_raw,
         *frame.gyro_raw,
         *frame.mag_raw,
-        0,
     )
-    crc = crc16_ccitt_false(body[:32])
-    return body[:32] + struct.pack("<H", crc)
-
-
-def _unpack_frame(raw: bytes) -> SensorFrame:
-    fields = _FRAME_STRUCT.unpack(raw)
-    (_, _, _, _, t_ms, dx, dy, squal, _pad) = fields[:9]
-    a = tuple(fields[9:12])
-    g = tuple(fields[12:15])
-    m = tuple(fields[15:18])
-    return SensorFrame(t_ms, dx, dy, squal, a, g, m)
+    return body + struct.pack("<H", crc16_ccitt_false(body))
 
 
 @dataclass
@@ -206,20 +195,20 @@ class DecoderState:
             pos = sync
             if n - pos < FRAME_SIZE:
                 break
-            raw = bytes(buf[pos : pos + FRAME_SIZE])
-            if raw[2] != VERSION:
+            if buf[pos + 2] != VERSION:
                 # not a real frame boundary; resume scanning past the sync
                 self._skip(1)
                 pos += 1
                 continue
-            (crc_stored,) = struct.unpack_from("<H", raw, 32)
-            if crc_stored != crc16_ccitt_false(raw[:32]):
+            (crc_stored,) = struct.unpack_from("<H", buf, pos + 32)
+            if crc_stored != crc16_ccitt_false(buf[pos : pos + 32]):
                 self.diagnostics.crc_failures += 1
                 self._skip(1)
                 pos += 1
                 continue
+            f = _BODY.unpack_from(buf, pos)
             try:
-                frame = _unpack_frame(raw)
+                frame = SensorFrame(f[4], f[5], f[6], f[7], f[9:12], f[12:15], f[15:18])
             except ValueError:
                 # intact bytes carrying an invalid field: skip it like corruption
                 self.diagnostics.field_errors += 1

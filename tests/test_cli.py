@@ -230,23 +230,40 @@ def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, j
 
 
 @pytest.mark.parametrize(
-    "option, text",
+    "option, text, where",
     [
-        ("--filter-config", "accel_gate=0.3\naccel_noise=abc\n"),
-        ("--filter-config", "accel_gate=0.3\nmag_reference=0.2,x,-0.4\n"),
-        ("--filter-config", "accel_gate=0.3\nbogus_key=1\n"),
-        ("--gesture-config", "contact_squal=12\njeans.tap_squal=x\n"),
-        ("--gesture-config", "contact_squal=12\nmousepda.tap_squal=3\n"),
+        ("--filter-config", "accel_gate=0.3\naccel_noise=abc\n", ":2: "),
+        ("--filter-config", "accel_gate=0.3\nmag_reference=0.2,x,-0.4\n", ":2: "),
+        ("--filter-config", "accel_gate=0.3\nbogus_key=1\n", ":2: "),
+        ("--gesture-config", "contact_squal=12\njeans.tap_squal=x\n", ":2: "),
+        ("--gesture-config", "contact_squal=12\nmousepda.tap_squal=3\n", ":2: "),
+        # values that parse but fail validation name the file only
+        ("--filter-config", "mag_reference=nan,0,-0.4\n", ": mag_reference must be finite"),
+        ("--filter-config", "accel_noise=inf\n", ": accel_noise must be finite"),
+        ("--filter-config", "accel_noise=0\n", ": accel_noise must be > 0"),
+        ("--gesture-config", "contact_squal=50\n", ": need 0 < contact_squal <= tap_squal <= 169"),
     ],
-    ids=["filter-value", "filter-vector", "filter-unknown-key", "gesture-value", "gesture-unknown-texture"],
+    ids=[
+        "filter-value",
+        "filter-vector",
+        "filter-unknown-key",
+        "gesture-value",
+        "gesture-unknown-texture",
+        "filter-nan-vector",
+        "filter-inf",
+        "filter-zero",
+        "gesture-thresholds",
+    ],
 )
-def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text):
+def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text, where):
     trace = tmp_path / "tap.3dt"
     assert run(["gesture", "--kind", "tap", "--out", str(trace)]) == 0
     config = tmp_path / "bad.cfg"
     config.write_text(text)
     capsys.readouterr()
-    assert run(["replay", "--in", str(trace), "--out", str(tmp_path / "out"), option, str(config)]) == 1
+    out = tmp_path / "out"
+    assert run(["replay", "--in", str(trace), "--out", str(out), option, str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}:2: ")
+    assert err.startswith(f"error: {config}{where}")
     assert "Traceback" not in err
+    assert not out.exists()

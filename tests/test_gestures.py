@@ -169,13 +169,6 @@ def test_press_begin_end_alternate():
     assert presses == [PRESS_BEGIN, PRESS_END] * 3
 
 
-def test_out_of_order_frame_rejected():
-    det = GestureDetector(CFG)
-    det.step(frame(100, 0))
-    with pytest.raises(ValueError, match="40.*100|100.*40"):
-        det.step(frame(40, 0))
-
-
 def test_events_are_timestamp_ordered_and_positions_accumulate():
     rng = random.Random(5)
     rows = []

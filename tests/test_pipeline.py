@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import touchtrace
 from touchtrace.evaluate import evaluate_trial
 from touchtrace.gestures import DOUBLE_TAP, PRESS_BEGIN, TAP
 from touchtrace.pipeline import (
@@ -103,11 +106,28 @@ def test_pointer_tracks_hold_no_negative_zero():
             assert not np.signbit(pos[pos == 0.0]).any(), mount
 
 
-def test_lockstep_replay_rejects_backward_timestamps():
+REPLAY_PATHS = {
+    "frames": replay_frames,
+    "lockstep": lambda frames: list(replay_lockstep([FrameColumns.of(frames)])),
+}
+
+
+@pytest.mark.parametrize("path", REPLAY_PATHS)
+def test_replay_paths_reject_backward_timestamps_alike(path):
     _, frames = simulate_trial(SPECS[3], NoiseModel.zero())
     frames[5], frames[6] = frames[6], frames[5]
-    with pytest.raises(ValueError, match="out-of-order timestamp: 100 ms arrived after 120 ms"):
-        list(replay_lockstep([FrameColumns.of(frames)]))
+    for stream, message in (
+        (frames, "out-of-order timestamp: 100 ms arrived after 120 ms"),
+        ([], "replay needs at least one frame"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            REPLAY_PATHS[path](stream)
+        assert str(exc.value) == message
+
+
+def test_timestamp_order_policy_is_written_once():
+    sources = Path(touchtrace.__file__).parent.rglob("*.py")
+    assert sum(p.read_text(encoding="utf-8").count("out-of-order timestamp") for p in sources) == 1
 
 
 def test_campaign_is_bitwise_independent_of_jobs():
