@@ -26,7 +26,7 @@ from .gestures import GestureConfig, load_gesture_config, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig, load_filter_config
 from .pipeline import ReplayConfig, map_chunks, replay_bytes, replay_lockstep
-from .protocol import FrameColumns, ScaleConfig, decode_stream, write_trace
+from .protocol import ScaleConfig, decode_columns, write_trace
 from .simulate import (
     GESTURE_KINDS,
     NOISE_PRESETS,
@@ -40,7 +40,7 @@ from .simulate import (
     noise_for_preset,
     read_manifest,
     script_gesture_trace,
-    simulate_trial,
+    simulate_columns,
     trial_dirname,
     write_manifest,
 )
@@ -70,11 +70,11 @@ def _replay_config(args) -> ReplayConfig:
 
 def _write_trial(out_dir: Path, spec: TrialSpec, noise_preset: str) -> int:
     noise = noise_for_preset(noise_preset, TEXTURES[spec.texture])
-    truth, frames = simulate_trial(spec, noise)
+    truth, block = simulate_columns(spec, noise)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace(out_dir / "sensor.3dt", frames)
+    write_trace(out_dir / "sensor.3dt", block)
     truth.write_csv(out_dir / "truth.csv")
-    return len(frames)
+    return len(block)
 
 
 def cmd_simulate(args) -> int:
@@ -141,10 +141,10 @@ def _score_chunk(root: str, mount: str, trials: list[tuple[str, TrialSpec]]) -> 
     """Replay a chunk of campaign trials in lockstep; score and write each as it ends."""
     streams = []
     for rel, _ in trials:
-        frames, _ = decode_stream((Path(root) / rel / "sensor.3dt").read_bytes())
-        if not frames:
+        columns, _ = decode_columns((Path(root) / rel / "sensor.3dt").read_bytes())
+        if not len(columns):
             raise DataError(f"{rel}: no frames decoded")
-        streams.append(FrameColumns.of(frames))
+        streams.append(columns)
     config = ReplayConfig(mount=MountMode.from_name(mount), with_gestures=False)
     results = [None] * len(trials)
     for i, replayed in replay_lockstep(streams, config):

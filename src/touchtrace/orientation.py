@@ -52,7 +52,8 @@ MAX_DT_S = 0.1
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Noise tuning: every value finite, every scalar strictly positive.
+    """Noise tuning: every value finite, every scalar strictly positive,
+    and a ``mag_reference`` with a component across gravity.
 
     The defaults are calibrated for the synthetic sensor model shipped in
     :mod:`touchtrace.simulate`: measurement trust is deliberately weak so
@@ -77,6 +78,9 @@ class FilterConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if not vector and value <= 0:
                 raise ValueError(f"{f.name} must be > 0")
+        if GRAVITY_WORLD.cross(self.mag_reference).norm() < 1e-9:
+            # triad_orientation's test: such a field fixes no heading
+            raise ValueError(f"mag_reference gives no heading: {self.mag_reference} is zero or along gravity")
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,7 @@ from .protocol import (
     ScaleConfig,
     SensorFrame,
     apply_scales,
+    decode_columns,
     decode_stream,
     encode_frames,
 )
@@ -54,7 +55,7 @@ from .simulate import (
     campaign_specs,
     gen_trajectory,
     noise_for_preset,
-    simulate_trial,
+    simulate_columns,
 )
 from .trajectory import Trajectory
 
@@ -138,10 +139,9 @@ def replay_lockstep(
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    t_ms = np.concatenate([streams[i].t_ms for i in order])
-    imu_raw = np.concatenate([streams[i].imu_raw for i in order])
-    dxdy = np.concatenate([streams[i].dxdy for i in order])
-    del streams  # packed now; a caller that keeps no reference frees them here
+    packed = FrameColumns.concat([streams[i] for i in order])
+    t_ms, imu_raw, dxdy = packed.t_ms, packed.imu_raw, packed.dxdy
+    del streams, packed  # a caller that keeps no reference frees the streams here
     sc = config.scales
     units = np.repeat((sc.accel_g_per_lsb, sc.gyro_dps_per_lsb, sc.mag_gauss_per_lsb), 3)
 
@@ -198,8 +198,8 @@ def _simulated_replay(
     spec: TrialSpec, noise: NoiseModel, config: ReplayConfig
 ) -> tuple[Trajectory, ReplayResult]:
     """Synthesize a trial at ``config.scales``, encode it to bytes, replay the bytes."""
-    truth, frames = simulate_trial(spec, noise, config.scales)
-    result, _ = replay_bytes(encode_frames(frames), config)
+    truth, block = simulate_columns(spec, noise, config.scales)
+    result, _ = replay_bytes(encode_frames(block), config)
     assert result is not None
     return truth, result
 
@@ -228,13 +228,15 @@ def run_trials(
     """Synthesize trials, replay them through the wire in lockstep, score them.
 
     The campaign's worker: ``run_trial`` on each spec, to float rounding.
+    Each trial stays one frame block from synthesis to the filter, and
+    still crosses the wire as bytes.
     """
     config = config or ReplayConfig(with_gestures=False)
     streams = []
     for spec in specs:
         noise = noise_for_preset(noise_preset, TEXTURES[spec.texture])
-        _, frames = simulate_trial(spec, noise, config.scales)
-        streams.append(FrameColumns.of(decode_stream(encode_frames(frames))[0]))
+        _, block = simulate_columns(spec, noise, config.scales)
+        streams.append(decode_columns(encode_frames(block))[0])
     results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
     replayed_trials = replay_lockstep(streams, config)
     del streams  # the runner frees the columns once it has packed them

@@ -17,6 +17,11 @@ Frame layout (34 bytes, little-endian):
     [32:34]  uint16 CRC-16/CCITT-FALSE over bytes 0..31
 
 A ``.3dt`` trace file is just concatenated frames, exactly as on the wire.
+
+A ``FrameColumns`` block, one integer array per channel, is what the
+campaign moves: ``encode_frames`` writes a block through one record
+dtype, and ``decode_columns`` reads a whole stream back through the same
+dtype while it is clean, handing the rest to the resync scanner.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from __future__ import annotations
 import binascii
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +42,11 @@ VERSION = 0x01
 FRAME_SIZE = 34
 SQUAL_MAX = 169
 
-_BODY = struct.Struct("<4BIhh2B9h")  # bytes 0..31, which the CRC covers
+_BODY = struct.Struct("<4BIhh2B9h")  # the scanner's unpack of bytes 0..31, which the CRC covers
+FRAME_DTYPE = np.dtype(  # the layout above, one record per frame; encode and the decode fast path use it
+    [("sync", "u1", (2,)), ("version", "u1"), ("flags", "u1"), ("t_ms", "<u4"), ("dxdy", "<i2", (2,)),
+     ("squal", "u1"), ("pad", "u1"), ("imu_raw", "<i2", (9,)), ("crc", "<u2")]
+)
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xor-out.
@@ -126,24 +136,6 @@ def apply_scales(frame: SensorFrame, scales: ScaleConfig) -> CalibratedSample:
     )
 
 
-def encode_frame(frame: SensorFrame) -> bytes:
-    body = _BODY.pack(
-        SYNC0,
-        SYNC1,
-        VERSION,
-        0x00,
-        frame.timestamp_ms,
-        frame.dx,
-        frame.dy,
-        frame.squal,
-        0x00,
-        *frame.accel_raw,
-        *frame.gyro_raw,
-        *frame.mag_raw,
-    )
-    return body + struct.pack("<H", crc16_ccitt_false(body))
-
-
 @dataclass
 class DecoderDiagnostics:
     frames: int = 0
@@ -229,38 +221,118 @@ class DecoderState:
         self._skip_run_open = False
 
 
-def decode_stream(data: bytes) -> tuple[list[SensorFrame], DecoderDiagnostics]:
-    """Decode a complete byte string (e.g. a whole ``.3dt`` file)."""
-    state = DecoderState()
-    frames = state.feed(data)
-    state.flush()
-    return frames, state.diagnostics
-
-
 @dataclass(frozen=True, eq=False)
 class FrameColumns:
-    """Decoded frames as columns: what the lockstep replay reads of a stream."""
+    """A block of frames, one integer array per channel, in stream order.
 
-    t_ms: np.ndarray  # (n,) int64
-    imu_raw: np.ndarray  # (n, 9) int16: accel, gyro, mag
+    The block is what a campaign synthesizes, encodes, decodes and
+    replays. Its ranges are checked once per block, with ``SensorFrame``'s
+    messages; the int16 columns hold their range by dtype.
+    """
+
+    t_ms: np.ndarray  # (n,) int64, each in uint32
     dxdy: np.ndarray  # (n, 2) int16
+    squal: np.ndarray  # (n,) uint8, each in 0..SQUAL_MAX
+    imu_raw: np.ndarray  # (n, 9) int16: accel, gyro, mag
+
+    def __post_init__(self) -> None:
+        out = (self.t_ms < 0) | (self.t_ms > 0xFFFFFFFF)
+        if out.any():
+            raise ValueError(f"timestamp_ms out of uint32 range: {self.t_ms[out][0]}")
+        out = (self.squal < 0) | (self.squal > SQUAL_MAX)
+        if out.any():
+            raise ValueError(f"squal must be in [0, {SQUAL_MAX}], got {self.squal[out][0]}")
 
     def __len__(self) -> int:
         return len(self.t_ms)
 
     @staticmethod
-    def of(frames: list[SensorFrame]) -> "FrameColumns":
+    def of(frames: Sequence[SensorFrame]) -> "FrameColumns":
         rows = np.array(
-            [(f.dx, f.dy, *f.accel_raw, *f.gyro_raw, *f.mag_raw) for f in frames], dtype=np.int16
-        ).reshape(len(frames), 11)
-        t_ms = np.fromiter((f.timestamp_ms for f in frames), dtype=np.int64, count=len(frames))
-        return FrameColumns(t_ms, rows[:, 2:], rows[:, :2])
+            [(f.timestamp_ms, f.dx, f.dy, f.squal, *f.accel_raw, *f.gyro_raw, *f.mag_raw) for f in frames],
+            dtype=np.int64,
+        ).reshape(len(frames), 13)
+        return FrameColumns(
+            rows[:, 0].copy(), rows[:, 1:3].astype(np.int16), rows[:, 3].astype(np.uint8),
+            rows[:, 4:].astype(np.int16),
+        )
+
+    @staticmethod
+    def concat(blocks: Sequence["FrameColumns"]) -> "FrameColumns":
+        """One block holding ``blocks`` one after another."""
+        names = [f.name for f in fields(FrameColumns)]
+        return FrameColumns(*(np.concatenate([getattr(b, name) for b in blocks]) for name in names))
+
+    def frames(self) -> list[SensorFrame]:
+        """One ``SensorFrame`` per row, for the callers that step frame by frame."""
+        return [
+            SensorFrame(t, dx, dy, squal, tuple(imu[0:3]), tuple(imu[3:6]), tuple(imu[6:9]))
+            for t, (dx, dy), squal, imu in zip(
+                self.t_ms.tolist(), self.dxdy.tolist(), self.squal.tolist(), self.imu_raw.tolist()
+            )
+        ]
 
 
-def encode_frames(frames) -> bytes:
-    return b"".join(encode_frame(f) for f in frames)
+def encode_frames(frames: FrameColumns | Sequence[SensorFrame]) -> bytes:
+    """The wire bytes of a block, or of a sequence of frames, back to back."""
+    block = frames if isinstance(frames, FrameColumns) else FrameColumns.of(frames)
+    rec = np.zeros(len(block), FRAME_DTYPE)
+    rec["sync"] = (SYNC0, SYNC1)
+    rec["version"] = VERSION
+    rec["t_ms"] = block.t_ms
+    rec["dxdy"] = block.dxdy
+    rec["squal"] = block.squal
+    rec["imu_raw"] = block.imu_raw
+    raw = memoryview(rec.view(np.uint8))
+    rec["crc"] = [crc16_ccitt_false(raw[k : k + 32]) for k in range(0, len(raw), FRAME_SIZE)]
+    return rec.tobytes()
 
 
-def write_trace(path, frames) -> None:
+def encode_frame(frame: SensorFrame) -> bytes:
+    return encode_frames([frame])
+
+
+def decode_columns(data: bytes) -> tuple[FrameColumns, DecoderDiagnostics]:
+    """Decode a complete byte string (e.g. a whole ``.3dt`` file) to one block.
+
+    The leading run of 34-byte strides from offset 0 whose sync, version,
+    CRC and SQUAL all check is read in one pass through ``FRAME_DTYPE``.
+    From the first stride that fails, the rest of the bytes go to a fresh
+    ``DecoderState``, the resync scanner. The scanner would have accepted
+    that clean prefix frame by frame and been left as it started, so the
+    block and the counters equal what the scanner alone returns.
+    """
+    raw = memoryview(data)
+    rec = np.frombuffer(data, FRAME_DTYPE, count=len(raw) // FRAME_SIZE)
+    crc = [crc16_ccitt_false(raw[k : k + 32]) for k in range(0, len(rec) * FRAME_SIZE, FRAME_SIZE)]
+    ok = (
+        (rec["sync"] == (SYNC0, SYNC1)).all(axis=1)
+        & (rec["version"] == VERSION)
+        & (rec["squal"] <= SQUAL_MAX)
+        & (rec["crc"] == crc)
+    )
+    bad = np.flatnonzero(~ok)
+    good = int(bad[0]) if len(bad) else len(rec)
+    head = rec[:good]
+    columns = FrameColumns(
+        head["t_ms"].astype(np.int64), head["dxdy"].astype(np.int16), head["squal"].copy(),
+        head["imu_raw"].astype(np.int16),
+    )
+    state = DecoderState()
+    rest = state.feed(raw[good * FRAME_SIZE :])
+    state.flush()
+    state.diagnostics.frames += good
+    if rest:
+        columns = FrameColumns.concat([columns, FrameColumns.of(rest)])
+    return columns, state.diagnostics
+
+
+def decode_stream(data: bytes) -> tuple[list[SensorFrame], DecoderDiagnostics]:
+    """``decode_columns`` as a list of frames."""
+    columns, diagnostics = decode_columns(data)
+    return columns.frames(), diagnostics
+
+
+def write_trace(path, frames: FrameColumns | Sequence[SensorFrame]) -> None:
     with open(path, "wb") as fh:
         fh.write(encode_frames(frames))

@@ -22,7 +22,7 @@ import numpy as np
 from .geom import _DEG, EY, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
 from .gestures import TEXTURE_NAMES, GestureConfig
 from .orientation import FilterConfig
-from .protocol import ScaleConfig, SensorFrame
+from .protocol import FrameColumns, ScaleConfig, SensorFrame
 from .trajectory import Trajectory
 
 SIZES_MM = (12, 21, 42, 84)
@@ -228,8 +228,8 @@ def synthesize_sensors(
     rng: np.random.Generator,
     scales: ScaleConfig | None = None,
     contact: np.ndarray | None = None,
-) -> list[SensorFrame]:
-    """Fabricate the wire frames a device tracing ``truth`` would emit.
+) -> FrameColumns:
+    """Fabricate the block of wire frames a device tracing ``truth`` would emit.
 
     Per step the in-plane displacement (taken against the step-midpoint
     plane) becomes fractional counts, quantized through a running
@@ -241,7 +241,7 @@ def synthesize_sensors(
     scales = scales or ScaleConfig()
     n = len(truth)
     if n == 0:
-        return []
+        return FrameColumns.of([])
     if contact is None:
         contact = np.ones(n, dtype=bool)
 
@@ -277,7 +277,7 @@ def synthesize_sensors(
 
     squal_contact = np.rint(np.clip(rng.normal(texture.squal_mean, texture.squal_jitter, n), 50, 90))
     squal_lift = np.rint(rng.uniform(0.0, 3.0, n))
-    squal = np.where(contact, squal_contact, squal_lift).astype(np.int64)
+    squal = np.where(contact, squal_contact, squal_lift).astype(np.uint8)
 
     gravity = np.array([0.0, 0.0, -1.0])
     mag_world = np.array(FilterConfig().mag_reference.as_tuple())
@@ -295,25 +295,9 @@ def synthesize_sensors(
     accel = accel + rng.normal(0.0, noise.accel_sigma_g, (n, 3))
     mag = mag + rng.normal(0.0, noise.mag_sigma_gauss, (n, 3))
 
-    accel_raw = np.clip(np.rint(accel / scales.accel_g_per_lsb), -32768, 32767).astype(int)
-    gyro_raw = np.clip(np.rint(gyro / scales.gyro_dps_per_lsb), -32768, 32767).astype(int)
-    mag_raw = np.clip(np.rint(mag / scales.mag_gauss_per_lsb), -32768, 32767).astype(int)
-
-    frames = []
-    t_ms = truth.t_ms
-    for k in range(n):
-        frames.append(
-            SensorFrame(
-                timestamp_ms=int(t_ms[k]),
-                dx=int(dxdy[k, 0]),
-                dy=int(dxdy[k, 1]),
-                squal=int(squal[k]),
-                accel_raw=tuple(accel_raw[k]),
-                gyro_raw=tuple(gyro_raw[k]),
-                mag_raw=tuple(mag_raw[k]),
-            )
-        )
-    return frames
+    lsb = np.repeat([scales.accel_g_per_lsb, scales.gyro_dps_per_lsb, scales.mag_gauss_per_lsb], 3)
+    imu_raw = np.clip(np.rint(np.hstack([accel, gyro, mag]) / lsb), -32768, 32767).astype(np.int16)
+    return FrameColumns(truth.t_ms.copy(), dxdy.astype(np.int16), squal, imu_raw)
 
 
 # -- trial and campaign plumbing -------------------------------------------
@@ -330,16 +314,25 @@ def draw_tilt(seed: int) -> float:
     return float(trial_rng.uniform(0.0, 90.0))
 
 
+def simulate_columns(
+    spec: TrialSpec,
+    noise: NoiseModel,
+    scales: ScaleConfig | None = None,
+) -> tuple[Trajectory, FrameColumns]:
+    """Ground truth plus the block of synthesized wire frames for one trial."""
+    _, synth_rng = trial_streams(spec.seed)
+    truth = gen_trajectory(spec)
+    return truth, synthesize_sensors(truth, TEXTURES[spec.texture], noise, synth_rng, scales)
+
+
 def simulate_trial(
     spec: TrialSpec,
     noise: NoiseModel,
     scales: ScaleConfig | None = None,
 ) -> tuple[Trajectory, list[SensorFrame]]:
-    """Ground truth plus the synthesized wire frames for one trial."""
-    _, synth_rng = trial_streams(spec.seed)
-    truth = gen_trajectory(spec)
-    frames = synthesize_sensors(truth, TEXTURES[spec.texture], noise, synth_rng, scales)
-    return truth, frames
+    """``simulate_columns`` with the frames as a list."""
+    truth, block = simulate_columns(spec, noise, scales)
+    return truth, block.frames()
 
 
 def trial_seed(campaign_seed: int, index: int) -> int:

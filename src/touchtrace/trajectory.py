@@ -35,13 +35,9 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         lines = [CSV_HEADER]
-        for i in range(len(self)):
-            x, y, z = self.pos_mm[i]
-            qw, qx, qy, qz = self.quat[i]
-            lines.append(
-                f"{int(self.t_ms[i])},{x:.10g},{y:.10g},{z:.10g},"
-                f"{qw:.10g},{qx:.10g},{qy:.10g},{qz:.10g}"
-            )
+        rows = zip(self.t_ms.tolist(), self.pos_mm.tolist(), self.quat.tolist())
+        for t, (x, y, z), (qw, qx, qy, qz) in rows:
+            lines.append(f"{t},{x:.10g},{y:.10g},{z:.10g},{qw:.10g},{qx:.10g},{qy:.10g},{qz:.10g}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -241,6 +241,8 @@ def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, j
         ("--filter-config", "mag_reference=nan,0,-0.4\n", ": mag_reference must be finite"),
         ("--filter-config", "accel_noise=inf\n", ": accel_noise must be finite"),
         ("--filter-config", "accel_noise=0\n", ": accel_noise must be > 0"),
+        ("--filter-config", "mag_reference=0,0,-0.4\n", ": mag_reference gives no heading"),
+        ("--filter-config", "mag_reference=0,0,0\n", ": mag_reference gives no heading"),
         ("--gesture-config", "contact_squal=50\n", ": need 0 < contact_squal <= tap_squal <= 169"),
     ],
     ids=[
@@ -252,6 +254,8 @@ def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, j
         "filter-nan-vector",
         "filter-inf",
         "filter-zero",
+        "filter-mag-along-gravity",
+        "filter-mag-zero",
         "gesture-thresholds",
     ],
 )

@@ -6,13 +6,17 @@
 * ``files/``: every file the commands write, whole, except under ``camp/``;
 * ``campaign.sha256``: the SHA-256 of every file under ``camp/`` (the
   360 trials), in ``sha256sum`` format;
+* ``seed7_traces.sha256``: the SHA-256 of every ``sensor.3dt`` a
+  default-noise campaign of seed 7 synthesizes, so synthesis cannot move
+  at a second seed either;
 * ``versions.json``: the Python and numpy versions they were made with.
 
 Under those versions every byte must match. Under other versions the
 numbers in stdout and in the text files must agree within 1e-9
-relative, the ``.3dt`` traces (integers only) must match exactly, and
-the digests are skipped. Regenerate the files only in a change that
-means to alter outputs, and list what changed:
+relative, the ``.3dt`` traces and the seed-7 trace digests (integers
+only) must match exactly, and the ``camp/`` digests are skipped.
+Regenerate the files only in a change that means to alter outputs, and
+list what changed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -30,6 +34,8 @@ import numpy as np
 import pytest
 
 from conftest import CAMPAIGN_COMMANDS, run_commands
+from touchtrace.protocol import encode_frames
+from touchtrace.simulate import TEXTURES, campaign_specs, noise_for_preset, simulate_columns, trial_dirname
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -80,6 +86,16 @@ def campaign_digests(campaign_root: Path) -> str:
     )
 
 
+def trace_digests(campaign_seed: int) -> str:
+    """``sha256sum`` lines for every trial trace of a default-noise campaign."""
+    lines = []
+    for i, spec in enumerate(campaign_specs(campaign_seed)):
+        _, block = simulate_columns(spec, noise_for_preset("default", TEXTURES[spec.texture]))
+        digest = hashlib.sha256(encode_frames(block)).hexdigest()
+        lines.append(f"{digest}  {trial_dirname(i, spec)}/sensor.3dt\n")
+    return "".join(lines)
+
+
 def values_close(got: str, want: str, rel: float = 1e-9) -> bool:
     """Equal text between the numbers, and each number within ``rel`` relative."""
     return _NUMBER.split(got) == _NUMBER.split(want) and all(
@@ -126,6 +142,12 @@ def test_campaign_files_match_golden_digests(cli_campaign):
     assert digests.splitlines() == (GOLDEN / "campaign.sha256").read_text().splitlines()
 
 
+def test_seed_7_traces_match_golden_digests():
+    # integers only, like the .3dt files above: exact under any version
+    digests = trace_digests(7)
+    assert digests.splitlines() == (GOLDEN / "seed7_traces.sha256").read_text().splitlines()
+
+
 def test_values_close_holds_numbers_to_1e_9_relative():
     assert values_close("p=0.5000000000001, n 357\n", "p=0.5, n 357\n")
     assert not values_close("p=0.500001, n 357\n", "p=0.5, n 357\n")
@@ -150,6 +172,7 @@ def record() -> None:
         path.write_bytes(data)
     (GOLDEN / "stdout.txt").write_text(transcript)
     (GOLDEN / "campaign.sha256").write_text(digests)
+    (GOLDEN / "seed7_traces.sha256").write_text(trace_digests(7))
     (GOLDEN / "versions.json").write_text(json.dumps(versions(), indent=2) + "\n")
 
 

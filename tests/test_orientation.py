@@ -190,7 +190,7 @@ def test_process_tracks_clean_yaw_sweep():
     quat = np.stack([np.cos(half), np.zeros(n), np.zeros(n), np.sin(half)], axis=1)
     truth = Trajectory(np.arange(n) * 20, np.zeros((n, 3)), quat)
     _, rng = trial_streams(6)
-    frames = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+    frames = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng).frames()
     filt = OrientationFilter(CFG)
     scales = ScaleConfig()
     for frame in frames:
@@ -250,7 +250,7 @@ def test_static_default_noise_steady_state():
         quat = np.tile([q_true.w, q_true.x, q_true.y, q_true.z], (n, 1))
         truth = Trajectory(np.arange(n) * 20, np.zeros((n, 3)), quat)
         _, rng = trial_streams(seed)
-        frames = synthesize_sensors(truth, TEXTURES["mousepad"], noise, rng)
+        frames = synthesize_sensors(truth, TEXTURES["mousepad"], noise, rng).frames()
         filt = OrientationFilter(CFG)
         errs = []
         for frame in frames:

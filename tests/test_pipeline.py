@@ -217,3 +217,21 @@ def test_map_chunks_runs_small_inputs_in_process():
     # fewer items than jobs: no worker is spawned, so a lambda is fine
     assert map_chunks(lambda items: [x * 2 for x in items], [], 4) == []
     assert map_chunks(lambda items: [x * 2 for x in items], [3], 4) == [6]
+
+
+def test_campaign_hot_path_builds_no_sensor_frame(tmp_path, monkeypatch):
+    # the campaign moves frame blocks: no per-frame object on any hot path
+    from touchtrace.cli import _score_chunk, _write_trial
+    from touchtrace.protocol import SensorFrame
+    from touchtrace.simulate import trial_dirname
+
+    def refuse(self):
+        raise AssertionError("the campaign hot path built a SensorFrame")
+
+    monkeypatch.setattr(SensorFrame, "__post_init__", refuse)
+    specs = SPECS[::90]
+    assert [r.spec for r in run_trials(specs)] == specs
+    trials = [(trial_dirname(i, spec), spec) for i, spec in enumerate(specs)]
+    for rel, spec in trials:
+        _write_trial(tmp_path / rel, spec, "default")
+    assert [r.spec for r in _score_chunk(str(tmp_path), "fingerpad", trials)] == specs

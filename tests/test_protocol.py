@@ -1,16 +1,21 @@
 import random
 import struct
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from touchtrace.protocol import (
     FRAME_SIZE,
+    SQUAL_MAX,
     DecoderState,
+    FrameColumns,
     ScaleConfig,
     SensorFrame,
     apply_scales,
     crc16_ccitt_false,
+    decode_columns,
     decode_stream,
     encode_frame,
     encode_frames,
@@ -180,14 +185,87 @@ def test_diagnostics_json_schema():
     assert payload["frames"] == 1
 
 
+def _with_squal(raw: bytes, squal: int) -> bytes:
+    """The frame ``raw`` carrying ``squal``, under a valid CRC."""
+    body = bytearray(raw[:32])
+    body[12] = squal
+    return bytes(body) + struct.pack("<H", crc16_ccitt_false(bytes(body)))
+
+
 def test_valid_crc_with_squal_out_of_range_is_a_field_error():
-    body = bytearray(encode_frame(_zero_frame())[:32])
-    body[12] = 170  # SQUAL one past its maximum
-    bad = bytes(body) + struct.pack("<H", crc16_ccitt_false(bytes(body)))
+    bad = _with_squal(encode_frame(_zero_frame()), SQUAL_MAX + 1)
     frames, diag = decode_stream(bad + encode_frame(_zero_frame(20)))
     assert frames == [_zero_frame(20)]
     assert (diag.field_errors, diag.crc_failures) == (1, 0)
     assert (diag.resyncs, diag.bytes_skipped) == (1, FRAME_SIZE)
+
+
+FAULTS = ("none", "flip", "drop", "truncate", "junk", "duplicate", "field_error")
+
+
+@st.composite
+def faulted_streams(draw):
+    """Valid frames, each left whole or hit by one wire fault."""
+    out = bytearray()
+    for frame in draw(st.lists(frames_st, max_size=10)):
+        raw = encode_frame(frame)
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "flip":
+            bit = draw(st.integers(0, FRAME_SIZE * 8 - 1))
+            raw = bytearray(raw)
+            raw[bit >> 3] ^= 1 << (bit & 7)
+        elif fault == "drop":
+            start = draw(st.integers(0, FRAME_SIZE - 1))
+            raw = raw[:start] + raw[draw(st.integers(start + 1, FRAME_SIZE)) :]
+        elif fault == "truncate":
+            raw = raw[: draw(st.integers(1, FRAME_SIZE - 1))]
+        elif fault == "junk":
+            raw = draw(st.binary(min_size=1, max_size=40)) + raw
+        elif fault == "duplicate":
+            raw = raw + raw
+        elif fault == "field_error":
+            raw = _with_squal(raw, draw(st.integers(SQUAL_MAX + 1, 255))) + raw
+        out += raw
+    return bytes(out)
+
+
+def assert_fast_path_equals_scanner(data: bytes) -> None:
+    got, diagnostics = decode_columns(data)
+    state = DecoderState()
+    want = FrameColumns.of(state.feed(data))
+    state.flush()
+    for f in fields(FrameColumns):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    assert diagnostics == state.diagnostics
+
+
+@given(faulted_streams())
+def test_fast_path_equals_scanner_on_faulted_streams(data):
+    assert_fast_path_equals_scanner(data)
+
+
+@pytest.mark.parametrize("case", ["clean", "first-stride-bad", "middle-stride-bad", "partial-trailing-frame"])
+def test_fast_path_hands_over_to_scanner(case):
+    rng = random.Random(5)
+    data = bytearray(encode_frames([_random_frame(rng) for _ in range(6)]))
+    if case == "first-stride-bad":
+        data[7] ^= 0x10
+    elif case == "middle-stride-bad":
+        data[3 * FRAME_SIZE + 20] ^= 0x01
+    elif case == "partial-trailing-frame":
+        data += encode_frame(_random_frame(rng))[:20]
+    assert_fast_path_equals_scanner(bytes(data))
+    frames, diagnostics = decode_stream(bytes(data))
+    assert diagnostics.frames == len(frames) == {"first-stride-bad": 5, "middle-stride-bad": 5}.get(case, 6)
+
+
+def test_frame_columns_check_ranges_with_sensor_frame_messages():
+    block = FrameColumns.of([_zero_frame(), _zero_frame(20)])
+    with pytest.raises(ValueError, match="timestamp_ms out of uint32 range: 4294967296"):
+        FrameColumns(np.array([0, 2**32]), block.dxdy, block.squal, block.imu_raw)
+    with pytest.raises(ValueError, match=r"squal must be in \[0, 169\], got 170"):
+        FrameColumns(block.t_ms, block.dxdy, np.array([0, 170], dtype=np.uint8), block.imu_raw)
 
 
 def test_apply_scales():

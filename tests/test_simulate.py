@@ -84,9 +84,8 @@ def test_zero_noise_line_count_conservation():
     quat = np.tile([1.0, 0, 0, 0], (n, 1))
     truth = Trajectory(t_ms, pos, quat)
     _, rng = trial_streams(1)
-    frames = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
-    assert sum(f.dx for f in frames) == round(10.0 / MM_PER_COUNT) == 157
-    assert sum(f.dy for f in frames) == 0
+    block = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+    assert block.dxdy.sum(axis=0).tolist() == [round(10.0 / MM_PER_COUNT), 0] == [157, 0]
 
 
 def test_zero_noise_static_trial_is_quiet():
@@ -95,11 +94,9 @@ def test_zero_noise_static_trial_is_quiet():
         np.arange(n) * 20, np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1))
     )
     _, rng = trial_streams(2)
-    frames = synthesize_sensors(truth, TEXTURES["wood"], NoiseModel.zero(), rng)
-    for f in frames:
-        assert f.dx == 0 and f.dy == 0
-        assert f.gyro_raw == (0, 0, 0)
-        assert f.accel_raw == (0, 0, -16384)
+    block = synthesize_sensors(truth, TEXTURES["wood"], NoiseModel.zero(), rng)
+    assert not block.dxdy.any()
+    assert (block.imu_raw[:, 0:6] == (0, 0, -16384, 0, 0, 0)).all()
 
 
 def test_zero_noise_count_conservation_all_shapes():
@@ -132,13 +129,11 @@ def test_lift_segment_reports_near_zero_squal():
     contact = np.ones(n, dtype=bool)
     contact[20:40] = False
     _, rng = trial_streams(8)
-    frames = synthesize_sensors(
+    block = synthesize_sensors(
         truth, TEXTURES["mousepad"], NoiseModel.zero(), rng, contact=contact
     )
-    for f in frames[20:40]:
-        assert f.squal < 5
-    for f in frames[:20]:
-        assert f.squal >= 50
+    assert (block.squal[20:40] < 5).all()
+    assert (block.squal[:20] >= 50).all()
 
 
 def test_off_plane_truth_rejected():
@@ -219,9 +214,9 @@ def test_cylinder_synthesis_is_on_plane():
     spec = spec_for(CYLINDER_SHAPE, 30, tilt=0.0, seed=12)
     truth = gen_trajectory(spec)
     _, rng = trial_streams(spec.seed)
-    frames = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
-    assert len(frames) == len(truth)
-    assert sum(abs(f.dy) for f in frames) == 0  # wrap direction is pure u
+    block = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+    assert len(block) == len(truth)
+    assert not block.dxdy[:, 1].any()  # wrap direction is pure u
 
 
 def test_trajectory_sampling():
