@@ -12,13 +12,14 @@ Conventions, fixed once for the whole package:
   at gimbal lock the roll is defined to be zero.
 
 Each operation is written once, as plain component expressions that
-run alike on floats (the ``UnitQuat``/``Vec3`` methods used by the
-streaming filter and the interaction techniques) and on the columns of
-``(N,4)`` quaternion arrays (the sensor synthesizer, the lockstep filter,
-pointer projection and the evaluation metrics): ``_hamilton`` is the
-quaternion product, ``_rotate`` the rotation of a vector, and
-``quat_matrices`` the rotation matrix, from whose entries Euler angles,
-touch-plane bases and the forward axes the metrics compare are all read.
+run alike on floats (the streaming filter, and the ``UnitQuat``/``Vec3``
+methods the interaction techniques use) and on the columns of ``(N,4)``
+quaternion arrays (the sensor synthesizer, the lockstep filter, pointer
+projection and the evaluation metrics): ``_hamilton`` is the quaternion
+product, ``_rotate`` the rotation of a vector, and ``quat_matrices`` the
+rotation matrix, from whose entries Euler angles, touch-plane bases and
+the forward axes the metrics compare are all read. On floats, ``_unit``
+is the one renormalization and ``_integrate`` the one gyro step.
 """
 
 from __future__ import annotations
@@ -84,10 +85,7 @@ class UnitQuat:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
     def normalized(self) -> "UnitQuat":
-        n = self.norm()
-        if n < 1e-12:
-            raise ValueError("cannot normalize a near-zero quaternion")
-        return UnitQuat(self.w / n, self.x / n, self.y / n, self.z / n)
+        return UnitQuat(*_unit(self.w, self.x, self.y, self.z))
 
     def conjugate(self) -> "UnitQuat":
         return UnitQuat(self.w, -self.x, -self.y, -self.z)
@@ -95,7 +93,7 @@ class UnitQuat:
     def multiply(self, other: "UnitQuat") -> "UnitQuat":
         """Hamilton product self ⊗ other, renormalized."""
         product = _hamilton(self.w, self.x, self.y, self.z, other.w, other.x, other.y, other.z)
-        return UnitQuat(*product).normalized()
+        return UnitQuat(*_unit(*product))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -133,6 +131,14 @@ def axis_angle_quat(axis: Vec3, angle_deg: float) -> UnitQuat:
     half = 0.5 * angle_deg * _DEG
     s = math.sin(half)
     return UnitQuat(math.cos(half), a.x * s, a.y * s, a.z * s).normalized()
+
+
+def _unit(w: float, x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """The quaternion (w, x, y, z) renormalized, as floats: every producer's last step."""
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a near-zero quaternion")
+    return (w / n, x / n, y / n, z / n)
 
 
 def _hamilton(w1, x1, y1, z1, w2, x2, y2, z2):
@@ -176,17 +182,20 @@ def integrate_gyro(q: UnitQuat, omega_dps: Vec3, dt_s: float) -> UnitQuat:
     """
     if dt_s < 0.0:
         raise ValueError(f"dt must be non-negative, got {dt_s}")
-    rx = omega_dps.x * _DEG * dt_s
-    ry = omega_dps.y * _DEG * dt_s
-    rz = omega_dps.z * _DEG * dt_s
+    r = omega_dps.x * _DEG * dt_s, omega_dps.y * _DEG * dt_s, omega_dps.z * _DEG * dt_s
+    return UnitQuat(*_integrate(q.as_tuple(), *r))
+
+
+def _integrate(q, rx: float, ry: float, rz: float) -> tuple[float, float, float, float]:
+    """``integrate_gyro`` on floats: q ⊗ exp(r/2) for the rotation vector r in radians."""
     angle = math.sqrt(rx * rx + ry * ry + rz * rz)
     if angle < 1e-12:
-        dq = UnitQuat(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
+        dq = (1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz)
     else:
         half = 0.5 * angle
         k = math.sin(half) / angle
-        dq = UnitQuat(math.cos(half), rx * k, ry * k, rz * k)
-    return q.multiply(dq)
+        dq = (math.cos(half), rx * k, ry * k, rz * k)
+    return _unit(*_hamilton(*q, *dq))
 
 
 def quat_from_matrix(m: list[list[float]]) -> UnitQuat:

@@ -157,8 +157,11 @@ class GestureDetector:
 
     def step(self, frame) -> list[GestureEvent]:
         """Process one frame (anything with timestamp_ms/dx/dy/squal)."""
+        return self.advance(frame.timestamp_ms, frame.dx, frame.dy, frame.squal)
+
+    def advance(self, t: int, dx: int, dy: int, squal: int) -> list[GestureEvent]:
+        """Process one frame given as its timestamp (ms), optical deltas and SQUAL."""
         cfg = self.config
-        t = frame.timestamp_ms
         out: list[GestureEvent] = []
 
         # a withheld tap whose pairing window has lapsed becomes a plain Tap,
@@ -167,9 +170,8 @@ class GestureDetector:
             if not self._candidate_may_pair(t):
                 self._flush_pending_as_tap(out)
 
-        self._cum_x += frame.dx
-        self._cum_y += frame.dy
-        squal = frame.squal
+        self._cum_x += dx
+        self._cum_y += dy
 
         if squal >= cfg.contact_squal and not self._in_contact:
             self._in_contact = True
@@ -183,8 +185,8 @@ class GestureDetector:
             self._tap_alive = True
             self._emit(out, GestureEvent(CONTACT_BEGIN, t, self._cum_x, self._cum_y))
         elif self._in_contact and squal >= cfg.contact_squal:
-            self._net_dx += frame.dx
-            self._net_dy += frame.dy
+            self._net_dx += dx
+            self._net_dy += dy
             self._peak_squal = max(self._peak_squal, squal)
 
         if self._in_contact and self._tap_alive:
@@ -233,10 +235,15 @@ class GestureDetector:
 
 def run_detector(frames, config: GestureConfig | None = None) -> list[GestureEvent]:
     """Convenience wrapper: run a whole frame sequence through a detector."""
+    return detect_rows(((f.timestamp_ms, f.dx, f.dy, f.squal) for f in frames), config)
+
+
+def detect_rows(rows, config: GestureConfig | None = None) -> list[GestureEvent]:
+    """Run one stream's ``(t_ms, dx, dy, squal)`` rows through a detector."""
     det = GestureDetector(config)
     events: list[GestureEvent] = []
-    for frame in frames:
-        events.extend(det.step(frame))
+    for row in rows:
+        events.extend(det.advance(*row))
     events.extend(det.finish())
     return events
 

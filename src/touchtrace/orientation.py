@@ -18,11 +18,14 @@ semi-definite to well below test tolerances.
 
 The formulation is the error-state filter of Solà, *Quaternion
 kinematics for the error-state Kalman filter* (arXiv:1711.02508). It
-exists twice, with one set of equations: ``OrientationFilter`` runs one
-stream sample by sample (the streaming replay path), and ``batch_step``
-advances many streams at once over stacked states, ``q (N,4)``,
-``bias (N,3)`` and ``P (N,6,6)``, for the campaign's lockstep replay.
-The property tests hold the batched step to the streaming filter.
+exists twice, with one set of equations: the streaming step ``_step``
+runs one stream sample by sample on a float state (``filter_stream``
+over a whole stream on the replay path; ``OrientationFilter.process``,
+``predict``, ``update_accel`` and ``update_mag`` adapt it to the
+``FilterState`` objects), and ``batch_step`` advances many streams at
+once over stacked states, ``q (N,4)``, ``bias (N,3)`` and ``P (N,6,6)``,
+for the campaign's lockstep replay. The property tests hold the batched
+step to the streaming filter.
 """
 
 from __future__ import annotations
@@ -39,10 +42,12 @@ from .geom import (
     IDENTITY_QUAT,
     UnitQuat,
     Vec3,
-    integrate_gyro,
+    _hamilton,
+    _integrate,
+    _rotate,
+    _unit,
     quat_from_matrix,
     quat_multiply,
-    rotate_vector,
     rotate_vectors,
 )
 from .protocol import CalibratedSample
@@ -175,77 +180,9 @@ def predict(state: FilterState, cfg: FilterConfig, gyro_dps: Vec3, dt_s: float) 
     """
     if dt_s <= 0.0:
         raise ValueError(f"predict requires dt > 0, got {dt_s}")
-    dt = min(dt_s, MAX_DT_S)
-    omega = gyro_dps - state.gyro_bias_dps
-    q = integrate_gyro(state.q, omega, dt)
-
-    # error transition: dtheta' = Phi dtheta - dt * dbias
-    rx, ry, rz = omega.x * _DEG * dt, omega.y * _DEG * dt, omega.z * _DEG * dt
-    f = np.zeros((6, 6))
-    f[:3, :3] = _rotvec_matrix_t(rx, ry, rz)
-    f[3, 3] = f[4, 4] = f[5, 5] = 1.0
-    f[0, 3] = f[1, 4] = f[2, 5] = -dt
-
-    p = f @ state.covariance @ f.T + _process_noise(cfg, dt)
-    p = 0.5 * (p + p.T)
-    return FilterState(q=q, gyro_bias_dps=state.gyro_bias_dps, covariance=p)
-
-
-def _rotvec_matrix_t(rx: float, ry: float, rz: float) -> np.ndarray:
-    """Transpose of the rotation matrix of the rotation vector (rx, ry, rz)."""
-    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
-    sk = np.array(((0.0, -rz, ry), (rz, 0.0, -rx), (-ry, rx, 0.0)))
-    if angle < 1e-3:
-        # first order is exact to ~angle^2/2, far below the tuning noise
-        return _EYE3 - sk
-    a = math.sin(angle) / angle
-    b = (1.0 - math.cos(angle)) / (angle * angle)
-    return (_EYE3 + a * sk + b * (sk @ sk)).T
-
-
-def _vector_update(
-    state: FilterState, z: Vec3, reference: Vec3, sigma: float
-) -> FilterState:
-    q_conj = state.q.conjugate()
-    h = rotate_vector(q_conj, reference)  # predicted body-frame observation
-
-    hx = np.array(((0.0, -h.z, h.y), (h.z, 0.0, -h.x), (-h.y, h.x, 0.0)))
-    p = state.covariance
-    pht = p[:, :3] @ hx.T  # P H^T, 6x3
-    s = hx @ pht[:3, :]  # H P H^T; add R on the diagonal below
-    r = sigma * sigma
-    (s00, s01, s02), (_, s11, s12), (_, _, s22) = s.tolist()
-    i00, i01, i02, i11, i12, i22 = _sym3_inverse(s00 + r, s01, s02, s11 + r, s12, s22 + r)
-    s_inv = np.array(((i00, i01, i02), (i01, i11, i12), (i02, i12, i22)))
-    k = pht @ s_inv  # 6x3 Kalman gain
-    delta = k @ np.array((z.x - h.x, z.y - h.y, z.z - h.z))
-
-    d0, d1, d2, d3, d4, d5 = delta.tolist()
-    dq = UnitQuat(1.0, 0.5 * d0, 0.5 * d1, 0.5 * d2).normalized()
-    q_new = state.q.multiply(dq)
-    bias_new = state.gyro_bias_dps + Vec3(d3 / _DEG, d4 / _DEG, d5 / _DEG)
-
-    # (I - K H) P via H P = (P H^T)^T; the residual asymmetry is float
-    # noise at ~1e-18 and predict re-symmetrizes once per sample
-    p_new = p - k @ pht.T
-    return FilterState(q=q_new, gyro_bias_dps=bias_new, covariance=p_new)
-
-
-def _sym3_inverse(s00, s01, s02, s11, s12, s22):
-    """Closed-form inverse of a symmetric 3x3 given by its upper triangle.
-
-    Returns the inverse's upper triangle in the same order. Works on
-    floats and, elementwise, on arrays of stacked matrices alike.
-    """
-    c00 = s11 * s22 - s12 * s12
-    c01 = s02 * s12 - s01 * s22
-    c02 = s01 * s12 - s02 * s11
-    det = s00 * c00 + s01 * c01 + s02 * c02
-    c11 = s00 * s22 - s02 * s02
-    c12 = s01 * s02 - s00 * s12
-    c22 = s00 * s11 - s01 * s01
-    inv_det = 1.0 / det
-    return c00 * inv_det, c01 * inv_det, c02 * inv_det, c11 * inv_det, c12 * inv_det, c22 * inv_det
+    q, bias, p = _unpacked(state)
+    q, p = _predict(q, bias, p, cfg, gyro_dps.as_tuple(), dt_s)
+    return _packed(q, bias, p)
 
 
 def update_accel(state: FilterState, cfg: FilterConfig, accel_g: Vec3) -> tuple[FilterState, bool]:
@@ -254,16 +191,22 @@ def update_accel(state: FilterState, cfg: FilterConfig, accel_g: Vec3) -> tuple[
     Measurements whose magnitude strays from 1 g by more than the gate
     are skipped and the state is returned unchanged.
     """
-    if abs(accel_g.norm() - 1.0) > cfg.accel_gate:
-        return state, False
-    return _vector_update(state, accel_g, GRAVITY_WORLD, cfg.accel_noise), True
+    updated = _update_accel(*_unpacked(state), cfg, accel_g.as_tuple())
+    return (_packed(*updated), True) if updated else (state, False)
 
 
 def update_mag(state: FilterState, cfg: FilterConfig, mag_gauss: Vec3) -> tuple[FilterState, bool]:
     """World-field update against the configured magnetic reference."""
-    if mag_gauss.norm() < 1e-9:
-        return state, False
-    return _vector_update(state, mag_gauss, cfg.mag_reference, cfg.mag_noise), True
+    updated = _update_mag(*_unpacked(state), cfg, mag_gauss.as_tuple())
+    return (_packed(*updated), True) if updated else (state, False)
+
+
+def _unpacked(state: FilterState):
+    return state.q.as_tuple(), state.gyro_bias_dps.as_tuple(), state.covariance
+
+
+def _packed(q, bias, p) -> FilterState:
+    return FilterState(q=UnitQuat(*q), gyro_bias_dps=Vec3(*bias), covariance=p)
 
 
 class OrientationFilter:
@@ -286,17 +229,146 @@ class OrientationFilter:
         if self.state is None:
             self.state = initial_state(self.config, sample.accel_g, sample.mag_gauss)
         else:
-            dt = (t - self._last_t_ms) / 1000.0
-            if dt > 0.0:
-                if dt > MAX_DT_S:
-                    self.diagnostics.clamped_dt += 1
-                self.state = predict(self.state, self.config, sample.gyro_dps, dt)
-            self.state, accepted = update_accel(self.state, self.config, sample.accel_g)
-            if not accepted:
-                self.diagnostics.gated_accel += 1
-            self.state, _ = update_mag(self.state, self.config, sample.mag_gauss)
+            self.state = _packed(*_step(
+                *_unpacked(self.state), self.config, self.diagnostics, (t - self._last_t_ms) / 1000.0,
+                sample.gyro_dps.as_tuple(), sample.accel_g.as_tuple(), sample.mag_gauss.as_tuple(),
+            ))
         self._last_t_ms = t
         return self.state
+
+
+def filter_stream(
+    cfg: FilterConfig, t_ms: np.ndarray, imu: np.ndarray
+) -> tuple[np.ndarray, FilterDiagnostics]:
+    """``OrientationFilter.process`` over a whole stream: its attitudes (n, 4) and counters.
+
+    ``t_ms`` (n,) holds the timestamps and ``imu`` (n, 9) the scaled
+    accel (g), gyro (deg/s) and mag (gauss) of each sample.
+    """
+    rows = imu.tolist()
+    q, bias, p = _unpacked(initial_state(cfg, Vec3(*rows[0][0:3]), Vec3(*rows[0][6:9])))
+    diagnostics = FilterDiagnostics()
+    quat = [q]
+    for dt, row in zip((np.diff(t_ms) / 1000.0).tolist(), rows[1:]):
+        q, bias, p = _step(q, bias, p, cfg, diagnostics, dt, row[3:6], row[0:3], row[6:9])
+        quat.append(q)
+    return np.array(quat), diagnostics
+
+
+# -- the streaming step, on floats ------------------------------------------------
+#
+# The state is q (w, x, y, z) and the gyro bias (deg/s) as float tuples and
+# P as a (6, 6) array. Every product of matrices stays a numpy matmul, on
+# the operands and in the order written here: numpy's small matmuls go
+# through BLAS, whose kernels use fused multiply-adds, so a sum of float
+# products written out in Python would differ from them in the last bits.
+
+
+def _step(q, bias, p, cfg: FilterConfig, diagnostics: FilterDiagnostics, dt: float, gyro, accel, mag):
+    """One sample after the first: predict when dt > 0 (dt above MAX_DT_S
+    clamped and counted), the accel update unless gated (counted), then
+    the mag update unless the field reads zero. Returns (q, bias, P)."""
+    if dt > 0.0:
+        if dt > MAX_DT_S:
+            diagnostics.clamped_dt += 1
+        q, p = _predict(q, bias, p, cfg, gyro, dt)
+    updated = _update_accel(q, bias, p, cfg, accel)
+    if updated:
+        q, bias, p = updated
+    else:
+        diagnostics.gated_accel += 1
+    return _update_mag(q, bias, p, cfg, mag) or (q, bias, p)
+
+
+def _predict(q, bias, p, cfg: FilterConfig, gyro, dt_s: float):
+    """Integrate the bias-corrected gyro over dt (clamped to MAX_DT_S); P = F P F^T + Q."""
+    dt = min(dt_s, MAX_DT_S)
+    (gx, gy, gz), (bx, by, bz) = gyro, bias
+    ox, oy, oz = gx - bx, gy - by, gz - bz
+    rx, ry, rz = ox * _DEG * dt, oy * _DEG * dt, oz * _DEG * dt
+    q = _integrate(q, rx, ry, rz)
+
+    # error transition: dtheta' = Phi dtheta - dt * dbias
+    f = np.zeros((6, 6))
+    f[:3, :3] = _rotvec_matrix_t(rx, ry, rz)
+    f[3, 3] = f[4, 4] = f[5, 5] = 1.0
+    f[0, 3] = f[1, 4] = f[2, 5] = -dt
+
+    p = f @ p @ f.T + _process_noise(cfg, dt)
+    return q, 0.5 * (p + p.T)
+
+
+def _rotvec_matrix_t(rx: float, ry: float, rz: float) -> np.ndarray:
+    """Transpose of the rotation matrix of the rotation vector (rx, ry, rz)."""
+    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+    sk = np.array((0.0, -rz, ry, rz, 0.0, -rx, -ry, rx, 0.0)).reshape(3, 3)
+    if angle < 1e-3:
+        # first order is exact to ~angle^2/2, far below the tuning noise
+        return _EYE3 - sk
+    a = math.sin(angle) / angle
+    b = (1.0 - math.cos(angle)) / (angle * angle)
+    return (_EYE3 + a * sk + b * (sk @ sk)).T
+
+
+def _update_accel(q, bias, p, cfg: FilterConfig, accel):
+    """Gravity-direction update; None when | |a| - 1 g | exceeds the gate."""
+    ax, ay, az = accel
+    if abs(math.sqrt(ax * ax + ay * ay + az * az) - 1.0) > cfg.accel_gate:
+        return None
+    return _vector_update(q, bias, p, accel, _GRAVITY, cfg.accel_noise)
+
+
+def _update_mag(q, bias, p, cfg: FilterConfig, mag):
+    """World-field update; None when the field reads zero."""
+    mx, my, mz = mag
+    if math.sqrt(mx * mx + my * my + mz * mz) < 1e-9:
+        return None
+    return _vector_update(q, bias, p, mag, cfg.mag_reference.as_tuple(), cfg.mag_noise)
+
+
+_GRAVITY = GRAVITY_WORLD.as_tuple()
+
+
+def _vector_update(q, bias, p, z, reference, sigma: float):
+    w, x, y, zq = q
+    hx, hy, hz = _rotate(w, -x, -y, -zq, *reference)  # predicted body-frame observation
+
+    h_skew = np.array((0.0, -hz, hy, hz, 0.0, -hx, -hy, hx, 0.0)).reshape(3, 3)  # [h]x
+    pht = p[:, :3] @ h_skew.T  # P H^T, 6x3
+    s = h_skew @ pht[:3, :]  # H P H^T; add R on the diagonal below
+    r = sigma * sigma
+    (s00, s01, s02), (_, s11, s12), (_, _, s22) = s.tolist()
+    i00, i01, i02, i11, i12, i22 = _sym3_inverse(s00 + r, s01, s02, s11 + r, s12, s22 + r)
+    s_inv = np.array((i00, i01, i02, i01, i11, i12, i02, i12, i22)).reshape(3, 3)
+    k = pht @ s_inv  # 6x3 Kalman gain
+    zx, zy, zz = z
+    delta = k @ np.array((zx - hx, zy - hy, zz - hz))
+
+    d0, d1, d2, d3, d4, d5 = delta.tolist()
+    q_new = _unit(*_hamilton(*q, *_unit(1.0, 0.5 * d0, 0.5 * d1, 0.5 * d2)))
+    bx, by, bz = bias
+    bias_new = (bx + d3 / _DEG, by + d4 / _DEG, bz + d5 / _DEG)
+
+    # (I - K H) P via H P = (P H^T)^T; the residual asymmetry is float
+    # noise at ~1e-18 and predict re-symmetrizes once per sample
+    return q_new, bias_new, p - k @ pht.T
+
+
+def _sym3_inverse(s00, s01, s02, s11, s12, s22):
+    """Closed-form inverse of a symmetric 3x3 given by its upper triangle.
+
+    Returns the inverse's upper triangle in the same order. Works on
+    floats and, elementwise, on arrays of stacked matrices alike.
+    """
+    c00 = s11 * s22 - s12 * s12
+    c01 = s02 * s12 - s01 * s22
+    c02 = s01 * s12 - s02 * s11
+    det = s00 * c00 + s01 * c01 + s02 * c02
+    c11 = s00 * s22 - s02 * s02
+    c12 = s01 * s02 - s00 * s12
+    c22 = s00 * s11 - s01 * s01
+    inv_det = 1.0 / det
+    return c00 * inv_det, c01 * inv_det, c02 * inv_det, c11 * inv_det, c12 * inv_det, c22 * inv_det
 
 
 # -- lockstep over many streams -----------------------------------------------

@@ -6,15 +6,16 @@ and integrate optical deltas along the derived touch plane into a 3D
 pointer track (one row per frame).
 
 There are two ways through it, which differ only in how they run the
-orientation filter. ``replay_frames`` runs one stream frame by frame
-through the streaming filter, then the gesture detector over the whole
-stream; it is the path of ``replay`` and the sequential reference
-``run_trial``. ``replay_lockstep`` runs many streams at once: one
-batched filter step per sample index across every stream still running,
-with no gesture detection. Both end in the same tail, which turns a
-stream's attitudes and optical deltas into its pointer track in one call
-to ``interaction.pointer_track`` (which alone knows the touch plane and
-the mount rule) and packages the result. The campaign runners
+orientation filter. ``replay_columns`` runs one stream's frame block
+through the streaming filter, sample by sample on plain floats, then the
+gesture detector over the block's rows; it is the path of ``replay``
+(``replay_bytes``) and of the sequential reference ``run_trial``, and
+``replay_frames`` is it on a list of frames. ``replay_lockstep`` runs
+many streams at once: one batched filter step per sample index across
+every stream still running, with no gesture detection. Both end in the
+same tail, which turns a stream's attitudes and optical deltas into its
+pointer track in one call to ``interaction.pointer_track`` (which alone
+knows the touch plane and the mount rule) and packages the result. The campaign runners
 (``run_campaign`` and the CLI's ``campaign``) push every trial through
 the lockstep path, bytes included, and score each trial against its
 ground truth as soon as its stream ends, so their numbers measure the
@@ -34,19 +35,10 @@ from functools import partial
 import numpy as np
 
 from .evaluate import CampaignSummary, TrialResult, evaluate_trial, summarize_campaign
-from .gestures import GestureConfig, GestureEvent, run_detector
+from .gestures import GestureConfig, GestureEvent, detect_rows
 from .interaction import MountMode, pointer_track
-from .orientation import FilterConfig, FilterDiagnostics, OrientationFilter, batch_step, initial_batch
-from .protocol import (
-    DecoderDiagnostics,
-    FrameColumns,
-    ScaleConfig,
-    SensorFrame,
-    apply_scales,
-    decode_columns,
-    decode_stream,
-    encode_frames,
-)
+from .orientation import FilterConfig, FilterDiagnostics, batch_step, filter_stream, initial_batch
+from .protocol import DecoderDiagnostics, FrameColumns, ScaleConfig, SensorFrame, decode_columns, encode_frames
 from .simulate import (
     CYLINDER_SHAPE,
     NoiseModel,
@@ -81,13 +73,21 @@ def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None)
 
     Raises ValueError on an empty stream or a backward timestamp.
     """
+    return replay_columns(FrameColumns.of(frames), config)
+
+
+def replay_columns(columns: FrameColumns, config: ReplayConfig | None = None) -> ReplayResult:
+    """``replay_frames`` on a frame block: the IMU is scaled once per block
+    and the streaming filter and the gesture detector read its rows."""
     config = config or ReplayConfig()
-    columns = FrameColumns.of(frames)
-    _check_timestamps(columns.t_ms)
-    filt = OrientationFilter(config.filter_config)
-    quat = np.array([filt.process(apply_scales(f, config.scales)).q.as_tuple() for f in frames])
-    events = run_detector(frames, config.gesture_config) if config.with_gestures else []
-    return _replayed(columns.t_ms, columns.dxdy, quat, config, events, filt.diagnostics)
+    t_ms = columns.t_ms
+    _check_timestamps(t_ms)
+    quat, diagnostics = filter_stream(config.filter_config, t_ms, columns.imu_raw * config.scales.imu_units)
+    events = []
+    if config.with_gestures:
+        rows = zip(t_ms.tolist(), *columns.dxdy.T.tolist(), columns.squal.tolist())
+        events = detect_rows(rows, config.gesture_config)
+    return _replayed(t_ms, columns.dxdy, quat, config, events, diagnostics)
 
 
 def _replayed(
@@ -107,10 +107,10 @@ def replay_bytes(
     data: bytes, config: ReplayConfig | None = None
 ) -> tuple[ReplayResult | None, DecoderDiagnostics]:
     """Decode then replay; None result when nothing decodes."""
-    frames, diagnostics = decode_stream(data)
-    if not frames:
+    columns, diagnostics = decode_columns(data)
+    if not len(columns):
         return None, diagnostics
-    return replay_frames(frames, config), diagnostics
+    return replay_columns(columns, config), diagnostics
 
 
 # -- lockstep replay -------------------------------------------------------------
@@ -142,8 +142,7 @@ def replay_lockstep(
     packed = FrameColumns.concat([streams[i] for i in order])
     t_ms, imu_raw, dxdy = packed.t_ms, packed.imu_raw, packed.dxdy
     del streams, packed  # a caller that keeps no reference frees the streams here
-    sc = config.scales
-    units = np.repeat((sc.accel_g_per_lsb, sc.gyro_dps_per_lsb, sc.mag_gauss_per_lsb), 3)
+    units = config.scales.imu_units
 
     quat = np.empty((len(t_ms), 4))
     first = imu_raw[starts] * units

@@ -9,12 +9,22 @@
 * ``seed7_traces.sha256``: the SHA-256 of every ``sensor.3dt`` a
   default-noise campaign of seed 7 synthesizes, so synthesis cannot move
   at a second seed either;
+* ``replay_streams.sha256``: one SHA-256 per replayed stream of
+  ``replay_streams()`` over its pointer positions, attitudes, gesture
+  events and filter counters, so the streaming filter's floats cannot
+  move on clean streams, gaps, duplicate timestamps, gated accel or a
+  zero mag reading;
+* ``filter_states.sha256``: one SHA-256 per stream of the final filter
+  state (q, gyro bias and covariance) that ``OrientationFilter`` reaches
+  on it: the default filter trusts its measurements so little that a
+  last-bit change in the covariance need not reach the attitudes;
 * ``versions.json``: the Python and numpy versions they were made with.
 
 Under those versions every byte must match. Under other versions the
 numbers in stdout and in the text files must agree within 1e-9
 relative, the ``.3dt`` traces and the seed-7 trace digests (integers
-only) must match exactly, and the ``camp/`` digests are skipped.
+only) must match exactly, and the ``camp/``, replay-stream and
+filter-state digests are skipped.
 Regenerate the files only in a change that means to alter outputs, and
 list what changed:
 
@@ -34,8 +44,20 @@ import numpy as np
 import pytest
 
 from conftest import CAMPAIGN_COMMANDS, run_commands
-from touchtrace.protocol import encode_frames
-from touchtrace.simulate import TEXTURES, campaign_specs, noise_for_preset, simulate_columns, trial_dirname
+from touchtrace.interaction import MountMode
+from touchtrace.orientation import MAX_DT_S, OrientationFilter
+from touchtrace.pipeline import ReplayConfig, replay_bytes, replay_frames
+from touchtrace.protocol import FrameColumns, ScaleConfig, apply_scales, encode_frames
+from touchtrace.simulate import (
+    TEXTURES,
+    TrialSpec,
+    campaign_specs,
+    draw_tilt,
+    noise_for_preset,
+    script_gesture_trace,
+    simulate_columns,
+    trial_dirname,
+)
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -96,6 +118,63 @@ def trace_digests(campaign_seed: int) -> str:
     return "".join(lines)
 
 
+def replay_streams():
+    """``(name, block, mount)`` of the streams whose replay the gate digests.
+
+    One default-noise trace under every mount; then the same trace at the
+    fingerpad with a gap over ``MAX_DT_S``, a duplicate timestamp, accel
+    frames outside the 0.3 g gate (halved, so about 0.5 g) or a run of
+    zero mag readings, each a third of the way in; and the scripted
+    double tap, for its gesture events.
+    """
+    spec = TrialSpec("jeans", 84, "square", rep=1, tilt_deg=draw_tilt(9), seed=9)
+    _, block = simulate_columns(spec, noise_for_preset("default", TEXTURES["jeans"]))
+    streams = [(f"clean-{mount.value}", block, mount) for mount in MountMode]
+    k = len(block) // 3
+    for name in ("gap", "duplicate", "gated-accel", "zero-mag"):
+        t_ms, imu_raw = block.t_ms.copy(), block.imu_raw.copy()
+        if name == "gap":
+            t_ms[k:] += 4 * int(MAX_DT_S * 1000)
+        elif name == "duplicate":
+            t_ms[k:] -= t_ms[k] - t_ms[k - 1]
+        elif name == "gated-accel":
+            imu_raw[k : k + 5, 0:3] //= 2
+        else:
+            imu_raw[k : k + 5, 6:9] = 0
+        streams.append((name, FrameColumns(t_ms, block.dxdy, block.squal, imu_raw), MountMode.FINGERPAD))
+    streams.append(("doubletap", FrameColumns.of(script_gesture_trace("doubletap")), MountMode.FINGERPAD))
+    return streams
+
+
+def replay_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(result.pointer.pos_mm.tobytes())
+    h.update(result.pointer.quat.tobytes())
+    h.update("".join(e.to_json() + "\n" for e in result.events).encode())
+    h.update(repr(result.filter_diagnostics).encode())
+    return h.hexdigest()
+
+
+def replay_stream_digests() -> str:
+    """``sha256sum``-style lines, one per stream of ``replay_streams()``."""
+    return "".join(
+        f"{replay_digest(replay_frames(block.frames(), ReplayConfig(mount=mount)))}  {name}\n"
+        for name, block, mount in replay_streams()
+    )
+
+
+def filter_state_digests() -> str:
+    """``sha256sum``-style lines, one per stream of ``replay_streams()``."""
+    lines = []
+    for name, block, _ in replay_streams():
+        filt = OrientationFilter()
+        for frame in block.frames():
+            state = filt.process(apply_scales(frame, ScaleConfig()))
+        values = np.array(state.q.as_tuple() + state.gyro_bias_dps.as_tuple())
+        lines.append(f"{hashlib.sha256(values.tobytes() + state.covariance.tobytes()).hexdigest()}  {name}\n")
+    return "".join(lines)
+
+
 def values_close(got: str, want: str, rel: float = 1e-9) -> bool:
     """Equal text between the numbers, and each number within ``rel`` relative."""
     return _NUMBER.split(got) == _NUMBER.split(want) and all(
@@ -106,6 +185,15 @@ def values_close(got: str, want: str, rel: float = 1e-9) -> bool:
 
 def _recorded_versions() -> dict:
     return json.loads((GOLDEN / "versions.json").read_text())
+
+
+def _skip_unless_recorded_versions(what: str) -> None:
+    recorded = _recorded_versions()
+    if recorded != versions():
+        pytest.skip(
+            f"digests were recorded under {recorded} and this is {versions()}; "
+            f"{what} can only be compared byte for byte"
+        )
 
 
 def test_readme_outputs_match_golden(tmp_path, cli_campaign):
@@ -132,12 +220,7 @@ def test_readme_outputs_match_golden(tmp_path, cli_campaign):
 
 
 def test_campaign_files_match_golden_digests(cli_campaign):
-    recorded = _recorded_versions()
-    if recorded != versions():
-        pytest.skip(
-            f"digests were recorded under {recorded} and this is {versions()}; "
-            "a digest can only be compared byte for byte"
-        )
+    _skip_unless_recorded_versions("a digest")
     digests = campaign_digests(cli_campaign[0])
     assert digests.splitlines() == (GOLDEN / "campaign.sha256").read_text().splitlines()
 
@@ -146,6 +229,22 @@ def test_seed_7_traces_match_golden_digests():
     # integers only, like the .3dt files above: exact under any version
     digests = trace_digests(7)
     assert digests.splitlines() == (GOLDEN / "seed7_traces.sha256").read_text().splitlines()
+
+
+def test_replay_streams_match_golden_digests():
+    _skip_unless_recorded_versions("float digests")
+    digests = replay_stream_digests()
+    assert digests.splitlines() == (GOLDEN / "replay_streams.sha256").read_text().splitlines()
+    # replay_bytes replays the same block, so it gives the same digests
+    for (name, block, mount), line in zip(replay_streams(), digests.splitlines()):
+        result, _ = replay_bytes(encode_frames(block), ReplayConfig(mount=mount))
+        assert f"{replay_digest(result)}  {name}" == line
+
+
+def test_filter_states_match_golden_digests():
+    _skip_unless_recorded_versions("float digests")
+    digests = filter_state_digests()
+    assert digests.splitlines() == (GOLDEN / "filter_states.sha256").read_text().splitlines()
 
 
 def test_values_close_holds_numbers_to_1e_9_relative():
@@ -173,6 +272,8 @@ def record() -> None:
     (GOLDEN / "stdout.txt").write_text(transcript)
     (GOLDEN / "campaign.sha256").write_text(digests)
     (GOLDEN / "seed7_traces.sha256").write_text(trace_digests(7))
+    (GOLDEN / "replay_streams.sha256").write_text(replay_stream_digests())
+    (GOLDEN / "filter_states.sha256").write_text(filter_state_digests())
     (GOLDEN / "versions.json").write_text(json.dumps(versions(), indent=2) + "\n")
 
 

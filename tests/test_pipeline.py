@@ -10,6 +10,7 @@ from touchtrace.pipeline import (
     ReplayConfig,
     map_chunks,
     replay_bytes,
+    replay_columns,
     replay_cylinder_demo,
     replay_frames,
     replay_lockstep,
@@ -18,7 +19,8 @@ from touchtrace.pipeline import (
     run_trials,
 )
 from touchtrace.interaction import MountMode
-from touchtrace.protocol import FrameColumns, ScaleConfig, encode_frames
+from touchtrace.orientation import FilterDiagnostics, OrientationFilter
+from touchtrace.protocol import FrameColumns, ScaleConfig, apply_scales, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
     TrialSpec,
@@ -26,6 +28,7 @@ from touchtrace.simulate import (
     draw_tilt,
     noise_for_preset,
     script_gesture_trace,
+    simulate_columns,
     simulate_trial,
     TEXTURES,
 )
@@ -92,6 +95,63 @@ def test_lockstep_replay_matches_replay_frames():
             np.testing.assert_allclose(got[i].pointer.pos_mm, want.pointer.pos_mm, rtol=0, atol=1e-9)
             assert got[i].filter_diagnostics == want.filter_diagnostics
             assert got[i].events == []
+
+
+def test_filter_paths_count_alike_on_faulted_streams():
+    # the float kernel inside replay, the OrientationFilter.process adapter
+    # and the lockstep filter, on one stream with every case that a counter
+    # or a skipped stage handles
+    spec = TrialSpec("wood", 84, "circle", rep=1, tilt_deg=draw_tilt(5), seed=5)
+    _, block = simulate_columns(spec, noise_for_preset("default", TEXTURES["wood"]))
+    t_ms, imu_raw = block.t_ms.copy(), block.imu_raw.copy()
+    t_ms[100:] += 450  # two gaps over MAX_DT_S, both clamped and counted
+    t_ms[200:] += 700
+    t_ms[300:] -= t_ms[300] - t_ms[299]  # a duplicate timestamp: no predict
+    imu_raw[150:155, 0:3] //= 2  # about 0.5 g: outside the accel gate, counted
+    imu_raw[250:253, 6:9] = 0  # zero mag: no mag update
+    faulted = FrameColumns(t_ms, block.dxdy, block.squal, imu_raw)
+    config = ReplayConfig(with_gestures=False)
+
+    kernel = replay_columns(faulted, config)
+    filt = OrientationFilter(config.filter_config)
+    adapter = [filt.process(apply_scales(f, config.scales)).q.as_tuple() for f in faulted.frames()]
+    (_, lockstep), = replay_lockstep([faulted], config)
+
+    want = FilterDiagnostics(clamped_dt=2, gated_accel=5)
+    assert kernel.filter_diagnostics == filt.diagnostics == lockstep.filter_diagnostics == want
+    assert np.array_equal(kernel.pointer.quat, np.array(adapter))
+    np.testing.assert_allclose(lockstep.pointer.quat, kernel.pointer.quat, rtol=0, atol=1e-12)
+
+
+def test_replay_hot_path_builds_no_per_frame_objects(tmp_path, monkeypatch):
+    # replay reads the decoded block's rows: no SensorFrame, no
+    # CalibratedSample and no Vec3 per frame, from bytes to pointer track
+    from touchtrace import protocol
+    from touchtrace.cli import main as cli_main
+    from touchtrace.geom import Vec3
+
+    frames = script_gesture_trace("doubletap")
+    trace = tmp_path / "dtap.3dt"
+    trace.write_bytes(encode_frames(frames))
+
+    def refuse(*args):
+        raise AssertionError("the replay hot path built a per-frame object")
+
+    vectors = []
+    vec3_init = Vec3.__init__
+
+    def counted(self, *args):
+        vectors.append(args)
+        vec3_init(self, *args)
+
+    monkeypatch.setattr(protocol, "apply_scales", refuse)
+    monkeypatch.setattr(protocol.SensorFrame, "__post_init__", refuse)
+    monkeypatch.setattr(Vec3, "__init__", counted)
+    result, _ = replay_bytes(trace.read_bytes())
+    assert [e.kind for e in result.events].count(DOUBLE_TAP) == 1
+    assert len(vectors) < len(frames) // 2  # the first sample's TRIAD, not one per frame
+    assert cli_main(["replay", "--in", str(trace), "--out", str(tmp_path / "out")]) == 0
+    assert "DoubleTap" in (tmp_path / "out" / "gestures.jsonl").read_text()
 
 
 def test_pointer_tracks_hold_no_negative_zero():

@@ -1,6 +1,6 @@
 import random
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,9 +92,40 @@ def test_negative_dx_twos_complement():
     assert raw[8:10] == b"\xfd\xff"
 
 
-def test_squal_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        SensorFrame(0, 0, 0, 170, (0, 0, 0), (0, 0, 0), (0, 0, 0))
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"squal": 170}, "squal must be in [0, 169], got 170"),
+        ({"squal": -1}, "squal must be in [0, 169], got -1"),
+        ({"timestamp_ms": -1}, "timestamp_ms out of uint32 range: -1"),
+        ({"timestamp_ms": 2**32}, "timestamp_ms out of uint32 range: 4294967296"),
+        ({"dx": 32768}, "dx out of int16 range: 32768"),
+        ({"dy": -32769}, "dy out of int16 range: -32769"),
+        *(
+            ({name: tuple(bad if i == k else 0 for i in range(3))}, f"{name} component out of int16 range: {bad}")
+            for name in ("accel_raw", "gyro_raw", "mag_raw")
+            for k, bad in enumerate((32768, -32769, 40000))
+        ),
+        ({"mag_raw": (0, float("nan"), 0)}, "mag_raw component out of int16 range: nan"),
+        # several fields out: the first in check order is named
+        ({"squal": 170, "timestamp_ms": -1, "dx": 32768}, "squal must be in [0, 169], got 170"),
+        ({"dy": 32768, "accel_raw": (32768, 0, 0)}, "dy out of int16 range: 32768"),
+        ({"gyro_raw": (32768, 0, 0), "mag_raw": (32768, 0, 0)}, "gyro_raw component out of int16 range: 32768"),
+    ],
+)
+def test_sensor_frame_names_the_field_out_of_range(changes, message):
+    with pytest.raises(ValueError) as exc:
+        replace(_zero_frame(), **changes)
+    assert str(exc.value) == message
+
+
+def test_sensor_frame_accepts_every_int16_and_uint32_bound():
+    for value in (-32768, 32767):
+        for name in ("dx", "dy"):
+            replace(_zero_frame(), **{name: value})
+        for name in ("accel_raw", "gyro_raw", "mag_raw"):
+            replace(_zero_frame(), **{name: (value, -value - 1, value)})
+    replace(_zero_frame(0xFFFFFFFF), squal=SQUAL_MAX)
 
 
 @given(frames_st)
