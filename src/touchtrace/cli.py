@@ -37,10 +37,11 @@ from .simulate import (
     TrialSpec,
     campaign_specs,
     draw_tilt,
+    group_by_cell,
     noise_for_preset,
     read_manifest,
     script_gesture_trace,
-    simulate_columns,
+    simulate_group,
     trial_dirname,
     write_manifest,
 )
@@ -68,13 +69,18 @@ def _replay_config(args) -> ReplayConfig:
     )
 
 
-def _write_trial(out_dir: Path, spec: TrialSpec, noise_preset: str) -> int:
-    noise = noise_for_preset(noise_preset, TEXTURES[spec.texture])
-    truth, block = simulate_columns(spec, noise)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace(out_dir / "sensor.3dt", block)
-    truth.write_csv(out_dir / "truth.csv")
-    return len(block)
+def _write_trials(out: Path, specs: list[TrialSpec], dirs: list[str], noise_preset: str) -> int:
+    """Synthesize by grid cell; write trial i's sensor.3dt and truth.csv under out/dirs[i]."""
+    total = 0
+    for cell in group_by_cell(specs):
+        group = [specs[i] for i in cell]
+        truth, blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]))
+        for k, (i, block) in enumerate(zip(cell, blocks)):
+            (out / dirs[i]).mkdir(parents=True, exist_ok=True)
+            write_trace(out / dirs[i] / "sensor.3dt", block)
+            truth.trial(k).write_csv(out / dirs[i] / "truth.csv")
+            total += len(block)
+    return total
 
 
 def cmd_simulate(args) -> int:
@@ -83,9 +89,7 @@ def cmd_simulate(args) -> int:
         specs = campaign_specs(args.seed)
         out.mkdir(parents=True, exist_ok=True)
         write_manifest(out / "manifest.json", args.seed, args.noise, specs)
-        total = 0
-        for i, spec in enumerate(specs):
-            total += _write_trial(out / trial_dirname(i, spec), spec, args.noise)
+        total = _write_trials(out, specs, [trial_dirname(i, spec) for i, spec in enumerate(specs)], args.noise)
         print(f"wrote {len(specs)} trials ({total} frames) under {out}")
         return 0
 
@@ -100,7 +104,7 @@ def cmd_simulate(args) -> int:
         rate_hz=args.rate,
         speed_mm_s=args.speed,
     )
-    n = _write_trial(out, spec, args.noise)
+    n = _write_trials(out, [spec], [""], args.noise)
     write_manifest(out / "manifest.json", args.seed, args.noise, [spec])
     print(f"wrote {n} frames to {out / 'sensor.3dt'}")
     return 0

@@ -37,34 +37,36 @@ def _check_lengths(pred: Trajectory, truth: Trajectory) -> None:
 
 
 def align(pred: Trajectory, truth: Trajectory) -> Trajectory:
-    """Translate pred so its first sample coincides with truth's first."""
+    """Translate each pred trial so its first sample coincides with truth's first."""
     _check_lengths(pred, truth)
     if len(pred) == 0:
         raise TrajectoryMismatchError("cannot align empty trajectories")
-    if not np.array_equal(pred.t_ms, truth.t_ms):
-        k = int(np.argmax(pred.t_ms != truth.t_ms))
+    mismatch = pred.t_ms != truth.t_ms
+    if mismatch.any():
+        at = np.unravel_index(np.argmax(mismatch), mismatch.shape)
         raise TrajectoryMismatchError(
-            f"timestamp mismatch at sample {k}: pred {pred.t_ms[k]} ms vs truth {truth.t_ms[k]} ms"
+            f"timestamp mismatch at sample {at[-1]}: pred {pred.t_ms[at]} ms vs truth {truth.t_ms[at]} ms"
         )
-    offset = truth.pos_mm[0] - pred.pos_mm[0]
+    offset = truth.pos_mm[..., :1, :] - pred.pos_mm[..., :1, :]
     return Trajectory(pred.t_ms.copy(), pred.pos_mm + offset, pred.quat.copy())
 
 
 def position_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float, np.ndarray]:
-    """(mean mm, population sigma mm, per-sample series)."""
+    """(mean mm, population sigma mm, per-sample series), per trial of a stack."""
     _check_lengths(pred, truth)
-    series = np.linalg.norm(pred.pos_mm - truth.pos_mm, axis=1)
-    return float(series.mean()), float(series.std()), series
+    series = np.linalg.norm(pred.pos_mm - truth.pos_mm, axis=-1)
+    return series.mean(axis=-1), series.std(axis=-1), series
 
 
 def orientation_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float, np.ndarray]:
-    """(mean deg, population sigma deg, per-sample series) of forward axes."""
+    """(mean deg, population sigma deg, per-sample series) of forward axes,
+    per trial of a stack."""
     _check_lengths(pred, truth)
-    fa = quat_matrices(pred.quat)[:, :, 0]
-    fb = quat_matrices(truth.quat)[:, :, 0]
-    dots = np.clip(np.einsum("ni,ni->n", fa, fb), -1.0, 1.0)
+    fa = quat_matrices(pred.quat)[..., 0]
+    fb = quat_matrices(truth.quat)[..., 0]
+    dots = np.clip(np.einsum("...i,...i->...", fa, fb), -1.0, 1.0)
     series = np.degrees(np.arccos(dots))
-    return float(series.mean()), float(series.std()), series
+    return series.mean(axis=-1), series.std(axis=-1), series
 
 
 @dataclass(frozen=True)
@@ -88,19 +90,19 @@ class TrialResult:
         )
 
 
-def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> TrialResult:
-    """Align pred to truth and score it; ``spec`` only labels the result."""
+def evaluate_trials(specs: list[TrialSpec | None], pred: Trajectory, truth: Trajectory) -> list[TrialResult]:
+    """``evaluate_trial`` on each trial of a stack; every statistic runs
+    along one trial's frames, so no result depends on the others."""
     aligned = align(pred, truth)
     pos_mean, pos_sigma, _ = position_error(aligned, truth)
     ori_mean, ori_sigma, _ = orientation_error(aligned, truth)
-    return TrialResult(
-        spec=spec,
-        mean_pos_err_mm=pos_mean,
-        pos_err_sigma=pos_sigma,
-        mean_ori_err_deg=ori_mean,
-        ori_err_sigma=ori_sigma,
-        n_samples=len(truth),
-    )
+    stats = (np.reshape(v, -1).tolist() for v in (pos_mean, pos_sigma, ori_mean, ori_sigma))
+    return [TrialResult(spec, *values, len(truth)) for spec, *values in zip(specs, *stats, strict=True)]
+
+
+def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> TrialResult:
+    """Align pred to truth and score it; ``spec`` only labels the result."""
+    return evaluate_trials([spec], pred, truth)[0]
 
 
 def _betainc(a: float, b: float, x: float) -> float:

@@ -14,12 +14,13 @@ Conventions, fixed once for the whole package:
 Each operation is written once, as plain component expressions that
 run alike on floats (the streaming filter, and the ``UnitQuat``/``Vec3``
 methods the interaction techniques use) and on the columns of ``(N,4)``
-quaternion arrays (the sensor synthesizer, the lockstep filter, pointer
-projection and the evaluation metrics): ``_hamilton`` is the quaternion
-product, ``_rotate`` the rotation of a vector, and ``quat_matrices`` the
-rotation matrix, from whose entries Euler angles, touch-plane bases and
-the forward axes the metrics compare are all read. On floats, ``_unit``
-is the one renormalization and ``_integrate`` the one gyro step.
+or ``(trials, N, 4)`` quaternion arrays (the sensor synthesizer, the
+lockstep filter, pointer projection and the evaluation metrics):
+``_hamilton`` is the quaternion product, ``_rotate`` the rotation of a
+vector, and ``quat_matrices`` the rotation matrix, from whose entries
+Euler angles, touch-plane bases and the forward axes the metrics compare
+are all read. On floats, ``_unit`` is the one renormalization and
+``_integrate`` the one gyro step.
 """
 
 from __future__ import annotations
@@ -281,14 +282,14 @@ def angle_between(a: Vec3, b: Vec3) -> float:
 
 
 def quat_matrices(q):
-    """Rotation matrices ``(N,3,3)`` of an ``(N,4)`` array of unit quaternions.
+    """Rotation matrices ``(..., 3, 3)`` of a ``(..., 4)`` array of unit quaternions.
 
     Column j of each matrix is body axis j rotated into the world frame.
     One quaternion given as a tuple of floats yields its matrix as a tuple
     of row tuples, so per-frame scalar callers pay no numpy call per entry.
     """
     scalar = isinstance(q, tuple)
-    w, x, y, z = q if scalar else q.T
+    w, x, y, z = q if scalar else np.reshape(q, (-1, 4)).T  # 1-D components run fastest
     rows = (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
@@ -296,11 +297,11 @@ def quat_matrices(q):
     )
     if scalar:
         return rows
-    m = np.empty((len(q), 3, 3))
+    m = np.empty((len(w), 3, 3))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             m[:, i, j] = entry
-    return m
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,31 +324,31 @@ def rotate_vectors(q: np.ndarray, v: tuple[float, float, float]) -> np.ndarray:
 
 
 def quat_midpoints(q: np.ndarray) -> np.ndarray:
-    """Geodesic midpoints of consecutive quaternions, (N-1,4).
+    """Geodesic midpoints of consecutive quaternions, ``(..., n-1, 4)`` of ``(..., n, 4)``.
 
     The normalized mean of two sign-aligned unit quaternions is exactly
     the slerp midpoint, which is all the synthesizer needs.
     """
-    a = q[:-1]
-    b = q[1:].copy()
-    flip = np.sum(a * b, axis=1) < 0
+    a = q[..., :-1, :]
+    b = q[..., 1:, :].copy()
+    flip = np.sum(a * b, axis=-1) < 0
     b[flip] *= -1.0
     mid = a + b
-    mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+    mid /= np.linalg.norm(mid, axis=-1, keepdims=True)
     return mid
 
 
 def quat_relative_rotvec(q: np.ndarray) -> np.ndarray:
-    """Body-frame rotation vectors between consecutive poses, (N-1,3) rad.
+    """Body-frame rotation vectors between consecutive poses, ``(..., n-1, 3)`` rad.
 
     rotvec_k = log(q_k^-1 * q_{k+1}); dividing by dt gives the exact
     body rate a gyro would have to report for the step to integrate back.
     """
-    aw, ax, ay, az = q[:-1].T
-    w, x, y, z = _hamilton(aw, -ax, -ay, -az, *q[1:].T)  # conj(a) ⊗ b
+    aw, ax, ay, az = np.reshape(q[..., :-1, :], (-1, 4)).T
+    w, x, y, z = _hamilton(aw, -ax, -ay, -az, *np.reshape(q[..., 1:, :], (-1, 4)).T)  # conj(a) ⊗ b
     sign = np.where(w < 0, -1.0, 1.0)
     w, x, y, z = w * sign, x * sign, y * sign, z * sign
     vec_norm = np.sqrt(x * x + y * y + z * z)
     angle = 2.0 * np.arctan2(vec_norm, w)
     scale = np.where(vec_norm > 1e-12, angle / np.where(vec_norm > 1e-12, vec_norm, 1.0), 2.0)
-    return np.stack([x * scale, y * scale, z * scale], axis=1)
+    return np.stack([x * scale, y * scale, z * scale], axis=1).reshape(q.shape[:-2] + (q.shape[-2] - 1, 3))

@@ -13,15 +13,16 @@ gesture detector over the block's rows; it is the path of ``replay``
 ``replay_frames`` is it on a list of frames. ``replay_lockstep`` runs
 many streams at once: one batched filter step per sample index across
 every stream still running, with no gesture detection. Both end in the
-same tail, which turns a stream's attitudes and optical deltas into its
-pointer track in one call to ``interaction.pointer_track`` (which alone
-knows the touch plane and the mount rule) and packages the result. The campaign runners
+same tail, ``interaction.pointer_track`` (which alone knows the touch
+plane and the mount rule), and package the result. The campaign runners
 (``run_campaign`` and the CLI's ``campaign``) push every trial through
-the lockstep path, bytes included, and score each trial against its
-ground truth as soon as its stream ends, so their numbers measure the
-whole stack, not a shortcut. With ``jobs > 1`` each worker process runs
-one contiguous chunk of the grid in lockstep; the results do not depend
-on the job count.
+the lockstep path, bytes included, and score it once its stream ends,
+so their numbers measure the whole stack, not a shortcut. The in-memory
+runner synthesizes each grid cell's trials as one stack and scores them
+as one when their equal-length streams end; no float operation mixes
+trials, so no result depends on its cell. With ``jobs > 1`` each worker
+process runs one contiguous chunk of the grid; the results do not
+depend on the job count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .evaluate import CampaignSummary, TrialResult, evaluate_trial, summarize_campaign
+from .evaluate import CampaignSummary, TrialResult, evaluate_trial, evaluate_trials, summarize_campaign
 from .gestures import GestureConfig, GestureEvent, detect_rows
 from .interaction import MountMode, pointer_track
 from .orientation import FilterConfig, FilterDiagnostics, batch_step, filter_stream, initial_batch
@@ -45,9 +46,11 @@ from .simulate import (
     TEXTURES,
     TrialSpec,
     campaign_specs,
-    gen_trajectory,
+    gen_trajectories,
+    group_by_cell,
     noise_for_preset,
     simulate_columns,
+    simulate_group,
 )
 from .trajectory import Trajectory
 
@@ -224,24 +227,31 @@ def run_trials(
     noise_preset: str = "default",
     config: ReplayConfig | None = None,
 ) -> list[TrialResult]:
-    """Synthesize trials, replay them through the wire in lockstep, score them.
+    """Synthesize trials by grid cell, replay them through the wire in lockstep, score them.
 
     The campaign's worker: ``run_trial`` on each spec, to float rounding.
-    Each trial stays one frame block from synthesis to the filter, and
-    still crosses the wire as bytes.
     """
     config = config or ReplayConfig(with_gestures=False)
-    streams = []
-    for spec in specs:
-        noise = noise_for_preset(noise_preset, TEXTURES[spec.texture])
-        _, block = simulate_columns(spec, noise, config.scales)
-        streams.append(decode_columns(encode_frames(block))[0])
+    cells = group_by_cell(specs)
+    streams: list[FrameColumns] = [None] * len(specs)  # type: ignore[list-item]
+    for cell in cells:
+        group = [specs[i] for i in cell]
+        blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]), config.scales)[1]
+        for i, block in zip(cell, blocks):
+            streams[i] = decode_columns(encode_frames(block))[0]
+    cell_of = {i: cell for cell in cells for i in cell}
+    pointers: dict[int, Trajectory] = {}
     results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
     replayed_trials = replay_lockstep(streams, config)
     del streams  # the runner frees the columns once it has packed them
     for i, replayed in replayed_trials:
-        # truth is a pure function of the spec: rebuild it rather than keep it
-        results[i] = evaluate_trial(specs[i], replayed.pointer, gen_trajectory(specs[i]))
+        pointers[i] = replayed.pointer
+        if all(j in pointers for j in cell_of[i]):
+            # truth is a pure function of the specs: rebuild it rather than keep it
+            group = [specs[j] for j in cell_of[i]]
+            pred = Trajectory.stack([pointers.pop(j) for j in cell_of[i]])
+            for j, result in zip(cell_of[i], evaluate_trials(group, pred, gen_trajectories(group))):
+                results[j] = result
     return results
 
 

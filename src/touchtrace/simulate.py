@@ -7,11 +7,16 @@ sensor stream a device would have produced while drawing that path.
 The evaluation campaign covers a 3 texture x 4 size x 6 shape grid with
 five repetitions per cell (360 trials), each drawn on a plane tilted at
 a per-trial random angle in [0, 90) degrees, traced at constant speed
-and sampled at 50 Hz.
+and sampled at 50 Hz. The repetitions of a cell share one time base and
+one plane-frame path, so a cell is traced and synthesized as one
+``(trials, frames)`` stack (``simulate_group``); each trial keeps its
+own seeded generator, and no float operation mixes trials, so a trial's
+bytes are those it would get alone (``simulate_columns``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -149,9 +154,7 @@ def _shape_vertices(shape: str, s: float) -> np.ndarray | None:
 
 
 def shape_path_length(shape: str, size_mm: float) -> float:
-    if shape == "circle":
-        return math.pi * size_mm
-    if shape == CYLINDER_SHAPE:
+    if shape in ("circle", CYLINDER_SHAPE):
         return math.pi * size_mm
     verts = _shape_vertices(shape, size_mm)
     return float(np.sum(np.linalg.norm(np.diff(verts, axis=0), axis=1)))
@@ -171,12 +174,23 @@ def _local_coords(shape: str, size_mm: float, arcs: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=1)
 
 
-def gen_trajectory(spec: TrialSpec) -> Trajectory:
-    """Trace the trial's shape at constant speed on the tilted plane.
+def group_by_cell(specs: list[TrialSpec]) -> list[list[int]]:
+    """Indices into ``specs``, one list per grid cell (trials differing only in rep, tilt and seed)."""
+    cells: dict[tuple, list[int]] = {}
+    for i, s in enumerate(specs):
+        cells.setdefault((s.texture, s.shape, s.size_mm, s.rate_hz, s.speed_mm_s), []).append(i)
+    return list(cells.values())
+
+
+def gen_trajectories(specs: list[TrialSpec]) -> Trajectory:
+    """Trace one cell's trials at constant speed on their tilted planes, stacked ``(trials, frames)``.
 
     The device orientation equals the plane attitude throughout; the
     cylinder shape instead rolls the attitude along the wrap.
     """
+    spec = specs[0]
+    if len(group_by_cell(specs)) != 1:
+        raise ValueError("the trials of a group must share one grid cell")
     dt = 1.0 / spec.rate_hz
     step = spec.speed_mm_s * dt
     length = shape_path_length(spec.shape, spec.size_mm)
@@ -184,19 +198,24 @@ def gen_trajectory(spec: TrialSpec) -> Trajectory:
     arcs = np.minimum(np.arange(n_steps + 1) * step, length)
     t_ms = np.round(np.arange(n_steps + 1) * (1000.0 * dt)).astype(np.int64)
 
-    if spec.shape == CYLINDER_SHAPE:
-        return _cylinder_trajectory(spec, arcs, t_ms)
+    if spec.shape == CYLINDER_SHAPE:  # one wrap, whatever the tilt
+        pos, quat = (np.tile(a, (len(specs), 1, 1)) for a in _cylinder_path(spec, arcs))
+    else:
+        tilts = [axis_angle_quat(EY, s.tilt_deg) for s in specs]
+        rot = np.array([quat_matrices(q.as_tuple()) for q in tilts])[:, None]
+        local = _local_coords(spec.shape, float(spec.size_mm), arcs)
+        pos = local[:, 0:1] * rot[..., 0] + local[:, 1:2] * rot[..., 1]
+        quat = np.repeat(np.array([q.as_tuple() for q in tilts])[:, None], len(arcs), axis=1)
+    return Trajectory(np.tile(t_ms, (len(specs), 1)), pos, quat)
 
-    q = axis_angle_quat(EY, spec.tilt_deg)
-    rot = np.array(quat_matrices(q.as_tuple()))
-    local = _local_coords(spec.shape, float(spec.size_mm), arcs)
-    pos = local[:, 0:1] * rot[:, 0] + local[:, 1:2] * rot[:, 1]
-    quat = np.tile([q.w, q.x, q.y, q.z], (len(arcs), 1))
-    return Trajectory(t_ms, pos, quat)
+
+def gen_trajectory(spec: TrialSpec) -> Trajectory:
+    """``gen_trajectories`` for one trial."""
+    return gen_trajectories([spec]).trial(0)
 
 
-def _cylinder_trajectory(spec: TrialSpec, arcs: np.ndarray, t_ms: np.ndarray) -> Trajectory:
-    """Wrap once around a horizontal cylinder of diameter size_mm.
+def _cylinder_path(spec: TrialSpec, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and attitudes wrapping once around a horizontal cylinder of diameter size_mm.
 
     The finger stays on the outer surface: position follows the cross
     section circle while the touch plane stays tangent, so the attitude
@@ -204,21 +223,78 @@ def _cylinder_trajectory(spec: TrialSpec, arcs: np.ndarray, t_ms: np.ndarray) ->
     """
     radius = spec.size_mm / 2.0
     phi = arcs / radius
-    sin, cos = np.sin(phi), np.cos(phi)
     # body axes in world coordinates: x = travel tangent, y = cylinder
-    # axis (world Y), z = outward normal
-    pos = np.stack([radius * sin, np.zeros_like(phi), radius * cos], axis=1)
-    n = len(phi)
-    quat = np.empty((n, 4))
-    half = 0.5 * phi
+    # axis (world Y), z = outward normal; the path starts at the origin
+    zero = np.zeros_like(phi)
+    pos = np.stack([radius * np.sin(phi), zero, radius * np.cos(phi) - radius], axis=1)
     # rotation about world Y by +phi applied to the identity tangent frame
-    quat[:, 0] = np.cos(half)
-    quat[:, 1] = 0.0
-    quat[:, 2] = np.sin(half)
-    quat[:, 3] = 0.0
-    pos[:, 0] -= pos[0, 0]
-    pos[:, 2] -= pos[0, 2]
-    return Trajectory(t_ms, pos, quat)
+    return pos, np.stack([np.cos(0.5 * phi), zero, np.sin(0.5 * phi), zero], axis=1)
+
+
+def synthesize_group(
+    truth: Trajectory,
+    texture: TextureModel,
+    noise: NoiseModel,
+    rngs: list[np.random.Generator],
+    scales: ScaleConfig | None = None,
+    contact: np.ndarray | None = None,
+) -> list[FrameColumns]:
+    """Fabricate the block of wire frames a device tracing each trial of
+    the ``(trials, frames)`` stack ``truth`` would emit.
+
+    Per step the in-plane displacement (taken against the step-midpoint
+    plane) becomes fractional counts, quantized through a running
+    accumulator so the emitted integers always sum back to the true
+    path. IMU channels carry the exact body-frame gravity, rate and
+    field, then noise. Trial k draws from ``rngs[k]`` in a fixed order:
+    slip, dropout, contact squal, lift squal, gyro bias, gyro, accel,
+    mag. No operation mixes trials, so a block does not depend on its group.
+    """
+    scales = scales or ScaleConfig()
+    n = len(truth)
+    if n == 0:
+        return [FrameColumns.of([]) for _ in rngs]
+    if contact is None:
+        contact = np.ones(n, dtype=bool)
+
+    rot = quat_matrices(truth.quat)
+    dp = np.diff(truth.pos_mm, axis=-2)
+    mid = quat_matrices(quat_midpoints(truth.quat))
+    along = [np.einsum("...i,...i->...", dp, mid[..., j]) for j in range(3)]  # the plane's u, v, n
+    off_plane = np.abs(along[2])
+    tol = 1e-6 * np.maximum(1.0, np.linalg.norm(dp, axis=-1))
+    if np.any(off_plane > tol):
+        at = np.unravel_index(np.argmax(off_plane - tol), off_plane.shape)
+        raise ValueError(f"truth leaves the touch plane at step {at[-1]}: {off_plane[at]:.3g} mm off-plane")
+    counts = np.stack(along[:2], axis=-1) / scales.mm_per_count
+
+    draws = [
+        (rng.normal(0.0, noise.slip_sigma_counts, (n - 1, 2)), rng.random(n - 1),
+         rng.normal(texture.squal_mean, texture.squal_jitter, n), rng.uniform(0.0, 3.0, n),
+         rng.normal(0.0, noise.gyro_bias_sigma_dps, 3), rng.normal(0.0, noise.gyro_sigma_dps, (n, 3)),
+         rng.normal(0.0, noise.accel_sigma_g, (n, 3)), rng.normal(0.0, noise.mag_sigma_gauss, (n, 3)))
+        for rng in rngs
+    ]
+    slip, drop, squal_contact, squal_lift, bias, gyro_noise, accel_noise, mag_noise = map(np.array, zip(*draws))
+
+    counts = counts + slip
+    counts[drop < texture.dropout_prob] = 0.0
+    emitted = np.rint(np.cumsum(counts, axis=-2))
+    dxdy = np.zeros(emitted.shape[:-2] + (n, 2), dtype=np.int16)
+    dxdy[..., 1:, :] = np.clip(np.diff(emitted, axis=-2, prepend=0.0).astype(np.int64), -32768, 32767)
+
+    squal = np.where(contact, np.rint(np.clip(squal_contact, 50, 90)), np.rint(squal_lift)).astype(np.uint8)
+
+    gyro = np.zeros(rot.shape[:-1])
+    dt_s = np.diff(truth.t_ms, axis=-1) / 1000.0
+    dt_s[dt_s <= 0] = 1.0 / 50.0
+    gyro[..., 1:, :] = quat_relative_rotvec(truth.quat) / dt_s[..., None] / _DEG
+    accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in ([0.0, 0.0, -1.0], FilterConfig().mag_reference.as_tuple()))
+
+    imu = np.concatenate([accel + accel_noise, gyro + bias[..., None, :] + gyro_noise, mag + mag_noise], axis=-1)
+    lsb = np.repeat([scales.accel_g_per_lsb, scales.gyro_dps_per_lsb, scales.mag_gauss_per_lsb], 3)
+    imu_raw = np.clip(np.rint(imu / lsb), -32768, 32767).astype(np.int16)
+    return [FrameColumns(*columns) for columns in zip(truth.t_ms.copy(), dxdy, squal, imu_raw)]
 
 
 def synthesize_sensors(
@@ -229,75 +305,8 @@ def synthesize_sensors(
     scales: ScaleConfig | None = None,
     contact: np.ndarray | None = None,
 ) -> FrameColumns:
-    """Fabricate the block of wire frames a device tracing ``truth`` would emit.
-
-    Per step the in-plane displacement (taken against the step-midpoint
-    plane) becomes fractional counts, quantized through a running
-    accumulator so the emitted integers always sum back to the true
-    path. IMU channels carry the exact body-frame gravity, rate and
-    field, then noise. Draw order from ``rng`` is fixed: slip, dropout,
-    contact squal, lift squal, gyro bias, gyro, accel, mag.
-    """
-    scales = scales or ScaleConfig()
-    n = len(truth)
-    if n == 0:
-        return FrameColumns.of([])
-    if contact is None:
-        contact = np.ones(n, dtype=bool)
-
-    rot = quat_matrices(truth.quat)
-    dp = np.diff(truth.pos_mm, axis=0)
-    mid = quat_matrices(quat_midpoints(truth.quat)) if n > 1 else np.empty((0, 3, 3))
-    if n > 1:
-        off_plane = np.abs(np.einsum("ni,ni->n", dp, mid[:, :, 2]))
-        tol = 1e-6 * np.maximum(1.0, np.linalg.norm(dp, axis=1))
-        if np.any(off_plane > tol):
-            k = int(np.argmax(off_plane - tol))
-            raise ValueError(
-                f"truth leaves the touch plane at step {k}: {off_plane[k]:.3g} mm off-plane"
-            )
-        counts = np.stack(
-            [
-                np.einsum("ni,ni->n", dp, mid[:, :, 0]),
-                np.einsum("ni,ni->n", dp, mid[:, :, 1]),
-            ],
-            axis=1,
-        ) / scales.mm_per_count
-    else:
-        counts = np.empty((0, 2))
-
-    counts = counts + rng.normal(0.0, noise.slip_sigma_counts, counts.shape)
-    drop = rng.random(len(counts)) < texture.dropout_prob
-    counts[drop] = 0.0
-    cum = np.cumsum(counts, axis=0)
-    emitted = np.rint(cum)
-    dxdy = np.diff(emitted, axis=0, prepend=np.zeros((1, 2))).astype(np.int64)
-    dxdy = np.clip(dxdy, -32768, 32767)
-    dxdy = np.concatenate([np.zeros((1, 2), dtype=np.int64), dxdy])
-
-    squal_contact = np.rint(np.clip(rng.normal(texture.squal_mean, texture.squal_jitter, n), 50, 90))
-    squal_lift = np.rint(rng.uniform(0.0, 3.0, n))
-    squal = np.where(contact, squal_contact, squal_lift).astype(np.uint8)
-
-    gravity = np.array([0.0, 0.0, -1.0])
-    mag_world = np.array(FilterConfig().mag_reference.as_tuple())
-    accel = np.einsum("nij,i->nj", rot, gravity)
-    mag = np.einsum("nij,i->nj", rot, mag_world)
-
-    gyro = np.zeros((n, 3))
-    if n > 1:
-        dt_s = np.diff(truth.t_ms) / 1000.0
-        dt_s[dt_s <= 0] = 1.0 / 50.0
-        gyro[1:] = quat_relative_rotvec(truth.quat) / dt_s[:, None] / _DEG
-
-    bias = rng.normal(0.0, noise.gyro_bias_sigma_dps, 3)
-    gyro = gyro + bias + rng.normal(0.0, noise.gyro_sigma_dps, (n, 3))
-    accel = accel + rng.normal(0.0, noise.accel_sigma_g, (n, 3))
-    mag = mag + rng.normal(0.0, noise.mag_sigma_gauss, (n, 3))
-
-    lsb = np.repeat([scales.accel_g_per_lsb, scales.gyro_dps_per_lsb, scales.mag_gauss_per_lsb], 3)
-    imu_raw = np.clip(np.rint(np.hstack([accel, gyro, mag]) / lsb), -32768, 32767).astype(np.int16)
-    return FrameColumns(truth.t_ms.copy(), dxdy.astype(np.int16), squal, imu_raw)
+    """``synthesize_group`` for one trial's ``truth``, drawing from ``rng``."""
+    return synthesize_group(Trajectory.stack([truth]), texture, noise, [rng], scales, contact)[0]
 
 
 # -- trial and campaign plumbing -------------------------------------------
@@ -314,15 +323,26 @@ def draw_tilt(seed: int) -> float:
     return float(trial_rng.uniform(0.0, 90.0))
 
 
+def simulate_group(
+    specs: list[TrialSpec],
+    noise: NoiseModel,
+    scales: ScaleConfig | None = None,
+) -> tuple[Trajectory, list[FrameColumns]]:
+    """Ground truth, stacked, plus each trial's block of synthesized wire
+    frames for the trials of one grid cell (see ``group_by_cell``)."""
+    truth = gen_trajectories(specs)
+    rngs = [trial_streams(s.seed)[1] for s in specs]
+    return truth, synthesize_group(truth, TEXTURES[specs[0].texture], noise, rngs, scales)
+
+
 def simulate_columns(
     spec: TrialSpec,
     noise: NoiseModel,
     scales: ScaleConfig | None = None,
 ) -> tuple[Trajectory, FrameColumns]:
     """Ground truth plus the block of synthesized wire frames for one trial."""
-    _, synth_rng = trial_streams(spec.seed)
-    truth = gen_trajectory(spec)
-    return truth, synthesize_sensors(truth, TEXTURES[spec.texture], noise, synth_rng, scales)
+    truth, blocks = simulate_group([spec], noise, scales)
+    return truth.trial(0), blocks[0]
 
 
 def simulate_trial(
@@ -342,23 +362,10 @@ def trial_seed(campaign_seed: int, index: int) -> int:
 def campaign_specs(campaign_seed: int) -> list[TrialSpec]:
     """The full 3 x 4 x 6 x 5 grid with per-trial seeds and tilts."""
     specs = []
-    index = 0
-    for texture in TEXTURE_NAMES:
-        for size in SIZES_MM:
-            for shape in SHAPE_NAMES:
-                for rep in range(1, REPS + 1):
-                    seed = trial_seed(campaign_seed, index)
-                    specs.append(
-                        TrialSpec(
-                            texture=texture,
-                            size_mm=size,
-                            shape=shape,
-                            rep=rep,
-                            tilt_deg=draw_tilt(seed),
-                            seed=seed,
-                        )
-                    )
-                    index += 1
+    grid = itertools.product(TEXTURE_NAMES, SIZES_MM, SHAPE_NAMES, range(1, REPS + 1))
+    for index, (texture, size, shape, rep) in enumerate(grid):
+        seed = trial_seed(campaign_seed, index)
+        specs.append(TrialSpec(texture, size, shape, rep, tilt_deg=draw_tilt(seed), seed=seed))
     return specs
 
 

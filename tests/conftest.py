@@ -6,12 +6,33 @@ import io
 import pytest
 
 from touchtrace.cli import main as cli_main
+from touchtrace.simulate import CYLINDER_SHAPE, TrialSpec, draw_tilt
 
 # The README's campaign commands, run from the directory that holds camp/.
 CAMPAIGN_COMMANDS = (
     "simulate --campaign --seed 42 --noise default --out camp/",
     "campaign --dir camp/ --out summary.json",
 )
+
+# Grid cells of several repetitions over every shape (the cylinder too),
+# several sizes and all three textures, then a cell of one; the cells'
+# trials interleave, as a grid cell's need not be adjacent in a spec list.
+_MIXED_CELLS = (
+    ("mousepad", "hline", 12, 3),
+    ("wood", "vline", 21, 3),
+    ("jeans", "diag", 42, 2),
+    ("mousepad", "triangle", 12, 2),
+    ("wood", "square", 21, 3),
+    ("jeans", "circle", 12, 3),
+    ("wood", CYLINDER_SHAPE, 30, 2),
+    ("jeans", "square", 42, 1),
+)
+MIXED_SPECS = [
+    TrialSpec(texture, size, shape, rep, tilt_deg=draw_tilt(100 * k + rep), seed=100 * k + rep)
+    for rep in range(1, 4)
+    for k, (texture, shape, size, reps) in enumerate(_MIXED_CELLS)
+    if rep <= reps
+]
 
 
 def run_commands(commands) -> str:

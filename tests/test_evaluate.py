@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import MIXED_SPECS
 from touchtrace.evaluate import (
     AnovaResult,
     TrajectoryMismatchError,
@@ -11,13 +12,15 @@ from touchtrace.evaluate import (
     _betainc,
     align,
     evaluate_trial,
+    evaluate_trials,
     one_way_anova,
     orientation_error,
     position_error,
     summarize_campaign,
 )
-from touchtrace.simulate import campaign_specs, gen_trajectory
-from touchtrace.trajectory import Trajectory, read_csv
+from touchtrace.pipeline import replay_lockstep
+from touchtrace.simulate import NOISE_PRESETS, TEXTURES, campaign_specs, gen_trajectory, group_by_cell, noise_for_preset, simulate_group
+from touchtrace.trajectory import CSV_HEADER, Trajectory, read_csv
 
 
 def traj(n=10, offset=(0.0, 0.0, 0.0), yaw_deg=0.0):
@@ -250,3 +253,57 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(back.t_ms, t.t_ms)
     assert np.allclose(back.pos_mm, t.pos_mm, atol=1e-9)
     assert np.allclose(back.quat, t.quat, atol=1e-9)
+
+
+@pytest.mark.parametrize("preset", NOISE_PRESETS)
+def test_group_scoring_equals_groups_of_one(preset):
+    for cell in group_by_cell(MIXED_SPECS):
+        group = [MIXED_SPECS[i] for i in cell]
+        truth, blocks = simulate_group(group, noise_for_preset(preset, TEXTURES[group[0].texture]))
+        replayed = dict(replay_lockstep(blocks))
+        pred = Trajectory.stack([replayed[k].pointer for k in range(len(group))])
+        results = evaluate_trials(group, pred, truth)
+        assert results == [evaluate_trial(spec, pred.trial(k), truth.trial(k)) for k, spec in enumerate(group)]
+        assert all(r.mean_pos_err_mm > 0.0 for r in results)
+
+
+def test_group_scoring_names_a_timestamp_mismatch_in_any_trial():
+    truth = Trajectory.stack([traj(), traj(offset=(1.0, 0.0, 0.0))])
+    pred = Trajectory.stack([traj(), traj()])
+    pred.t_ms[1, 3] += 1
+    with pytest.raises(TrajectoryMismatchError, match="^timestamp mismatch at sample 3: pred 61 ms vs truth 60 ms$"):
+        evaluate_trials([None, None], pred, truth)
+
+
+def test_write_csv_formats_every_value_to_10_significant_digits(tmp_path):
+    pos = [[-0.0, 1e-300, 123456789.123456], [math.nan, math.inf, -math.inf], [1 / 3, -2 / 3, 1e22]]
+    t = Trajectory([0, 20, 2**40 + 1], pos, [[1.0, 0.0, 0.0, 0.0], [0.5, -0.5, 0.5, -0.5], [0.1, 0.2, 0.3, 0.9]])
+    path = tmp_path / "t.csv"
+    t.write_csv(path)
+    rows = [",".join([str(ms)] + [f"{v:.10g}" for v in p + q]) for ms, p, q in zip(t.t_ms.tolist(), pos, t.quat.tolist())]
+    assert path.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
+    assert rows[1] == "20,nan,inf,-inf,0.5,-0.5,0.5,-0.5"
+
+
+def test_read_csv_names_a_bad_header_or_the_first_malformed_row(tmp_path):
+    path = tmp_path / "t.csv"
+    good = "0,1,2,3,1,0,0,0"
+    cases = {
+        "t,x,y\n" + good: f"{path}: expected header 't_ms,x_mm,y_mm,z_mm,qw,qx,qy,qz'",
+        "": f"{path}: expected header 't_ms,x_mm,y_mm,z_mm,qw,qx,qy,qz'",
+        # a short row then a long one: as many fields as two good rows
+        f"{CSV_HEADER}\n{good}\n20,1,2,3,1,0,0\n40,1,2,3,1,0,0,0,9": f"{path}: malformed row '20,1,2,3,1,0,0'",
+        f"{CSV_HEADER}\n{good}\n20,1,2,3,1,0,0,0,": f"{path}: malformed row '20,1,2,3,1,0,0,0,'",
+        f"{CSV_HEADER}\n{good}\n20.5,1,2,3,1,0,0,0": "invalid literal for int() with base 10: '20.5'",
+        f"{CSV_HEADER}\n{good}\n20,1,2,x,1,0,0,0\n40,1,2": "could not convert string to float: 'x'",
+    }
+    for text, message in cases.items():
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_csv(path)
+        assert str(excinfo.value) == message
+    path.write_text(f"{CSV_HEADER}\n\n{good}\n  \n20,4,5,6,0,1,0,0\n")
+    back = read_csv(path)
+    assert back.t_ms.tolist() == [0, 20]
+    assert back.pos_mm.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert back.quat.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import MIXED_SPECS
 from touchtrace.geom import (
     EX,
     EY,
@@ -18,11 +19,14 @@ from touchtrace.geom import (
     integrate_gyro,
     quat_from_matrix,
     quat_matrices,
+    quat_midpoints,
     quat_multiply,
+    quat_relative_rotvec,
     rotate_vector,
     rotate_vectors,
     to_euler,
 )
+from touchtrace.simulate import gen_trajectories, group_by_cell
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 unit_quats = st.tuples(finite, finite, finite, finite).filter(
@@ -191,3 +195,12 @@ def test_vector_rotation_is_bitwise_equal_on_floats_and_arrays():
         rows = rotate_vectors(q, tuple(v))
         for k in range(500):
             assert rotate_vector(UnitQuat(*q[k]), Vec3(*v)).as_tuple() == tuple(rows[k])
+
+
+def test_quaternion_array_helpers_run_along_the_frame_axis_bit_for_bit():
+    rng = np.random.default_rng(7)
+    stacks = [_random_quats(rng, 4 * 30).reshape(4, 30, 4)]  # random signs: midpoints flip some
+    stacks += [gen_trajectories([MIXED_SPECS[i] for i in cell]).quat for cell in group_by_cell(MIXED_SPECS)]
+    for q in stacks:
+        for helper in (quat_matrices, quat_midpoints, quat_relative_rotvec):
+            assert np.array_equal(helper(q), np.stack([helper(row) for row in q]))

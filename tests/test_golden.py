@@ -18,13 +18,17 @@
   state (q, gyro bias and covariance) that ``OrientationFilter`` reaches
   on it: the default filter trusts its measurements so little that a
   last-bit change in the covariance need not reach the attitudes;
+* ``run_trials.sha256``: one SHA-256 per trial of ``run_campaign(42)``
+  and ``run_campaign(7, "zero")`` over its ``metrics_json()``, and one
+  per summary over the ``repr`` of its ``grand`` and ANOVA, so the
+  in-memory campaign runner is held byte for byte, not only to 1e-9;
 * ``versions.json``: the Python and numpy versions they were made with.
 
 Under those versions every byte must match. Under other versions the
 numbers in stdout and in the text files must agree within 1e-9
 relative, the ``.3dt`` traces and the seed-7 trace digests (integers
-only) must match exactly, and the ``camp/``, replay-stream and
-filter-state digests are skipped.
+only) must match exactly, and the ``camp/``, replay-stream,
+filter-state and ``run_trials`` digests are skipped.
 Regenerate the files only in a change that means to alter outputs, and
 list what changed:
 
@@ -46,7 +50,7 @@ import pytest
 from conftest import CAMPAIGN_COMMANDS, run_commands
 from touchtrace.interaction import MountMode
 from touchtrace.orientation import MAX_DT_S, OrientationFilter
-from touchtrace.pipeline import ReplayConfig, replay_bytes, replay_frames
+from touchtrace.pipeline import ReplayConfig, replay_bytes, replay_frames, run_campaign
 from touchtrace.protocol import FrameColumns, ScaleConfig, apply_scales, encode_frames
 from touchtrace.simulate import (
     TEXTURES,
@@ -175,6 +179,20 @@ def filter_state_digests() -> str:
     return "".join(lines)
 
 
+def run_trials_digests() -> str:
+    """``sha256sum``-style lines for two in-memory campaigns: one per trial
+    over ``metrics_json()``, then one over the summary's grand and ANOVA."""
+    lines = []
+    for seed, preset in ((42, "default"), (7, "zero")):
+        results, summary = run_campaign(seed, preset)
+        for i, result in enumerate(results):
+            digest = hashlib.sha256(result.metrics_json().encode()).hexdigest()
+            lines.append(f"{digest}  seed{seed}-{preset}/{trial_dirname(i, result.spec)}\n")
+        digest = hashlib.sha256(f"{summary.grand!r}\n{summary.anova!r}".encode()).hexdigest()
+        lines.append(f"{digest}  seed{seed}-{preset}/summary\n")
+    return "".join(lines)
+
+
 def values_close(got: str, want: str, rel: float = 1e-9) -> bool:
     """Equal text between the numbers, and each number within ``rel`` relative."""
     return _NUMBER.split(got) == _NUMBER.split(want) and all(
@@ -247,6 +265,12 @@ def test_filter_states_match_golden_digests():
     assert digests.splitlines() == (GOLDEN / "filter_states.sha256").read_text().splitlines()
 
 
+def test_run_trials_match_golden_digests():
+    _skip_unless_recorded_versions("float digests")
+    digests = run_trials_digests()
+    assert digests.splitlines() == (GOLDEN / "run_trials.sha256").read_text().splitlines()
+
+
 def test_values_close_holds_numbers_to_1e_9_relative():
     assert values_close("p=0.5000000000001, n 357\n", "p=0.5, n 357\n")
     assert not values_close("p=0.500001, n 357\n", "p=0.5, n 357\n")
@@ -274,6 +298,7 @@ def record() -> None:
     (GOLDEN / "seed7_traces.sha256").write_text(trace_digests(7))
     (GOLDEN / "replay_streams.sha256").write_text(replay_stream_digests())
     (GOLDEN / "filter_states.sha256").write_text(filter_state_digests())
+    (GOLDEN / "run_trials.sha256").write_text(run_trials_digests())
     (GOLDEN / "versions.json").write_text(json.dumps(versions(), indent=2) + "\n")
 
 

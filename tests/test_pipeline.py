@@ -281,7 +281,7 @@ def test_map_chunks_runs_small_inputs_in_process():
 
 def test_campaign_hot_path_builds_no_sensor_frame(tmp_path, monkeypatch):
     # the campaign moves frame blocks: no per-frame object on any hot path
-    from touchtrace.cli import _score_chunk, _write_trial
+    from touchtrace.cli import _score_chunk, _write_trials
     from touchtrace.protocol import SensorFrame
     from touchtrace.simulate import trial_dirname
 
@@ -292,6 +292,5 @@ def test_campaign_hot_path_builds_no_sensor_frame(tmp_path, monkeypatch):
     specs = SPECS[::90]
     assert [r.spec for r in run_trials(specs)] == specs
     trials = [(trial_dirname(i, spec), spec) for i, spec in enumerate(specs)]
-    for rel, spec in trials:
-        _write_trial(tmp_path / rel, spec, "default")
+    _write_trials(tmp_path, specs, [rel for rel, _ in trials], "default")
     assert [r.spec for r in _score_chunk(str(tmp_path), "fingerpad", trials)] == specs

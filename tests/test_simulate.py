@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import MIXED_SPECS
 from touchtrace.protocol import ScaleConfig, encode_frames
 from touchtrace.simulate import (
     CYLINDER_SHAPE,
@@ -12,14 +13,19 @@ from touchtrace.simulate import (
     SIZES_MM,
     TEXTURE_NAMES,
     TEXTURES,
+    NOISE_PRESETS,
     NoiseModel,
     TrialSpec,
     campaign_specs,
     gen_trajectory,
+    group_by_cell,
     noise_for_preset,
     read_manifest,
     shape_path_length,
+    simulate_columns,
+    simulate_group,
     simulate_trial,
+    synthesize_group,
     synthesize_sensors,
     script_gesture_trace,
     trial_streams,
@@ -145,6 +151,45 @@ def test_off_plane_truth_rejected():
     _, rng = trial_streams(4)
     with pytest.raises(ValueError, match="plane"):
         synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+
+
+def test_off_plane_truth_inside_a_group_names_the_step_of_its_trial():
+    n = 10
+    pos = np.zeros((3, n, 3))
+    pos[..., 0] = np.arange(n) * 0.5
+    pos[1, 5, 2] = 1.0  # only the middle trial hops off the plane
+    truth = Trajectory(np.tile(np.arange(n) * 20, (3, 1)), pos, np.tile([1.0, 0, 0, 0], (3, n, 1)))
+    message = "truth leaves the touch plane at step 4: 1 mm off-plane"
+    rngs = [trial_streams(seed)[1] for seed in (4, 5, 6)]
+    with pytest.raises(ValueError, match=message):
+        synthesize_group(truth, TEXTURES["mousepad"], NoiseModel.zero(), rngs)
+    with pytest.raises(ValueError, match=message):
+        synthesize_sensors(truth.trial(1), TEXTURES["mousepad"], NoiseModel.zero(), rngs[1])
+
+
+def test_group_by_cell_keys_on_everything_but_rep_tilt_and_seed():
+    cells = group_by_cell(MIXED_SPECS)
+    assert sorted(i for cell in cells for i in cell) == list(range(len(MIXED_SPECS)))
+    assert [len(cell) for cell in cells] == [3, 3, 2, 2, 3, 3, 2, 1]
+    for cell in cells:
+        assert len({(s.texture, s.shape, s.size_mm) for s in (MIXED_SPECS[i] for i in cell)}) == 1
+    for other in (spec_for(texture="jeans"), spec_for(size=21), TrialSpec("mousepad", 12, "hline", 1, 0.0, 9, rate_hz=60.0)):
+        with pytest.raises(ValueError, match="share one grid cell"):
+            simulate_group([spec_for(), other], NoiseModel.zero())
+
+
+@pytest.mark.parametrize("preset", NOISE_PRESETS)
+def test_group_synthesis_equals_groups_of_one(preset):
+    for cell in group_by_cell(MIXED_SPECS):
+        group = [MIXED_SPECS[i] for i in cell]
+        noise = noise_for_preset(preset, TEXTURES[group[0].texture])
+        truth, blocks = simulate_group(group, noise)
+        assert len(blocks) == len(group)
+        for k, spec in enumerate(group):
+            one_truth, one_block = simulate_columns(spec, noise)
+            assert encode_frames(blocks[k]) == encode_frames(one_block)
+            for name in ("t_ms", "pos_mm", "quat"):
+                assert np.array_equal(getattr(truth.trial(k), name), getattr(one_truth, name))
 
 
 def test_same_seed_same_bytes():
