@@ -6,7 +6,8 @@ Commands:
                the whole 360-trial campaign grid
     replay     decode a .3dt stream into pointer.csv + gestures.jsonl
     eval       score a pointer.csv against a truth.csv
-    campaign   replay + score every trial of a simulated campaign
+    campaign   replay + score every trial of a simulated campaign, in
+               lockstep in one process
     gesture    write a scripted gesture fixture trace
 
 Every command is deterministic given its flags and seed: re-running
@@ -18,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from .evaluate import TrajectoryMismatchError, evaluate_trial, summarize_campaign, write_summary
 from .gestures import GestureConfig, load_gesture_config, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig, load_filter_config
-from .pipeline import ReplayConfig, map_chunks, replay_bytes, replay_lockstep
+from .pipeline import ReplayConfig, replay_bytes, replay_lockstep
 from .protocol import ScaleConfig, decode_columns, write_trace
 from .simulate import (
     GESTURE_KINDS,
@@ -141,36 +141,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _score_chunk(root: str, mount: str, trials: list[tuple[str, TrialSpec]]) -> list:
-    """Replay a chunk of campaign trials in lockstep; score and write each as it ends."""
-    streams = []
-    for rel, _ in trials:
-        columns, _ = decode_columns((Path(root) / rel / "sensor.3dt").read_bytes())
-        if not len(columns):
-            raise DataError(f"{rel}: no frames decoded")
-        streams.append(columns)
-    config = ReplayConfig(mount=MountMode.from_name(mount), with_gestures=False)
-    results = [None] * len(trials)
-    for i, replayed in replay_lockstep(streams, config):
-        rel, spec = trials[i]
-        trial_dir = Path(root) / rel
-        truth = read_csv(trial_dir / "truth.csv")
-        try:
-            trial = evaluate_trial(spec, replayed.pointer, truth)
-        except TrajectoryMismatchError as exc:
-            raise DataError(f"{rel}: {exc}") from exc
-        (trial_dir / "metrics.json").write_text(trial.metrics_json() + "\n", encoding="utf-8")
-        results[i] = trial
-    return results
-
-
 def cmd_campaign(args) -> int:
     root = Path(args.dir)
     manifest = root / "manifest.json"
     if not manifest.exists():
         raise DataError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
-    results = map_chunks(partial(_score_chunk, str(root), args.mount), list(zip(dirs, specs)), args.jobs)
+    streams = []
+    for rel in dirs:
+        columns, _ = decode_columns((root / rel / "sensor.3dt").read_bytes())
+        if not len(columns):
+            raise DataError(f"{rel}: no frames decoded")
+        streams.append(columns)
+    config = ReplayConfig(mount=MountMode.from_name(args.mount), with_gestures=False)
+    results = [None] * len(specs)
+    for i, replayed in replay_lockstep(streams, config):  # score and write each trial as it ends
+        trial_dir = root / dirs[i]
+        try:
+            results[i] = evaluate_trial(specs[i], replayed.pointer, read_csv(trial_dir / "truth.csv"))
+        except TrajectoryMismatchError as exc:
+            raise DataError(f"{dirs[i]}: {exc}") from exc
+        (trial_dir / "metrics.json").write_text(results[i].metrics_json() + "\n", encoding="utf-8")
     try:
         summary = summarize_campaign(results)
     except ValueError as exc:
@@ -194,13 +185,6 @@ def cmd_gesture(args) -> int:
     write_trace(args.out, frames)
     print(f"wrote {len(frames)} frames of a scripted {args.kind} to {args.out}")
     return 0
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="replay + score every trial in a campaign dir")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--jobs", type=positive_int, default=1,
-        help="worker processes; each replays one contiguous chunk of the grid in lockstep",
-    )
     p.add_argument("--mount", choices=[m.value for m in MountMode], default="fingerpad")
     p.set_defaults(func=cmd_campaign)
 

@@ -54,6 +54,11 @@ class GestureConfig:
     def __post_init__(self) -> None:
         if not 0 < self.contact_squal <= self.tap_squal <= 169:
             raise ValueError("need 0 < contact_squal <= tap_squal <= 169")
+        if not self.contact_squal <= self.press_squal <= 169:
+            raise ValueError("need contact_squal <= press_squal <= 169")
+        for name in ("tap_move_limit_counts", "doubletap_offset_counts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("tap_window_ms", "doubletap_max_gap_ms", "press_hold_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

@@ -20,18 +20,14 @@ the lockstep path, bytes included, and score it once its stream ends,
 so their numbers measure the whole stack, not a shortcut. The in-memory
 runner synthesizes each grid cell's trials as one stack and scores them
 as one when their equal-length streams end; no float operation mixes
-trials, so no result depends on its cell. With ``jobs > 1`` each worker
-process runs one contiguous chunk of the grid; the results do not
-depend on the job count.
+trials, so no result depends on its cell or its batch. A campaign runs
+in one process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -206,22 +202,6 @@ def _simulated_replay(
     return truth, result
 
 
-def map_chunks(fn: Callable[[list], list], items: list, jobs: int) -> list:
-    """``fn`` over ``jobs`` contiguous chunks of ``items``, results in order.
-
-    Each chunk runs in its own spawned worker process when jobs > 1; ``fn``
-    must be picklable and its results must not depend on where a chunk
-    starts.
-    """
-    jobs = min(jobs, len(items))
-    if jobs <= 1:
-        return fn(items)
-    bounds = [len(items) * j // jobs for j in range(jobs + 1)]
-    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return [r for part in pool.map(fn, chunks) for r in part]
-
-
 def run_trials(
     specs: list[TrialSpec],
     noise_preset: str = "default",
@@ -229,7 +209,7 @@ def run_trials(
 ) -> list[TrialResult]:
     """Synthesize trials by grid cell, replay them through the wire in lockstep, score them.
 
-    The campaign's worker: ``run_trial`` on each spec, to float rounding.
+    The campaign's runner: ``run_trial`` on each spec, to float rounding.
     """
     config = config or ReplayConfig(with_gestures=False)
     cells = group_by_cell(specs)
@@ -260,9 +240,14 @@ def run_campaign(
     noise_preset: str = "default",
     jobs: int = 1,
 ) -> tuple[list[TrialResult], CampaignSummary]:
-    """All 360 trials of the grid in lockstep; identical results for any job count."""
-    specs = campaign_specs(campaign_seed)
-    results = map_chunks(partial(run_trials, noise_preset=noise_preset), specs, jobs)
+    """All 360 trials of the grid in lockstep, in this process.
+
+    ``jobs`` is kept only because the bench harness still passes 1; any
+    other value is an error.
+    """
+    if jobs != 1:
+        raise ValueError(f"a campaign runs in one process; jobs must be 1, got {jobs}")
+    results = run_trials(campaign_specs(campaign_seed), noise_preset)
     return results, summarize_campaign(results)
 
 

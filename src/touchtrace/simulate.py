@@ -129,8 +129,9 @@ class TrialSpec:
             raise ValueError(f"rep must be in 1..{REPS}")
         if not 0.0 <= self.tilt_deg <= 90.0:
             raise ValueError("tilt_deg must be in [0, 90]")
-        if self.rate_hz <= 0 or self.speed_mm_s <= 0:
-            raise ValueError("rate_hz and speed_mm_s must be > 0")
+        for name in ("rate_hz", "speed_mm_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def _shape_vertices(shape: str, s: float) -> np.ndarray | None:

@@ -132,14 +132,13 @@ def _partial_campaign(root, n, noise="zero"):
 
 
 def test_campaign_partial_grid_scores_then_reports_missing(tmp_path, capsys):
-    """A partial campaign dir exercises scoring (parallel branch included)
-    and must exit 1 naming the missing cells."""
+    """A partial campaign dir exercises scoring and must exit 1 naming the
+    missing cells."""
     from touchtrace.simulate import trial_dirname
 
     camp, specs = _partial_campaign(tmp_path, 4)
     capsys.readouterr()
-    code = run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json"),
-                "--jobs", "2"])
+    code = run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json")])
     assert code == 1
     assert "missing" in capsys.readouterr().err
     # the trials that do exist were scored before the grid check failed
@@ -152,19 +151,6 @@ def test_campaign_without_manifest_is_data_error(tmp_path, capsys):
     code = run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")])
     assert code == 1
     assert "manifest" in capsys.readouterr().err
-
-
-def test_campaign_metrics_are_identical_for_any_job_count(tmp_path, capsys):
-    from touchtrace.simulate import trial_dirname
-
-    camp, specs = _partial_campaign(tmp_path, 5, noise="default")
-    written = []
-    for jobs in ("1", "2", "3"):
-        assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json"),
-                    "--jobs", jobs]) == 1  # scored, then the grid check fails
-        written.append([(camp / trial_dirname(i, s) / "metrics.json").read_bytes()
-                        for i, s in enumerate(specs)])
-    assert written[0] == written[1] == written[2]
 
 
 def test_campaign_backward_timestamp_exits_1(tmp_path, capsys):
@@ -191,10 +177,16 @@ def _rep_as_text(payload):
     return payload
 
 
+def _speed_as_infinity(payload):
+    payload["trials"][0]["speed_mm_s"] = float("inf")  # json writes Infinity
+    return payload
+
+
 @pytest.mark.parametrize(
     "damage",
-    [_drop_dir, lambda p: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p: p["trials"]],
-    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array"],
+    [_drop_dir, lambda p: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p: p["trials"],
+     _speed_as_infinity],
+    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     camp, _ = _partial_campaign(tmp_path, 1)
@@ -218,15 +210,25 @@ def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):
     assert "campaign has cell mousepad/12/hline/rep1 more than once" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, jobs):
-    import touchtrace.cli
-
-    monkeypatch.setattr(touchtrace.cli, "map_chunks", lambda *a: pytest.fail("a worker started"))
+def test_campaign_has_no_jobs_option(tmp_path, capsys):
+    # a campaign runs in one process
     with pytest.raises(SystemExit) as exc:
-        run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json"), "--jobs", jobs])
+        run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json"), "--jobs", "1"])
     assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--rate", "--speed"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_rejects_non_finite_rate_and_speed(tmp_path, capsys, flag, value):
+    out = tmp_path / "t"
+    assert run(["simulate", "--seed", "1", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    field = {"--rate": "rate_hz", "--speed": "speed_mm_s"}[flag]
+    assert err.startswith(f"error: {field} must be finite and > 0")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -244,6 +246,10 @@ def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, j
         ("--filter-config", "mag_reference=0,0,-0.4\n", ": mag_reference gives no heading"),
         ("--filter-config", "mag_reference=0,0,0\n", ": mag_reference gives no heading"),
         ("--gesture-config", "contact_squal=50\n", ": need 0 < contact_squal <= tap_squal <= 169"),
+        ("--gesture-config", "press_squal=0\n", ": need contact_squal <= press_squal <= 169"),
+        ("--gesture-config", "press_squal=500\n", ": need contact_squal <= press_squal <= 169"),
+        ("--gesture-config", "tap_move_limit_counts=-1\n", ": tap_move_limit_counts must be >= 0"),
+        ("--gesture-config", "doubletap_offset_counts=-3\n", ": doubletap_offset_counts must be >= 0"),
     ],
     ids=[
         "filter-value",
@@ -257,6 +263,10 @@ def test_campaign_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, j
         "filter-mag-along-gravity",
         "filter-mag-zero",
         "gesture-thresholds",
+        "gesture-press-below-contact",
+        "gesture-press-above-max",
+        "gesture-negative-move-limit",
+        "gesture-negative-offset",
     ],
 )
 def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text, where):

@@ -8,7 +8,6 @@ from touchtrace.evaluate import evaluate_trial
 from touchtrace.gestures import DOUBLE_TAP, PRESS_BEGIN, TAP
 from touchtrace.pipeline import (
     ReplayConfig,
-    map_chunks,
     replay_bytes,
     replay_columns,
     replay_cylinder_demo,
@@ -190,11 +189,20 @@ def test_timestamp_order_policy_is_written_once():
     assert sum(p.read_text(encoding="utf-8").count("out-of-order timestamp") for p in sources) == 1
 
 
-def test_campaign_is_bitwise_independent_of_jobs():
-    one, summary_one = run_campaign(11, "default", 1)
-    two, summary_two = run_campaign(11, "default", 2)
-    assert one == two
-    assert summary_one.to_json() == summary_two.to_json()
+def test_trial_result_is_independent_of_its_batch():
+    # halves, and a slice that splits grid cells, score as the whole grid does
+    whole, _ = run_campaign(11)
+    half = len(SPECS) // 2
+    for batch in (range(half), range(half, len(SPECS)), range(0, len(SPECS), 7)):
+        assert run_trials([SPECS[i] for i in batch]) == [whole[i] for i in batch]
+
+
+def test_run_campaign_refuses_more_than_one_job(monkeypatch):
+    import touchtrace.pipeline
+
+    monkeypatch.setattr(touchtrace.pipeline, "run_trials", lambda *a: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="one process"):
+        run_campaign(42, "default", 2)
 
 
 def test_gesture_traces_through_full_replay():
@@ -273,17 +281,11 @@ def test_evaluate_trial_pipeline_consistency():
     assert trial.spec == spec
 
 
-def test_map_chunks_runs_small_inputs_in_process():
-    # fewer items than jobs: no worker is spawned, so a lambda is fine
-    assert map_chunks(lambda items: [x * 2 for x in items], [], 4) == []
-    assert map_chunks(lambda items: [x * 2 for x in items], [3], 4) == [6]
-
-
 def test_campaign_hot_path_builds_no_sensor_frame(tmp_path, monkeypatch):
     # the campaign moves frame blocks: no per-frame object on any hot path
-    from touchtrace.cli import _score_chunk, _write_trials
+    from touchtrace.cli import _write_trials, main
     from touchtrace.protocol import SensorFrame
-    from touchtrace.simulate import trial_dirname
+    from touchtrace.simulate import trial_dirname, write_manifest
 
     def refuse(self):
         raise AssertionError("the campaign hot path built a SensorFrame")
@@ -291,6 +293,9 @@ def test_campaign_hot_path_builds_no_sensor_frame(tmp_path, monkeypatch):
     monkeypatch.setattr(SensorFrame, "__post_init__", refuse)
     specs = SPECS[::90]
     assert [r.spec for r in run_trials(specs)] == specs
-    trials = [(trial_dirname(i, spec), spec) for i, spec in enumerate(specs)]
-    _write_trials(tmp_path, specs, [rel for rel, _ in trials], "default")
-    assert [r.spec for r in _score_chunk(str(tmp_path), "fingerpad", trials)] == specs
+    dirs = [trial_dirname(i, spec) for i, spec in enumerate(specs)]
+    write_manifest(tmp_path / "manifest.json", 11, "default", specs)
+    _write_trials(tmp_path, specs, dirs, "default")
+    # every trial is scored, then the partial grid fails the summary
+    assert main(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")]) == 1
+    assert all((tmp_path / rel / "metrics.json").exists() for rel in dirs)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -278,6 +279,10 @@ def test_trial_spec_validation():
         spec_for(shape="star")
     with pytest.raises(ValueError, match="texture"):
         spec_for(texture="glass")
+    for field in ("rate_hz", "speed_mm_s"):
+        for value in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+                dataclasses.replace(spec_for(), **{field: value})
 
 
 def test_gesture_trace_kind_validation():
