@@ -52,6 +52,13 @@ class DataError(Exception):
     """Input data problem: reported on stderr, exit code 1."""
 
 
+# `simulate` flags that set up one trial, with their defaults; no --tilt
+# draws the tilt from the seed
+_TRIAL_FLAGS = {
+    "texture": "mousepad", "size": 42, "shape": "circle", "rep": 1, "tilt": None, "rate": 50.0, "speed": 30.0
+}
+
+
 def _replay_config(args) -> ReplayConfig:
     filter_config = (
         load_filter_config(args.filter_config) if args.filter_config else FilterConfig()
@@ -85,7 +92,10 @@ def _write_trials(out: Path, specs: list[TrialSpec], dirs: list[str], noise_pres
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
+    given = {name: value for name in _TRIAL_FLAGS if (value := getattr(args, name)) is not None}
     if args.campaign:
+        if given:
+            args.parser.error(f"argument --campaign: not allowed with {', '.join('--' + name for name in given)}")
         specs = campaign_specs(args.seed)
         out.mkdir(parents=True, exist_ok=True)
         write_manifest(out / "manifest.json", args.seed, args.noise, specs)
@@ -93,17 +103,9 @@ def cmd_simulate(args) -> int:
         print(f"wrote {len(specs)} trials ({total} frames) under {out}")
         return 0
 
-    tilt = args.tilt if args.tilt is not None else draw_tilt(args.seed)
-    spec = TrialSpec(
-        texture=args.texture,
-        size_mm=args.size,
-        shape=args.shape,
-        rep=args.rep,
-        tilt_deg=tilt,
-        seed=args.seed,
-        rate_hz=args.rate,
-        speed_mm_s=args.speed,
-    )
+    t = {**_TRIAL_FLAGS, **given}
+    tilt = draw_tilt(args.seed) if t["tilt"] is None else t["tilt"]
+    spec = TrialSpec(t["texture"], t["size"], t["shape"], t["rep"], tilt, args.seed, t["rate"], t["speed"])
     n = _write_trials(out, [spec], [""], args.noise)
     write_manifest(out / "manifest.json", args.seed, args.noise, [spec])
     print(f"wrote {n} frames to {out / 'sensor.3dt'}")
@@ -192,18 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a trial or campaign")
-    p.add_argument("--texture", choices=TEXTURE_NAMES, default="mousepad")
-    p.add_argument("--size", type=int, choices=SIZES_MM, default=42)
-    p.add_argument("--shape", choices=SHAPE_NAMES, default="circle")
-    p.add_argument("--rep", type=int, default=1)
-    p.add_argument("--tilt", type=float, default=None, help="plane tilt in degrees; default: drawn from seed")
+    p.add_argument("--texture", choices=TEXTURE_NAMES)
+    p.add_argument("--size", type=int, choices=SIZES_MM)
+    p.add_argument("--shape", choices=SHAPE_NAMES)
+    p.add_argument("--rep", type=int)
+    p.add_argument("--tilt", type=float, help="plane tilt in degrees; default: drawn from seed")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--noise", choices=NOISE_PRESETS, default="default")
-    p.add_argument("--rate", type=float, default=50.0)
-    p.add_argument("--speed", type=float, default=30.0)
+    p.add_argument("--rate", type=float)
+    p.add_argument("--speed", type=float)
     p.add_argument("--campaign", action="store_true", help="generate the full 3x4x6x5 grid")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("replay", help="decode + fuse + detect gestures")
     p.add_argument("--in", dest="input", required=True)

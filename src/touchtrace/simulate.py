@@ -34,6 +34,7 @@ SIZES_MM = (12, 21, 42, 84)
 SHAPE_NAMES = ("hline", "vline", "diag", "triangle", "square", "circle")
 REPS = 5
 CYLINDER_SHAPE = "cylinder"  # curved-surface wrap demo; not in the campaign grid
+_SQUAL_JITTER = 6.0  # SQUAL standard deviation on every surface
 
 
 @dataclass(frozen=True)
@@ -41,17 +42,13 @@ class TextureModel:
     """Statistical stand-in for one drawing surface."""
 
     squal_mean: float
-    squal_jitter: float = 6.0
     slip_sigma_counts: float = 0.3
-    dropout_prob: float = 0.0
 
     def __post_init__(self) -> None:
         if not 50.0 <= self.squal_mean <= 90.0:
             raise ValueError("squal_mean must lie in [50, 90]")
-        if self.squal_jitter < 0 or self.slip_sigma_counts < 0:
-            raise ValueError("noise magnitudes must be >= 0")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError("dropout_prob must be in [0, 1)")
+        if self.slip_sigma_counts < 0:
+            raise ValueError("slip_sigma_counts must be >= 0")
 
 
 TEXTURES: dict[str, TextureModel] = {
@@ -210,11 +207,6 @@ def gen_trajectories(specs: list[TrialSpec]) -> Trajectory:
     return Trajectory(np.tile(t_ms, (len(specs), 1)), pos, quat)
 
 
-def gen_trajectory(spec: TrialSpec) -> Trajectory:
-    """``gen_trajectories`` for one trial."""
-    return gen_trajectories([spec]).trial(0)
-
-
 def _cylinder_path(spec: TrialSpec, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions and attitudes wrapping once around a horizontal cylinder of diameter size_mm.
 
@@ -238,7 +230,6 @@ def synthesize_group(
     noise: NoiseModel,
     rngs: list[np.random.Generator],
     scales: ScaleConfig | None = None,
-    contact: np.ndarray | None = None,
 ) -> list[FrameColumns]:
     """Fabricate the block of wire frames a device tracing each trial of
     the ``(trials, frames)`` stack ``truth`` would emit.
@@ -248,15 +239,13 @@ def synthesize_group(
     accumulator so the emitted integers always sum back to the true
     path. IMU channels carry the exact body-frame gravity, rate and
     field, then noise. Trial k draws from ``rngs[k]`` in a fixed order:
-    slip, dropout, contact squal, lift squal, gyro bias, gyro, accel,
-    mag. No operation mixes trials, so a block does not depend on its group.
+    slip, dropout, squal, lift squal, gyro bias, gyro, accel, mag. No
+    operation mixes trials, so a block does not depend on its group.
     """
     scales = scales or ScaleConfig()
     n = len(truth)
     if n == 0:
         return [FrameColumns.of([]) for _ in rngs]
-    if contact is None:
-        contact = np.ones(n, dtype=bool)
 
     rot = quat_matrices(truth.quat)
     dp = np.diff(truth.pos_mm, axis=-2)
@@ -269,22 +258,23 @@ def synthesize_group(
         raise ValueError(f"truth leaves the touch plane at step {at[-1]}: {off_plane[at]:.3g} mm off-plane")
     counts = np.stack(along[:2], axis=-1) / scales.mm_per_count
 
+    # The dropout and lift-SQUAL draws of retired model parts are still
+    # made and discarded: skipping one would shift every later draw of the
+    # trial's generator, and with it every byte of every stored trace.
     draws = [
         (rng.normal(0.0, noise.slip_sigma_counts, (n - 1, 2)), rng.random(n - 1),
-         rng.normal(texture.squal_mean, texture.squal_jitter, n), rng.uniform(0.0, 3.0, n),
+         rng.normal(texture.squal_mean, _SQUAL_JITTER, n), rng.uniform(0.0, 3.0, n),
          rng.normal(0.0, noise.gyro_bias_sigma_dps, 3), rng.normal(0.0, noise.gyro_sigma_dps, (n, 3)),
          rng.normal(0.0, noise.accel_sigma_g, (n, 3)), rng.normal(0.0, noise.mag_sigma_gauss, (n, 3)))
         for rng in rngs
     ]
-    slip, drop, squal_contact, squal_lift, bias, gyro_noise, accel_noise, mag_noise = map(np.array, zip(*draws))
+    slip, _, squal_raw, _, bias, gyro_noise, accel_noise, mag_noise = map(np.array, zip(*draws))
 
-    counts = counts + slip
-    counts[drop < texture.dropout_prob] = 0.0
-    emitted = np.rint(np.cumsum(counts, axis=-2))
+    emitted = np.rint(np.cumsum(counts + slip, axis=-2))
     dxdy = np.zeros(emitted.shape[:-2] + (n, 2), dtype=np.int16)
     dxdy[..., 1:, :] = np.clip(np.diff(emitted, axis=-2, prepend=0.0).astype(np.int64), -32768, 32767)
 
-    squal = np.where(contact, np.rint(np.clip(squal_contact, 50, 90)), np.rint(squal_lift)).astype(np.uint8)
+    squal = np.rint(np.clip(squal_raw, 50, 90)).astype(np.uint8)
 
     gyro = np.zeros(rot.shape[:-1])
     dt_s = np.diff(truth.t_ms, axis=-1) / 1000.0
@@ -293,21 +283,8 @@ def synthesize_group(
     accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in ([0.0, 0.0, -1.0], FilterConfig().mag_reference.as_tuple()))
 
     imu = np.concatenate([accel + accel_noise, gyro + bias[..., None, :] + gyro_noise, mag + mag_noise], axis=-1)
-    lsb = np.repeat([scales.accel_g_per_lsb, scales.gyro_dps_per_lsb, scales.mag_gauss_per_lsb], 3)
-    imu_raw = np.clip(np.rint(imu / lsb), -32768, 32767).astype(np.int16)
+    imu_raw = np.clip(np.rint(imu / scales.imu_units), -32768, 32767).astype(np.int16)
     return [FrameColumns(*columns) for columns in zip(truth.t_ms.copy(), dxdy, squal, imu_raw)]
-
-
-def synthesize_sensors(
-    truth: Trajectory,
-    texture: TextureModel,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    scales: ScaleConfig | None = None,
-    contact: np.ndarray | None = None,
-) -> FrameColumns:
-    """``synthesize_group`` for one trial's ``truth``, drawing from ``rng``."""
-    return synthesize_group(Trajectory.stack([truth]), texture, noise, [rng], scales, contact)[0]
 
 
 # -- trial and campaign plumbing -------------------------------------------
@@ -397,6 +374,8 @@ def read_manifest(path) -> tuple[int, str, list[TrialSpec], list[str]]:
         names = [f.name for f in fields(TrialSpec)]
         specs = [TrialSpec(**{k: entry[k] for k in names if k in entry}) for entry in payload["trials"]]
         dirs = [entry["dir"] for entry in payload["trials"]]
+        if not all(isinstance(d, str) for d in dirs):
+            raise TypeError("every trial's dir must be a string")
         return payload["campaign_seed"], payload["noise"], specs, dirs
     except KeyError as exc:
         raise ValueError(f"{path}: malformed manifest: missing key {exc}") from exc
@@ -407,9 +386,10 @@ def read_manifest(path) -> tuple[int, str, list[TrialSpec], list[str]]:
 # -- scripted gesture fixtures ----------------------------------------------
 
 GESTURE_KINDS = ("tap", "doubletap", "press", "moving-tap-reject")
+_FRAME_MS = 20  # fixture frame period
 
 
-def _static_frame(t_ms: int, squal: int, dx: int = 0, dy: int = 0) -> SensorFrame:
+def _static_frame(t_ms: int, squal: int, dx: int) -> SensorFrame:
     """Frame with level-device IMU channels so the filter stays happy."""
     scales = ScaleConfig()
     ref = FilterConfig().mag_reference
@@ -417,7 +397,7 @@ def _static_frame(t_ms: int, squal: int, dx: int = 0, dy: int = 0) -> SensorFram
     return SensorFrame(
         timestamp_ms=t_ms,
         dx=dx,
-        dy=dy,
+        dy=0,
         squal=squal,
         accel_raw=(0, 0, -16384),
         gyro_raw=(0, 0, 0),
@@ -425,54 +405,57 @@ def _static_frame(t_ms: int, squal: int, dx: int = 0, dy: int = 0) -> SensorFram
     )
 
 
-def script_gesture_trace(kind: str, cfg: GestureConfig | None = None) -> list[SensorFrame]:
-    """A frame sequence the gesture detector must classify as ``kind``.
+def _no_fixture(kind: str, cfg: GestureConfig, *names: str) -> ValueError:
+    thresholds = ", ".join(f"{name}={getattr(cfg, name)}" for name in names)
+    return ValueError(f"no {kind} fixture of {_FRAME_MS} ms frames fits {thresholds}")
 
-    moving-tap-reject carries the tap squal signature but exceeds the
-    movement limit, so it must produce contact events only.
+
+def script_gesture_trace(kind: str, cfg: GestureConfig | None = None) -> list[SensorFrame]:
+    """A frame sequence the gesture detector, run with ``cfg``, classifies as ``kind``.
+
+    Levels, contact lengths, the double tap's gap and slide and the
+    moving tap's steps all follow ``cfg``. moving-tap-reject carries the
+    tap squal signature and timing but exceeds the movement limit, so it
+    must produce contact events only. Raises ValueError naming the
+    thresholds when no sequence of 20 ms frames satisfies them.
     """
+    if kind not in GESTURE_KINDS:
+        raise ValueError(f"unknown gesture kind {kind!r}; expected one of {GESTURE_KINDS}")
     cfg = cfg or GestureConfig()
     hi = min(cfg.tap_squal + 5, 169)
-    frames: list[SensorFrame] = []
-
-    def run(segments):
-        t = 0
-        for duration_ms, squal, dx in segments:
-            for _ in range(duration_ms // 20):
-                frames.append(_static_frame(t, squal, dx=dx))
-                t += 20
+    if cfg.tap_squal < cfg.press_squal:
+        hi = min(hi, cfg.press_squal - 1)  # a tap level the press timer ignores
+    n = min(6 if kind == "moving-tap-reject" else 4, cfg.tap_window_ms // _FRAME_MS)  # frames of one tap
+    if hi >= cfg.press_squal:
+        n = min(n, -(-cfg.press_hold_ms // _FRAME_MS))  # too few for the press timer to fire
+    if kind != "press" and n < 1:
+        raise _no_fixture(kind, cfg, "tap_window_ms")
+    # segments of (frames, squal, dx); the tail stays lifted until a withheld tap is flushed
+    lead, tail = (2, 0, 0), ((cfg.doubletap_max_gap_ms + 200) // _FRAME_MS, 0, 0)
 
     if kind == "tap":
-        run([(40, 0, 0), (80, hi, 0), (cfg.doubletap_max_gap_ms + 200, 0, 0)])
+        segments = [lead, (n, hi, 0), tail]
     elif kind == "doubletap":
-        gap = (cfg.doubletap_min_gap_ms + cfg.doubletap_max_gap_ms) // 2
-        gap -= gap % 20
-        tap_len = 80
-        offset = min(cfg.doubletap_offset_counts - 5, 10)
-        run(
-            [
-                (40, 0, 0),
-                (tap_len, hi, 0),
-                (20, 0, offset),  # slide a little while lifted
-                (gap - tap_len - 20, 0, 0),
-                (tap_len, hi, 0),
-                (cfg.doubletap_max_gap_ms + 200, 0, 0),
-            ]
-        )
+        top = cfg.doubletap_max_gap_ms // _FRAME_MS  # onset gaps in frames, with a lifted frame between taps
+        n = min(n, top - 1)
+        low = max(-(-cfg.doubletap_min_gap_ms // _FRAME_MS), n + 1)
+        if n < 1 or low > top:
+            raise _no_fixture(kind, cfg, "tap_window_ms", "doubletap_min_gap_ms", "doubletap_max_gap_ms")
+        gap = min(max((cfg.doubletap_min_gap_ms + cfg.doubletap_max_gap_ms) // 2 // _FRAME_MS, low), top)
+        slide = (1, 0, min(cfg.doubletap_offset_counts, 10))  # while lifted, inside the pairing offset
+        segments = [lead, (n, hi, 0), slide, (gap - n - 1, 0, 0), (n, hi, 0), tail]
     elif kind == "press":
-        hold = cfg.press_hold_ms + 100
-        hold -= hold % 20
-        run([(hold + 20, hi, 0), (100, 0, 0)])
-    elif kind == "moving-tap-reject":
-        over = cfg.tap_move_limit_counts * 4
-        run(
-            [
-                (40, 0, 0),
-                (40, hi, 0),
-                (80, hi, over // 4),
-                (cfg.doubletap_max_gap_ms + 200, 0, 0),
-            ]
-        )
+        segments = [((cfg.press_hold_ms + 100) // _FRAME_MS + 1, max(hi, cfg.press_squal), 0), (5, 0, 0)]
     else:
-        raise ValueError(f"unknown gesture kind {kind!r}; expected one of {GESTURE_KINDS}")
+        moving = min(4, n - 1)  # the touchdown frame's movement does not count
+        # two moving frames cross the limit at one limit each, one alone must exceed it; dx is an int16
+        step = min(max(cfg.tap_move_limit_counts, 1) if moving > 1 else cfg.tap_move_limit_counts + 1, 32767)
+        if moving < 1 or moving * step <= cfg.tap_move_limit_counts:
+            raise _no_fixture(kind, cfg, "tap_window_ms", "press_hold_ms", "tap_move_limit_counts")
+        segments = [lead, (n - moving, hi, 0), (moving, hi, step), tail]
+
+    frames: list[SensorFrame] = []
+    for count, squal, dx in segments:
+        for _ in range(count):
+            frames.append(_static_frame(len(frames) * _FRAME_MS, squal, dx))
     return frames

@@ -109,6 +109,15 @@ def test_gesture_command_writes_classifiable_trace(tmp_path, capsys):
     assert "Tap" not in kinds
 
 
+def test_gesture_fixture_no_frame_grid_fits_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "gestures.cfg"
+    cfg.write_text("tap_window_ms=10\n")
+    trace = tmp_path / "tap.3dt"
+    assert run(["gesture", "--kind", "tap", "--gesture-config", str(cfg), "--out", str(trace)]) == 1
+    assert capsys.readouterr().err == "error: no tap fixture of 20 ms frames fits tap_window_ms=10\n"
+    assert not trace.exists()
+
+
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     code = run(["replay", "--in", str(tmp_path / "nope.3dt"), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -177,6 +186,11 @@ def _rep_as_text(payload):
     return payload
 
 
+def _dir_as_number(payload):
+    payload["trials"][0]["dir"] = 5
+    return payload
+
+
 def _speed_as_infinity(payload):
     payload["trials"][0]["speed_mm_s"] = float("inf")  # json writes Infinity
     return payload
@@ -185,8 +199,8 @@ def _speed_as_infinity(payload):
 @pytest.mark.parametrize(
     "damage",
     [_drop_dir, lambda p: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p: p["trials"],
-     _speed_as_infinity],
-    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity"],
+     _speed_as_infinity, _dir_as_number],
+    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     camp, _ = _partial_campaign(tmp_path, 1)
@@ -217,6 +231,23 @@ def test_campaign_has_no_jobs_option(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--texture", "wood"], ["--size", "12"], ["--shape", "square"], ["--rep", "2"], ["--tilt", "10"],
+     ["--rate", "100"], ["--speed", "60"], ["--rate", "100", "--speed", "60", "--shape", "square"]],
+    ids=lambda flags: "".join(flags[::2]),
+)
+def test_simulate_campaign_rejects_single_trial_flags(tmp_path, capsys, flags):
+    out = tmp_path / "camp"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--campaign", "--seed", "1", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("touchtrace simulate: error: argument --campaign: not allowed with --")
+    assert all(flag in err for flag in flags[::2])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--rate", "--speed"])

@@ -19,7 +19,7 @@ from touchtrace.evaluate import (
     summarize_campaign,
 )
 from touchtrace.pipeline import replay_lockstep
-from touchtrace.simulate import NOISE_PRESETS, TEXTURES, campaign_specs, gen_trajectory, group_by_cell, noise_for_preset, simulate_group
+from touchtrace.simulate import NOISE_PRESETS, TEXTURES, campaign_specs, gen_trajectories, group_by_cell, noise_for_preset, simulate_group
 from touchtrace.trajectory import CSV_HEADER, Trajectory, read_csv
 
 
@@ -237,7 +237,7 @@ def test_metrics_json_schema():
 
 def test_evaluate_trial_perfect_prediction():
     spec = campaign_specs(3)[0]
-    truth = gen_trajectory(spec)
+    truth = gen_trajectories([spec]).trial(0)
     pred = Trajectory(truth.t_ms.copy(), truth.pos_mm + 5.0, truth.quat.copy())
     result = evaluate_trial(spec, pred, truth)
     assert result.mean_pos_err_mm == pytest.approx(0.0, abs=1e-9)

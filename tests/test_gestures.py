@@ -1,6 +1,9 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from touchtrace.gestures import (
     CONTACT_BEGIN,
@@ -17,8 +20,8 @@ from touchtrace.gestures import (
     run_detector,
     write_events_jsonl,
 )
-from touchtrace.simulate import script_gesture_trace
-from touchtrace.protocol import SensorFrame
+from touchtrace.simulate import GESTURE_KINDS, script_gesture_trace
+from touchtrace.protocol import SensorFrame, encode_frames
 
 CFG = GestureConfig()
 
@@ -90,6 +93,77 @@ def test_press_fixture():
 def test_moving_tap_rejected():
     events = run_detector(script_gesture_trace("moving-tap-reject"), CFG)
     assert kinds(events) == [CONTACT_BEGIN, CONTACT_END]
+
+
+FIXTURE_EVENTS = {
+    "tap": [CONTACT_BEGIN, CONTACT_END, TAP],
+    "doubletap": [CONTACT_BEGIN, CONTACT_END, CONTACT_BEGIN, CONTACT_END, DOUBLE_TAP],
+    "press": [CONTACT_BEGIN, PRESS_BEGIN, PRESS_END, CONTACT_END],
+    "moving-tap-reject": [CONTACT_BEGIN, CONTACT_END],
+}
+
+# sha256 of each default-config fixture's wire bytes; perfbench and the
+# README's gesture commands replay these
+FIXTURE_SHA256 = {
+    "tap": "cda5f41ce3d2655ac260e2b733c9f66fac012b1e8efdf1765c6987751e81b2df",
+    "doubletap": "0f1054fa850ef222020623e5ed56cd5baf4f7c7a00d097553db93a3726f72be3",
+    "press": "ed183be74acb954cdec344a22c26efcfbfa198a6630c9457efbd3259f5b0bd17",
+    "moving-tap-reject": "e9f67a3f675eb42f9e7bc8cc80f8302f3c814c3cbf3cb613bb14b8438012ecd6",
+}
+
+
+@pytest.mark.parametrize("kind", GESTURE_KINDS)
+def test_default_fixture_bytes(kind):
+    assert hashlib.sha256(encode_frames(script_gesture_trace(kind))).hexdigest() == FIXTURE_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("doubletap", {"doubletap_offset_counts": 2}),
+        ("moving-tap-reject", {"tap_move_limit_counts": 0}),
+        ("tap", {"tap_window_ms": 50}),
+        ("tap", {"press_hold_ms": 40}),
+        ("press", {"press_squal": 120}),
+    ],
+)
+def test_fixture_follows_its_config(kind, change):
+    cfg = dataclasses.replace(CFG, **change)
+    assert kinds(run_detector(script_gesture_trace(kind, cfg), cfg)) == FIXTURE_EVENTS[kind]
+
+
+@pytest.mark.parametrize("kind", ["tap", "doubletap", "moving-tap-reject"])
+def test_fixture_that_no_frame_grid_fits_names_the_threshold(kind):
+    with pytest.raises(ValueError, match="tap_window_ms=10"):
+        script_gesture_trace(kind, dataclasses.replace(CFG, tap_window_ms=10))
+
+
+@st.composite
+def gesture_configs(draw):
+    contact = draw(st.integers(1, 169))
+    min_gap = draw(st.integers(0, 600))
+    return GestureConfig(
+        contact_squal=contact,
+        tap_squal=draw(st.integers(contact, 169)),
+        tap_window_ms=draw(st.integers(1, 400)),
+        tap_move_limit_counts=draw(st.integers(0, 70000)),
+        doubletap_min_gap_ms=min_gap,
+        doubletap_max_gap_ms=draw(st.integers(max(min_gap, 1), 700)),
+        doubletap_offset_counts=draw(st.integers(0, 30)),
+        press_squal=draw(st.integers(contact, 169)),
+        press_hold_ms=draw(st.integers(1, 600)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=gesture_configs(), kind=st.sampled_from(GESTURE_KINDS))
+def test_fixture_raises_or_replays_to_its_events(cfg, kind):
+    try:
+        frames = script_gesture_trace(kind, cfg)
+    except ValueError as exc:
+        assert str(exc).startswith(f"no {kind} fixture of 20 ms frames fits ")
+        return
+    assert kinds(run_detector(frames, cfg)) == FIXTURE_EVENTS[kind]
 
 
 def test_two_taps_within_window_and_offset_pair():

@@ -182,7 +182,7 @@ def test_process_tracks_clean_yaw_sweep():
     import numpy as np
 
     from touchtrace.protocol import ScaleConfig, apply_scales
-    from touchtrace.simulate import NoiseModel, TEXTURES, synthesize_sensors, trial_streams
+    from touchtrace.simulate import NoiseModel, TEXTURES, synthesize_group, trial_streams
     from touchtrace.trajectory import Trajectory
 
     n = 101
@@ -190,7 +190,8 @@ def test_process_tracks_clean_yaw_sweep():
     quat = np.stack([np.cos(half), np.zeros(n), np.zeros(n), np.sin(half)], axis=1)
     truth = Trajectory(np.arange(n) * 20, np.zeros((n, 3)), quat)
     _, rng = trial_streams(6)
-    frames = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng).frames()
+    [block] = synthesize_group(Trajectory.stack([truth]), TEXTURES["mousepad"], NoiseModel.zero(), [rng])
+    frames = block.frames()
     filt = OrientationFilter(CFG)
     scales = ScaleConfig()
     for frame in frames:
@@ -236,7 +237,7 @@ def test_static_default_noise_steady_state():
     """
     import statistics
 
-    from touchtrace.simulate import NoiseModel, TEXTURES, synthesize_sensors, trial_streams
+    from touchtrace.simulate import NoiseModel, TEXTURES, synthesize_group, trial_streams
     from touchtrace.trajectory import Trajectory
     from touchtrace.protocol import ScaleConfig, apply_scales
     import numpy as np
@@ -250,7 +251,8 @@ def test_static_default_noise_steady_state():
         quat = np.tile([q_true.w, q_true.x, q_true.y, q_true.z], (n, 1))
         truth = Trajectory(np.arange(n) * 20, np.zeros((n, 3)), quat)
         _, rng = trial_streams(seed)
-        frames = synthesize_sensors(truth, TEXTURES["mousepad"], noise, rng).frames()
+        [block] = synthesize_group(Trajectory.stack([truth]), TEXTURES["mousepad"], noise, [rng])
+        frames = block.frames()
         filt = OrientationFilter(CFG)
         errs = []
         for frame in frames:

@@ -18,7 +18,7 @@ from touchtrace.simulate import (
     NoiseModel,
     TrialSpec,
     campaign_specs,
-    gen_trajectory,
+    gen_trajectories,
     group_by_cell,
     noise_for_preset,
     read_manifest,
@@ -27,7 +27,6 @@ from touchtrace.simulate import (
     simulate_group,
     simulate_trial,
     synthesize_group,
-    synthesize_sensors,
     script_gesture_trace,
     trial_streams,
     write_manifest,
@@ -42,14 +41,14 @@ def spec_for(shape="hline", size=12, tilt=0.0, seed=9, texture="mousepad"):
 
 
 def test_circle_sample_count_matches_perimeter_arithmetic():
-    truth = gen_trajectory(spec_for("circle", 42))
+    truth = gen_trajectories([spec_for("circle", 42)]).trial(0)
     expected_duration = math.pi * 42 / 30.0
     assert len(truth) == pytest.approx(expected_duration * 50, abs=2)
     assert len(truth) == 221  # ceil(pi*42/0.6) + 1
 
 
 def test_hline_flat_is_straight_horizontal_segment():
-    truth = gen_trajectory(spec_for("hline", 12, tilt=0.0))
+    truth = gen_trajectories([spec_for("hline", 12, tilt=0.0)]).trial(0)
     assert truth.pos_mm[0] == pytest.approx([0, 0, 0])
     assert truth.pos_mm[-1] == pytest.approx([12, 0, 0], abs=1e-9)
     assert np.all(np.abs(truth.pos_mm[:, 2]) < 1e-12)
@@ -57,7 +56,7 @@ def test_hline_flat_is_straight_horizontal_segment():
 
 def test_constant_speed_and_continuity():
     spec = spec_for("square", 42, tilt=35.0)
-    truth = gen_trajectory(spec)
+    truth = gen_trajectories([spec]).trial(0)
     steps = np.linalg.norm(np.diff(truth.pos_mm, axis=0), axis=1)
     assert np.all(steps <= spec.speed_mm_s * (1.0 / spec.rate_hz) * 1.5)
     assert np.all(steps[:-1] > 0)
@@ -73,7 +72,7 @@ def test_shape_lengths():
 
 def test_orientation_equals_plane_attitude_and_tilt():
     spec = spec_for("circle", 21, tilt=30.0)
-    truth = gen_trajectory(spec)
+    truth = gen_trajectories([spec]).trial(0)
     assert np.allclose(truth.quat, truth.quat[0])
     # plane normal makes the tilt angle with world up
     from touchtrace.geom import EZ, UnitQuat, angle_between, rotate_vector
@@ -91,7 +90,7 @@ def test_zero_noise_line_count_conservation():
     quat = np.tile([1.0, 0, 0, 0], (n, 1))
     truth = Trajectory(t_ms, pos, quat)
     _, rng = trial_streams(1)
-    block = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+    [block] = synthesize_group(Trajectory.stack([truth]), TEXTURES["mousepad"], NoiseModel.zero(), [rng])
     assert block.dxdy.sum(axis=0).tolist() == [round(10.0 / MM_PER_COUNT), 0] == [157, 0]
 
 
@@ -101,7 +100,7 @@ def test_zero_noise_static_trial_is_quiet():
         np.arange(n) * 20, np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1))
     )
     _, rng = trial_streams(2)
-    block = synthesize_sensors(truth, TEXTURES["wood"], NoiseModel.zero(), rng)
+    [block] = synthesize_group(Trajectory.stack([truth]), TEXTURES["wood"], NoiseModel.zero(), [rng])
     assert not block.dxdy.any()
     assert (block.imu_raw[:, 0:6] == (0, 0, -16384, 0, 0, 0)).all()
 
@@ -128,21 +127,6 @@ def test_contact_squal_range():
         assert min(squals) >= 50 and max(squals) <= 90
 
 
-def test_lift_segment_reports_near_zero_squal():
-    n = 60
-    truth = Trajectory(
-        np.arange(n) * 20, np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1))
-    )
-    contact = np.ones(n, dtype=bool)
-    contact[20:40] = False
-    _, rng = trial_streams(8)
-    block = synthesize_sensors(
-        truth, TEXTURES["mousepad"], NoiseModel.zero(), rng, contact=contact
-    )
-    assert (block.squal[20:40] < 5).all()
-    assert (block.squal[:20] >= 50).all()
-
-
 def test_off_plane_truth_rejected():
     n = 10
     pos = np.zeros((n, 3))
@@ -151,7 +135,7 @@ def test_off_plane_truth_rejected():
     truth = Trajectory(np.arange(n) * 20, pos, np.tile([1.0, 0, 0, 0], (n, 1)))
     _, rng = trial_streams(4)
     with pytest.raises(ValueError, match="plane"):
-        synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+        synthesize_group(Trajectory.stack([truth]), TEXTURES["mousepad"], NoiseModel.zero(), [rng])
 
 
 def test_off_plane_truth_inside_a_group_names_the_step_of_its_trial():
@@ -165,7 +149,7 @@ def test_off_plane_truth_inside_a_group_names_the_step_of_its_trial():
     with pytest.raises(ValueError, match=message):
         synthesize_group(truth, TEXTURES["mousepad"], NoiseModel.zero(), rngs)
     with pytest.raises(ValueError, match=message):
-        synthesize_sensors(truth.trial(1), TEXTURES["mousepad"], NoiseModel.zero(), rngs[1])
+        synthesize_group(Trajectory.stack([truth.trial(1)]), TEXTURES["mousepad"], NoiseModel.zero(), rngs[1:2])
 
 
 def test_group_by_cell_keys_on_everything_but_rep_tilt_and_seed():
@@ -246,7 +230,7 @@ def test_manifest_key_order_and_defaults_for_older_manifests(tmp_path):
 
 def test_cylinder_trajectory_geometry():
     spec = spec_for(CYLINDER_SHAPE, 42, tilt=0.0)
-    truth = gen_trajectory(spec)
+    truth = gen_trajectories([spec]).trial(0)
     # closed loop of diameter = size in the XZ plane
     assert np.linalg.norm(truth.pos_mm[-1] - truth.pos_mm[0]) <= 0.7  # one step
     assert truth.pos_mm[:, 1] == pytest.approx(0.0)
@@ -258,15 +242,13 @@ def test_cylinder_trajectory_geometry():
 
 def test_cylinder_synthesis_is_on_plane():
     spec = spec_for(CYLINDER_SHAPE, 30, tilt=0.0, seed=12)
-    truth = gen_trajectory(spec)
-    _, rng = trial_streams(spec.seed)
-    block = synthesize_sensors(truth, TEXTURES["mousepad"], NoiseModel.zero(), rng)
+    truth, block = simulate_columns(spec, NoiseModel.zero())
     assert len(block) == len(truth)
     assert not block.dxdy[:, 1].any()  # wrap direction is pure u
 
 
 def test_trajectory_sampling():
-    truth = gen_trajectory(spec_for("hline", 12))
+    truth = gen_trajectories([spec_for("hline", 12)]).trial(0)
     assert len(truth.t_ms) == len(truth.pos_mm) == len(truth.quat) == len(truth)
     assert truth.t_ms[0] == 0
     assert np.all(np.diff(truth.t_ms) == 20)
