@@ -26,7 +26,7 @@ from .gestures import GestureConfig, load_gesture_config, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig, load_filter_config
 from .pipeline import ReplayConfig, replay_bytes, replay_lockstep
-from .protocol import ScaleConfig, decode_columns, write_trace
+from .protocol import decode_columns, write_trace
 from .simulate import (
     GESTURE_KINDS,
     NOISE_PRESETS,
@@ -48,10 +48,6 @@ from .simulate import (
 from .trajectory import read_csv
 
 
-class DataError(Exception):
-    """Input data problem: reported on stderr, exit code 1."""
-
-
 # `simulate` flags that set up one trial, with their defaults; no --tilt
 # draws the tilt from the seed
 _TRIAL_FLAGS = {
@@ -59,20 +55,15 @@ _TRIAL_FLAGS = {
 }
 
 
+def _gesture_config(args) -> GestureConfig:
+    return load_gesture_config(args.gesture_config, args.texture) if args.gesture_config else GestureConfig()
+
+
 def _replay_config(args) -> ReplayConfig:
-    filter_config = (
-        load_filter_config(args.filter_config) if args.filter_config else FilterConfig()
-    )
-    if args.gesture_config:
-        gesture_config = load_gesture_config(args.gesture_config, args.texture)
-    else:
-        gesture_config = GestureConfig()
     return ReplayConfig(
-        scales=ScaleConfig(),
-        filter_config=filter_config,
-        gesture_config=gesture_config,
-        mount=MountMode.from_name(args.mount),
-        with_gestures=True,
+        filter_config=load_filter_config(args.filter_config) if args.filter_config else FilterConfig(),
+        gesture_config=_gesture_config(args),
+        mount=MountMode(args.mount),
     )
 
 
@@ -117,7 +108,7 @@ def cmd_replay(args) -> int:
     result, diagnostics = replay_bytes(data, _replay_config(args))
     print(diagnostics.to_json())
     if result is None:
-        raise DataError(f"no frames decoded from {args.input}")
+        raise ValueError(f"no frames decoded from {args.input}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.pointer.write_csv(out / "pointer.csv")
@@ -132,7 +123,7 @@ def cmd_eval(args) -> int:
     try:
         trial = evaluate_trial(None, pred, truth)
     except TrajectoryMismatchError as exc:
-        raise DataError(f"{args.pred} vs {args.truth}: {exc}") from exc
+        raise ValueError(f"{args.pred} vs {args.truth}: {exc}") from exc
     if args.out:
         Path(args.out).write_text(trial.metrics_json() + "\n", encoding="utf-8")
     print(
@@ -147,27 +138,23 @@ def cmd_campaign(args) -> int:
     root = Path(args.dir)
     manifest = root / "manifest.json"
     if not manifest.exists():
-        raise DataError(f"{manifest} not found; run `simulate --campaign` first")
+        raise ValueError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
     streams = []
     for rel in dirs:
         columns, _ = decode_columns((root / rel / "sensor.3dt").read_bytes())
         if not len(columns):
-            raise DataError(f"{rel}: no frames decoded")
+            raise ValueError(f"{rel}: no frames decoded")
         streams.append(columns)
-    config = ReplayConfig(mount=MountMode.from_name(args.mount), with_gestures=False)
     results = [None] * len(specs)
-    for i, replayed in replay_lockstep(streams, config):  # score and write each trial as it ends
+    for i, replayed in replay_lockstep(streams):  # score and write each trial as it ends
         trial_dir = root / dirs[i]
         try:
             results[i] = evaluate_trial(specs[i], replayed.pointer, read_csv(trial_dir / "truth.csv"))
         except TrajectoryMismatchError as exc:
-            raise DataError(f"{dirs[i]}: {exc}") from exc
+            raise ValueError(f"{dirs[i]}: {exc}") from exc
         (trial_dir / "metrics.json").write_text(results[i].metrics_json() + "\n", encoding="utf-8")
-    try:
-        summary = summarize_campaign(results)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    summary = summarize_campaign(results)
     write_summary(summary, Path(args.out))
     g = summary.grand
     print(
@@ -182,8 +169,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_gesture(args) -> int:
-    cfg = load_gesture_config(args.gesture_config, args.texture) if args.gesture_config else GestureConfig()
-    frames = script_gesture_trace(args.kind, cfg)
+    frames = script_gesture_trace(args.kind, _gesture_config(args))
     write_trace(args.out, frames)
     print(f"wrote {len(frames)} frames of a scripted {args.kind} to {args.out}")
     return 0
@@ -225,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="replay + score every trial in a campaign dir")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mount", choices=[m.value for m in MountMode], default="fingerpad")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("gesture", help="write a scripted gesture fixture")
@@ -241,9 +226,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,15 +41,6 @@ class MountMode(str, Enum):
     FINGERPAD = "fingerpad"  # form factor 2: sensor on the fingerpad
     RING = "ring"  # form factor 3: worn as a ring, thumb-operated
 
-    @staticmethod
-    def from_name(name: str) -> "MountMode":
-        try:
-            return MountMode(name)
-        except ValueError:
-            raise ValueError(
-                f"mount must be one of {', '.join(m.value for m in MountMode)}"
-            ) from None
-
 
 FINGERTIP_COMPENSATION = axis_angle_quat(EY, 90.0)
 _FINGERTIP = np.array(FINGERTIP_COMPENSATION.as_tuple())

@@ -94,6 +94,8 @@ class SensorFrame:
             ("gyro_raw", self.gyro_raw),
             ("mag_raw", self.mag_raw),
         ):
+            if len(triple) != 3:
+                raise ValueError(f"{name} must have 3 components, got {len(triple)}")
             for value in triple:
                 if not -32768 <= value <= 32767:
                     raise ValueError(f"{name} component out of int16 range: {value}")

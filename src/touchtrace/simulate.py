@@ -376,6 +376,9 @@ def read_manifest(path) -> tuple[int, str, list[TrialSpec], list[str]]:
         dirs = [entry["dir"] for entry in payload["trials"]]
         if not all(isinstance(d, str) for d in dirs):
             raise TypeError("every trial's dir must be a string")
+        for d in dirs:  # the campaign reads and writes only under its own directory
+            if Path(d).is_absolute() or ".." in Path(d).parts:
+                raise ValueError(f"trial dir {d!r} is not a relative path inside the campaign")
         return payload["campaign_seed"], payload["noise"], specs, dirs
     except KeyError as exc:
         raise ValueError(f"{path}: malformed manifest: missing key {exc}") from exc

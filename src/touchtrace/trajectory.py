@@ -8,6 +8,7 @@ Both ground-truth files (``truth.csv``) and replayed pointer output
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,11 +64,16 @@ def read_csv(path) -> Trajectory:
         t = np.array(list(map(int, fields[0::8])), dtype=np.int64)
         del fields[0::8]
         values = np.array(list(map(float, fields))).reshape(len(rows), 7)
-    except ValueError:
+        if not np.isfinite(values).all():
+            raise ValueError
+    except (ValueError, OverflowError):
         for ln in rows:  # name the first malformed row, as a row-by-row parse would
             parts = ln.split(",")
             if len(parts) != 8:
                 raise ValueError(f"{path}: malformed row {ln!r}") from None
-            int(parts[0]), list(map(float, parts[1:]))
+            if not -(2**63) <= int(parts[0]) < 2**63:
+                raise ValueError(f"{path}: t_ms out of int64 range in row {ln!r}") from None
+            if not all(map(math.isfinite, map(float, parts[1:]))):
+                raise ValueError(f"{path}: non-finite value in row {ln!r}") from None
         raise
     return Trajectory(t, values[:, 0:3], values[:, 3:7])

@@ -84,6 +84,29 @@ def test_eval_length_mismatch_is_data_error(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "column,value,message",
+    [(1, "nan", "non-finite value"), (5, "-inf", "non-finite value"), (0, str(2**70), "t_ms out of int64 range")],
+    ids=["nan-x", "inf-qx", "huge-time"],
+)
+def test_eval_rejects_a_truth_value_it_cannot_score(tmp_path, capsys, column, value, message):
+    trial = tmp_path / "trial"
+    run(["simulate", "--seed", "7", "--noise", "zero", "--out", str(trial)])
+    lines = (trial / "truth.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = value
+    lines[3] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "m.json"
+    assert run(["eval", "--pred", str(trial / "truth.csv"), "--truth", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {message} in row {lines[3]!r}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_replay_truncated_input_exits_1(tmp_path, capsys):
     trial = tmp_path / "trial"
     run(["simulate", "--seed", "4", "--noise", "zero", "--out", str(trial)])
@@ -176,42 +199,53 @@ def test_campaign_backward_timestamp_exits_1(tmp_path, capsys):
     assert "out-of-order timestamp" in capsys.readouterr().err
 
 
-def _drop_dir(payload):
+def _set_dir(value):
+    def damage(payload, outside):
+        payload["trials"][0]["dir"] = value(outside) if callable(value) else value
+        return payload
+
+    return damage
+
+
+def _drop_dir(payload, outside):
     del payload["trials"][0]["dir"]
     return payload
 
 
-def _rep_as_text(payload):
+def _rep_as_text(payload, outside):
     payload["trials"][0]["rep"] = "1"
     return payload
 
 
-def _dir_as_number(payload):
-    payload["trials"][0]["dir"] = 5
-    return payload
-
-
-def _speed_as_infinity(payload):
+def _speed_as_infinity(payload, outside):
     payload["trials"][0]["speed_mm_s"] = float("inf")  # json writes Infinity
     return payload
 
 
 @pytest.mark.parametrize(
     "damage",
-    [_drop_dir, lambda p: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p: p["trials"],
-     _speed_as_infinity, _dir_as_number],
-    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number"],
+    [_drop_dir, lambda p, _: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p, _: p["trials"],
+     _speed_as_infinity, _set_dir(5), _set_dir(str), _set_dir("../elsewhere"), _set_dir("a/../../elsewhere")],
+    ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number",
+         "dir-absolute", "dir-parent", "dir-parent-inside"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
+    import shutil
+
     camp, _ = _partial_campaign(tmp_path, 1)
     manifest = camp / "manifest.json"
-    manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
+    payload = json.loads(manifest.read_text())
+    outside = tmp_path / "elsewhere"  # a whole trial, outside the campaign
+    shutil.copytree(camp / payload["trials"][0]["dir"], outside)
+    manifest.write_text(json.dumps(damage(payload, outside)))
     capsys.readouterr()
     assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(manifest) in err
     assert "Traceback" not in err
+    assert not (outside / "metrics.json").exists()
+    assert not list(camp.rglob("metrics.json"))
 
 
 def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):
@@ -224,12 +258,23 @@ def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):
     assert "campaign has cell mousepad/12/hline/rep1 more than once" in capsys.readouterr().err
 
 
-def test_campaign_has_no_jobs_option(tmp_path, capsys):
-    # a campaign runs in one process
+@pytest.mark.parametrize("option", [["--jobs", "1"], ["--mount", "ring"]], ids=["jobs", "mount"])
+def test_campaign_has_no_jobs_or_mount_option(tmp_path, capsys, option):
+    # a campaign runs in one process, and its simulated truth is the fingerpad mount's
     with pytest.raises(SystemExit) as exc:
-        run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json"), "--jobs", "1"])
+        run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json"), *option])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replay_mount_must_be_a_known_form_factor(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["replay", "--in", str(tmp_path / "x.3dt"), "--out", str(tmp_path / "r"), "--mount", "palm"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --mount: invalid choice: 'palm' (choose from" in err
+    assert all(name in err for name in ("fingertip", "fingerpad", "ring"))
     assert list(tmp_path.iterdir()) == []
 
 

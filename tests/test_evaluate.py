@@ -296,6 +296,20 @@ def test_read_csv_names_a_bad_header_or_the_first_malformed_row(tmp_path):
         f"{CSV_HEADER}\n{good}\n20,1,2,3,1,0,0,0,": f"{path}: malformed row '20,1,2,3,1,0,0,0,'",
         f"{CSV_HEADER}\n{good}\n20.5,1,2,3,1,0,0,0": "invalid literal for int() with base 10: '20.5'",
         f"{CSV_HEADER}\n{good}\n20,1,2,x,1,0,0,0\n40,1,2": "could not convert string to float: 'x'",
+        f"{CSV_HEADER}\n{good}\n{2**70},1,2,3,1,0,0,0": f"{path}: t_ms out of int64 range in row '{2**70},1,2,3,1,0,0,0'",
+        f"{CSV_HEADER}\n{good}\n{-(2**63) - 1},1,2,3,1,0,0,0": (
+            f"{path}: t_ms out of int64 range in row '{-(2**63) - 1},1,2,3,1,0,0,0'"
+        ),
+        # the first offending row is named, whichever check it fails
+        f"{CSV_HEADER}\n{good}\n20,nan,2,3,1,0,0,0\n{2**70},1,2,3,1,0,0,0": f"{path}: non-finite value in row '20,nan,2,3,1,0,0,0'",
+        f"{CSV_HEADER}\n{good}\n{2**70},1,2,3,1,0,0,0\n40,nan,2,3,1,0,0,0": (
+            f"{path}: t_ms out of int64 range in row '{2**70},1,2,3,1,0,0,0'"
+        ),
+        **{
+            f"{CSV_HEADER}\n{good}\n{row}\n40,1,2,3,1,0,0,0": f"{path}: non-finite value in row {row!r}"
+            for bad in ("nan", "inf", "-inf", "NaN", "Infinity")
+            for row in (f"20,1,{bad},3,1,0,0,0", f"20,1,2,3,1,0,{bad},0")  # a position and a quaternion column
+        },
     }
     for text, message in cases.items():
         path.write_text(text)

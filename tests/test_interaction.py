@@ -328,8 +328,3 @@ def test_scene_validation(tmp_path):
     with pytest.raises(ValueError):
         load_scene(path)
 
-
-def test_mount_mode_parse():
-    assert MountMode.from_name("ring") is MountMode.RING
-    with pytest.raises(ValueError, match="mount"):
-        MountMode.from_name("palm")

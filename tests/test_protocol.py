@@ -107,6 +107,14 @@ def test_negative_dx_twos_complement():
             for k, bad in enumerate((32768, -32769, 40000))
         ),
         ({"mag_raw": (0, float("nan"), 0)}, "mag_raw component out of int16 range: nan"),
+        *(
+            ({name: (0,) * n}, f"{name} must have 3 components, got {n}")
+            for name in ("accel_raw", "gyro_raw", "mag_raw")
+            for n in (2, 4)
+        ),
+        # the length is checked before the range
+        ({"gyro_raw": (40000, 0, 0, 0)}, "gyro_raw must have 3 components, got 4"),
+        ({"accel_raw": (40000, 0, 0), "gyro_raw": (0, 0)}, "accel_raw component out of int16 range: 40000"),
         # several fields out: the first in check order is named
         ({"squal": 170, "timestamp_ms": -1, "dx": 32768}, "squal must be in [0, 169], got 170"),
         ({"dy": 32768, "accel_raw": (32768, 0, 0)}, "dy out of int16 range: 32768"),
