@@ -7,7 +7,7 @@ Subsystems:
 * :mod:`touchtrace.orientation` - quaternion EKF fusing gyro/accel/mag
 * :mod:`touchtrace.gestures` - contact / tap / double-tap / press detection
 * :mod:`touchtrace.interaction` - plane derivation, translation projection,
-  stroke rotation, ray-cast selection, 2D pointer mapping
+  stroke rotation, ray-cast selection
 * :mod:`touchtrace.simulate` - ground-truth trajectory and sensor synthesis
 * :mod:`touchtrace.evaluate` - error metrics, aggregation and one-way ANOVA
 * :mod:`touchtrace.pipeline` - decode -> filter -> gestures -> pointer glue

@@ -82,6 +82,8 @@ def _write_trials(out: Path, specs: list[TrialSpec], dirs: list[str], noise_pres
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:  # checked before the seed reaches numpy, whose error names no seed
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     given = {name: value for name in _TRIAL_FLAGS if (value := getattr(args, name)) is not None}
     if args.campaign:

@@ -267,17 +267,6 @@ def to_euler(q: UnitQuat) -> EulerAngles:
     return EulerAngles(yaw, pitch, roll)
 
 
-def angle_between(a: Vec3, b: Vec3) -> float:
-    """Angle between two vectors in degrees, in [0, 180]."""
-    na = a.norm()
-    nb = b.norm()
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angle_between is undefined for zero-length vectors")
-    c = a.dot(b) / (na * nb)
-    c = max(-1.0, min(1.0, c))
-    return math.degrees(math.acos(c))
-
-
 # -- quaternion-array helpers ------------------------------------------------
 
 

@@ -262,16 +262,6 @@ def write_events_jsonl(path, events) -> None:
             fh.write(event.to_json() + "\n")
 
 
-def read_events_jsonl(path) -> list[GestureEvent]:
-    events = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        events.append(GestureEvent(payload["kind"], payload["t_ms"], payload["x"], payload["y"]))
-    return events
-
-
 # -- per-texture threshold profiles ---------------------------------------
 
 _INT_FIELDS = set(GestureConfig.__dataclass_fields__)

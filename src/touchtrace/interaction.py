@@ -14,10 +14,8 @@ is what both replay paths call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,6 @@ from .geom import (
     quat_matrices,
     quat_multiply,
     rotate_vector,
-    to_euler,
     EY,
 )
 from .protocol import ScaleConfig
@@ -213,65 +210,3 @@ def raycast_select(origin: Vec3, q: UnitQuat, scene: Scene) -> str | None:
             best_t = t
             best_id = obj.object_id
     return best_id
-
-
-def load_scene(path) -> Scene:
-    """Scene file: JSON array of {"id", "sphere": {"c", "r"}} / {"box": {"min", "max"}}."""
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: scene file must be a JSON array")
-    objects = []
-    for i, entry in enumerate(entries):
-        if "id" not in entry:
-            raise ValueError(f"{path}: scene object {i} is missing an id")
-        if "sphere" in entry:
-            c = entry["sphere"]["c"]
-            shape: Sphere | Box = Sphere(Vec3(*c), float(entry["sphere"]["r"]))
-        elif "box" in entry:
-            shape = Box(Vec3(*entry["box"]["min"]), Vec3(*entry["box"]["max"]))
-        else:
-            raise ValueError(f"{path}: scene object {entry['id']!r} needs a sphere or box")
-        objects.append(SceneObject(str(entry["id"]), shape))
-    return Scene(tuple(objects))
-
-
-def save_scene(scene: Scene, path) -> None:
-    entries = []
-    for obj in scene.objects:
-        if isinstance(obj.shape, Sphere):
-            entries.append(
-                {"id": obj.object_id, "sphere": {"c": list(obj.shape.center.as_tuple()), "r": obj.shape.radius}}
-            )
-        else:
-            entries.append(
-                {
-                    "id": obj.object_id,
-                    "box": {"min": list(obj.shape.lo.as_tuple()), "max": list(obj.shape.hi.as_tuple())},
-                }
-            )
-    Path(path).write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
-
-
-# -- 2D pointer mapping (select-on-screen mode) -----------------------------
-
-
-def map_pointer_2d(
-    q: UnitQuat,
-    reference: UnitQuat,
-    gain_x_per_deg: float = 1.0 / 60.0,
-    gain_y_per_deg: float = 1.0 / 60.0,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0)),
-) -> tuple[float, float]:
-    """Yaw/pitch relative to the capture-time reference, mapped to the screen.
-
-    The pointer sits at the bounds center for the reference attitude and
-    moves linearly with relative yaw (x) and pitch (y), clamped to bounds.
-    """
-    if gain_x_per_deg <= 0 or gain_y_per_deg <= 0:
-        raise ValueError("pointer gains must be > 0")
-    (x0, x1), (y0, y1) = bounds
-    rel = reference.conjugate().multiply(q)
-    e = to_euler(rel)
-    x = 0.5 * (x0 + x1) + e.yaw * gain_x_per_deg
-    y = 0.5 * (y0 + y1) + e.pitch * gain_y_per_deg
-    return (min(x1, max(x0, x)), min(y1, max(y0, y)))

@@ -529,16 +529,6 @@ def _batch_vector_update(
     _assign(p, p - k @ _transposed(pht), accepted)
 
 
-def save_filter_config(cfg: FilterConfig, path) -> None:
-    """One key=value line per FilterConfig field, in field order; a vector as x,y,z."""
-    lines = []
-    for f in fields(FilterConfig):
-        value = getattr(cfg, f.name)
-        parts = value.as_tuple() if isinstance(value, Vec3) else (value,)
-        lines.append(f"{f.name}=" + ",".join(map(repr, parts)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def load_filter_config(path) -> FilterConfig:
     """Flat key=value file; keys are exactly the FilterConfig field names."""
     values: dict[str, object] = {}

@@ -9,7 +9,7 @@ There are two ways through it, which differ only in how they run the
 orientation filter. ``replay_columns`` runs one stream's frame block
 through the streaming filter, sample by sample on plain floats, then the
 gesture detector over the block's rows; it is the path of ``replay``
-(``replay_bytes``) and of the sequential reference ``run_trial``, and
+(``replay_bytes``) and of the tests' sequential trial reference, and
 ``replay_frames`` is it on a list of frames. ``replay_lockstep`` runs
 many streams at once: one batched filter step per sample index across
 every stream still running, with no gesture detection. Both end in the
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import CampaignSummary, TrialResult, evaluate_trial, evaluate_trials, summarize_campaign
+from .evaluate import CampaignSummary, TrialResult, evaluate_trials, summarize_campaign
 from .gestures import GestureConfig, GestureEvent, detect_rows
 from .interaction import MountMode, pointer_track
 from .orientation import FilterConfig, FilterDiagnostics, batch_step, filter_stream, initial_batch
@@ -178,30 +178,6 @@ def _check_timestamps(t_ms: np.ndarray) -> None:
 # -- campaign -----------------------------------------------------------------
 
 
-def run_trial(
-    spec: TrialSpec,
-    noise: NoiseModel,
-    config: ReplayConfig | None = None,
-) -> TrialResult:
-    """Synthesize one trial, replay it through the wire, score it.
-
-    The sequential reference for the lockstep campaign: one trial, one
-    streaming filter.
-    """
-    truth, result = _simulated_replay(spec, noise, config or ReplayConfig(with_gestures=False))
-    return evaluate_trial(spec, result.pointer, truth)
-
-
-def _simulated_replay(
-    spec: TrialSpec, noise: NoiseModel, config: ReplayConfig
-) -> tuple[Trajectory, ReplayResult]:
-    """Synthesize a trial at ``config.scales``, encode it to bytes, replay the bytes."""
-    truth, block = simulate_columns(spec, noise, config.scales)
-    result, _ = replay_bytes(encode_frames(block), config)
-    assert result is not None
-    return truth, result
-
-
 def run_trials(
     specs: list[TrialSpec],
     noise_preset: str = "default",
@@ -209,7 +185,7 @@ def run_trials(
 ) -> list[TrialResult]:
     """Synthesize trials by grid cell, replay them through the wire in lockstep, score them.
 
-    The campaign's runner: ``run_trial`` on each spec, to float rounding.
+    The campaign's runner; each result matches replaying its trial alone, to float rounding.
     """
     config = config or ReplayConfig(with_gestures=False)
     cells = group_by_cell(specs)
@@ -263,4 +239,8 @@ def replay_cylinder_demo(
         tilt_deg=0.0,
         seed=seed,
     )
-    return _simulated_replay(spec, NoiseModel.zero(), config or ReplayConfig(with_gestures=False))
+    config = config or ReplayConfig(with_gestures=False)
+    truth, block = simulate_columns(spec, NoiseModel.zero(), config.scales)
+    result, _ = replay_bytes(encode_frames(block), config)
+    assert result is not None
+    return truth, result

@@ -112,6 +112,12 @@ class TrialSpec:
     speed_mm_s: float = 30.0
 
     def __post_init__(self) -> None:
+        for name in ("size_mm", "rep", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.texture not in TEXTURE_NAMES:
             raise ValueError(f"texture must be one of {','.join(TEXTURE_NAMES)}")
         if self.shape not in SHAPE_NAMES + (CYLINDER_SHAPE,):
@@ -131,8 +137,8 @@ class TrialSpec:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
-def _shape_vertices(shape: str, s: float) -> np.ndarray | None:
-    """Polyline vertices in plane coordinates; None for the circle."""
+def _shape_vertices(shape: str, s: float) -> np.ndarray:
+    """Polyline vertices in plane coordinates; the callers trace the circle themselves."""
     r2 = 1.0 / math.sqrt(2.0)
     if shape == "hline":
         pts = [(0, 0), (s, 0)]
@@ -144,8 +150,6 @@ def _shape_vertices(shape: str, s: float) -> np.ndarray | None:
         pts = [(0, 0), (s, 0), (s / 2, s * math.sqrt(3) / 2), (0, 0)]
     elif shape == "square":
         pts = [(0, 0), (s, 0), (s, s), (0, s), (0, 0)]
-    elif shape == "circle":
-        return None
     else:
         raise ValueError(f"unknown shape {shape!r}")
     return np.array(pts, dtype=float)

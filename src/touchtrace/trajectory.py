@@ -71,9 +71,13 @@ def read_csv(path) -> Trajectory:
             parts = ln.split(",")
             if len(parts) != 8:
                 raise ValueError(f"{path}: malformed row {ln!r}") from None
-            if not -(2**63) <= int(parts[0]) < 2**63:
+            try:
+                stamp, floats = int(parts[0]), [float(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc} in row {ln!r}") from None
+            if not -(2**63) <= stamp < 2**63:
                 raise ValueError(f"{path}: t_ms out of int64 range in row {ln!r}") from None
-            if not all(map(math.isfinite, map(float, parts[1:]))):
+            if not all(map(math.isfinite, floats)):
                 raise ValueError(f"{path}: non-finite value in row {ln!r}") from None
         raise
     return Trajectory(t, values[:, 0:3], values[:, 3:7])

@@ -2,10 +2,14 @@
 
 import contextlib
 import io
+import json
+import math
+from pathlib import Path
 
 import pytest
 
 from touchtrace.cli import main as cli_main
+from touchtrace.gestures import GestureEvent
 from touchtrace.simulate import CYLINDER_SHAPE, TrialSpec, draw_tilt
 
 # The README's campaign commands, run from the directory that holds camp/.
@@ -33,6 +37,28 @@ MIXED_SPECS = [
     for k, (texture, shape, size, reps) in enumerate(_MIXED_CELLS)
     if rep <= reps
 ]
+
+
+def angle_between(a, b) -> float:
+    """Angle between two vectors in degrees, in [0, 180]."""
+    na = a.norm()
+    nb = b.norm()
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("angle_between is undefined for zero-length vectors")
+    c = a.dot(b) / (na * nb)
+    c = max(-1.0, min(1.0, c))
+    return math.degrees(math.acos(c))
+
+
+def read_events_jsonl(path) -> list[GestureEvent]:
+    """The events of a ``gestures.jsonl`` file, one per non-blank line."""
+    events = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        payload = json.loads(line)
+        events.append(GestureEvent(payload["kind"], payload["t_ms"], payload["x"], payload["y"]))
+    return events
 
 
 def run_commands(commands) -> str:

@@ -1,5 +1,6 @@
 """The committed benchmark under ``perfbench/`` imports the package and calls
-``run_campaign`` positionally; these checks keep that API in place."""
+``run_campaign`` positionally; these checks keep that API in place, and keep
+out of the package what neither it, the benchmark nor the acceptance tests use."""
 
 import ast
 import importlib
@@ -12,15 +13,24 @@ import pytest
 
 from touchtrace.pipeline import run_campaign
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+PACKAGE = TESTS.parent / "src" / "touchtrace"
+
+
+def _parsed(paths):
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(paths)}
+
+
+PERFBENCH_TREES = _parsed(PERFBENCH.glob("*.py"))
 
 
 def _imported_names():
-    for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for where, tree in PERFBENCH_TREES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("touchtrace"):
                 for alias in node.names:
-                    yield path.name, node.module, alias.name
+                    yield where, node.module, alias.name
 
 
 def test_benchmark_imports_name_the_package():
@@ -52,3 +62,37 @@ def test_benchmark_builds_its_replay_and_fault_pools(monkeypatch):
     faulted = workloads.build_inputs("faults", 1)
     assert sorted(f.disruption or "" for f in faulted) == [""] * (workloads.POOL_SESSIONS - 2) + ["reset", "wrap"]
     assert all(sum(map(len, f.chunks)) == f.n_bytes and f.intact for f in faulted)
+
+
+def _names_in(node):
+    """Every name a syntax tree reads, as a bare name, an attribute or an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_public_definition_is_reached_outside_its_own_tests():
+    # a public function or class of the package must be used by the package
+    # (outside its own body), by the benchmark, or by the acceptance tests;
+    # a module-level import inside the package does not count as a use
+    package = _parsed(PACKAGE.glob("*.py"))
+    defined, used = set(), set()
+    for tree in package.values():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom):
+                continue
+            names = set(_names_in(stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if not stmt.name.startswith("_"):
+                    defined.add(stmt.name)
+            used |= names
+    acceptance = ast.parse((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    for tree in [*PERFBENCH_TREES.values(), acceptance]:
+        used.update(_names_in(tree))
+    unreached = sorted(defined - used)
+    assert not unreached, f"reached only by their own tests: {', '.join(unreached)}"

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import read_events_jsonl
 from touchtrace.cli import main
-from touchtrace.gestures import read_events_jsonl
 from touchtrace.trajectory import read_csv
 
 
@@ -86,8 +86,13 @@ def test_eval_length_mismatch_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "column,value,message",
-    [(1, "nan", "non-finite value"), (5, "-inf", "non-finite value"), (0, str(2**70), "t_ms out of int64 range")],
-    ids=["nan-x", "inf-qx", "huge-time"],
+    [
+        (1, "nan", "non-finite value"),
+        (5, "-inf", "non-finite value"),
+        (0, str(2**70), "t_ms out of int64 range"),
+        (0, "40.5", "invalid literal for int() with base 10: '40.5'"),
+    ],
+    ids=["nan-x", "inf-qx", "huge-time", "fractional-time"],
 )
 def test_eval_rejects_a_truth_value_it_cannot_score(tmp_path, capsys, column, value, message):
     trial = tmp_path / "trial"
@@ -212,22 +217,22 @@ def _drop_dir(payload, outside):
     return payload
 
 
-def _rep_as_text(payload, outside):
-    payload["trials"][0]["rep"] = "1"
-    return payload
+def _set_field(name, value):
+    def damage(payload, outside):
+        payload["trials"][0][name] = value
+        return payload
 
-
-def _speed_as_infinity(payload, outside):
-    payload["trials"][0]["speed_mm_s"] = float("inf")  # json writes Infinity
-    return payload
+    return damage
 
 
 @pytest.mark.parametrize(
     "damage",
-    [_drop_dir, lambda p, _: {"campaign_seed": 6, "noise": "zero"}, _rep_as_text, lambda p, _: p["trials"],
-     _speed_as_infinity, _set_dir(5), _set_dir(str), _set_dir("../elsewhere"), _set_dir("a/../../elsewhere")],
+    [_drop_dir, lambda p, _: {"campaign_seed": 6, "noise": "zero"}, _set_field("rep", "1"), lambda p, _: p["trials"],
+     _set_field("speed_mm_s", float("inf")),  # json writes Infinity
+     _set_dir(5), _set_dir(str), _set_dir("../elsewhere"), _set_dir("a/../../elsewhere"),
+     _set_field("rep", 1.5), _set_field("rep", True), _set_field("seed", 2.5)],
     ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number",
-         "dir-absolute", "dir-parent", "dir-parent-inside"],
+         "dir-absolute", "dir-parent", "dir-parent-inside", "rep-as-float", "rep-as-bool", "seed-as-float"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     import shutil
@@ -304,6 +309,14 @@ def test_simulate_rejects_non_finite_rate_and_speed(tmp_path, capsys, flag, valu
     field = {"--rate": "rate_hz", "--speed": "speed_mm_s"}[flag]
     assert err.startswith(f"error: {field} must be finite and > 0")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--tilt", "10"], ["--campaign"]], ids=["drawn-tilt", "given-tilt", "campaign"])
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
+    out = tmp_path / "t"
+    assert run(["simulate", "--seed", "-1", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 

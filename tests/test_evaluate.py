@@ -294,8 +294,12 @@ def test_read_csv_names_a_bad_header_or_the_first_malformed_row(tmp_path):
         # a short row then a long one: as many fields as two good rows
         f"{CSV_HEADER}\n{good}\n20,1,2,3,1,0,0\n40,1,2,3,1,0,0,0,9": f"{path}: malformed row '20,1,2,3,1,0,0'",
         f"{CSV_HEADER}\n{good}\n20,1,2,3,1,0,0,0,": f"{path}: malformed row '20,1,2,3,1,0,0,0,'",
-        f"{CSV_HEADER}\n{good}\n20.5,1,2,3,1,0,0,0": "invalid literal for int() with base 10: '20.5'",
-        f"{CSV_HEADER}\n{good}\n20,1,2,x,1,0,0,0\n40,1,2": "could not convert string to float: 'x'",
+        f"{CSV_HEADER}\n{good}\n20.5,1,2,3,1,0,0,0": (
+            f"{path}: invalid literal for int() with base 10: '20.5' in row '20.5,1,2,3,1,0,0,0'"
+        ),
+        f"{CSV_HEADER}\n{good}\n20,1,2,x,1,0,0,0\n40,1,2": (
+            f"{path}: could not convert string to float: 'x' in row '20,1,2,x,1,0,0,0'"
+        ),
         f"{CSV_HEADER}\n{good}\n{2**70},1,2,3,1,0,0,0": f"{path}: t_ms out of int64 range in row '{2**70},1,2,3,1,0,0,0'",
         f"{CSV_HEADER}\n{good}\n{-(2**63) - 1},1,2,3,1,0,0,0": (
             f"{path}: t_ms out of int64 range in row '{-(2**63) - 1},1,2,3,1,0,0,0'"

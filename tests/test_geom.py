@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MIXED_SPECS
+from conftest import MIXED_SPECS, angle_between
 from touchtrace.geom import (
     EX,
     EY,
@@ -13,7 +13,6 @@ from touchtrace.geom import (
     EulerAngles,
     UnitQuat,
     Vec3,
-    angle_between,
     axis_angle_quat,
     from_euler,
     integrate_gyro,

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_events_jsonl
 from touchtrace.gestures import (
     CONTACT_BEGIN,
     CONTACT_END,
@@ -16,7 +17,6 @@ from touchtrace.gestures import (
     GestureDetector,
     GestureEvent,
     load_gesture_config,
-    read_events_jsonl,
     run_detector,
     write_events_jsonl,
 )

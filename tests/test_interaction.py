@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import angle_between
 from touchtrace.geom import (
     EX,
     EY,
@@ -11,7 +12,6 @@ from touchtrace.geom import (
     IDENTITY_QUAT,
     UnitQuat,
     Vec3,
-    angle_between,
     axis_angle_quat,
     from_euler,
     EulerAngles,
@@ -26,11 +26,8 @@ from touchtrace.interaction import (
     StrokeAccumulator,
     derive_plane,
     end_stroke_rotation,
-    load_scene,
-    map_pointer_2d,
     pointer_track,
     raycast_select,
-    save_scene,
 )
 from touchtrace.protocol import ScaleConfig
 
@@ -280,51 +277,3 @@ def test_raycast_agrees_with_sampling_oracle():
         assert picked in oracle
         checked += 1
     assert checked > 100
-
-
-def test_map_pointer_reference_is_centered():
-    q = axis_angle_quat(Vec3(0.2, 1, 0.1), 33.0)
-    assert map_pointer_2d(q, q) == pytest.approx((0.5, 0.5))
-
-
-def test_map_pointer_linear_gain():
-    ref = IDENTITY_QUAT
-    q = from_euler(EulerAngles(yaw=10.0, pitch=0.0, roll=0.0))
-    x, y = map_pointer_2d(q, ref, gain_x_per_deg=1 / 60.0)
-    assert x == pytest.approx(0.5 + 10.0 / 60.0, abs=1e-9)
-    assert y == pytest.approx(0.5)
-
-
-def test_map_pointer_clamps():
-    ref = IDENTITY_QUAT
-    q = from_euler(EulerAngles(yaw=0.0, pitch=-90.0, roll=0.0))
-    _, y = map_pointer_2d(q, ref)
-    assert y == 0.0
-
-
-def test_map_pointer_gain_validation():
-    with pytest.raises(ValueError):
-        map_pointer_2d(IDENTITY_QUAT, IDENTITY_QUAT, gain_x_per_deg=0.0)
-
-
-def test_scene_json_round_trip(tmp_path):
-    scene = Scene(
-        (
-            SceneObject("ball", Sphere(Vec3(1, 2, 3), 4.0)),
-            SceneObject("crate", Box(Vec3(-1, -2, -3), Vec3(1, 2, 3))),
-        )
-    )
-    path = tmp_path / "scene.json"
-    save_scene(scene, path)
-    assert load_scene(path) == scene
-
-
-def test_scene_validation(tmp_path):
-    path = tmp_path / "scene.json"
-    path.write_text('[{"id": "bad", "sphere": {"c": [0, 0, 0], "r": -1}}]')
-    with pytest.raises(ValueError):
-        load_scene(path)
-    path.write_text('[{"id": "bad", "box": {"min": [1, 0, 0], "max": [0, 1, 1]}}]')
-    with pytest.raises(ValueError):
-        load_scene(path)
-

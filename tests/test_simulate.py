@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MIXED_SPECS
+from conftest import MIXED_SPECS, angle_between
 from touchtrace.protocol import ScaleConfig, encode_frames
 from touchtrace.simulate import (
     CYLINDER_SHAPE,
@@ -75,7 +75,7 @@ def test_orientation_equals_plane_attitude_and_tilt():
     truth = gen_trajectories([spec]).trial(0)
     assert np.allclose(truth.quat, truth.quat[0])
     # plane normal makes the tilt angle with world up
-    from touchtrace.geom import EZ, UnitQuat, angle_between, rotate_vector
+    from touchtrace.geom import EZ, UnitQuat, rotate_vector
 
     n = rotate_vector(UnitQuat(*truth.quat[0]), EZ)
     assert angle_between(n, EZ) == pytest.approx(30.0, abs=1e-9)
@@ -265,6 +265,12 @@ def test_trial_spec_validation():
         for value in (0.0, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
                 dataclasses.replace(spec_for(), **{field: value})
+    for field, value in (("size_mm", 21.0), ("rep", 1.5), ("rep", True), ("seed", 2.5), ("seed", "7")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            dataclasses.replace(spec_for(), **{field: value})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        spec_for(seed=-1)
+    assert spec_for(size=np.int64(21), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_gesture_trace_kind_validation():
