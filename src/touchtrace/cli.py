@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .evaluate import TrajectoryMismatchError, evaluate_trial, summarize_campaign, write_summary
-from .gestures import GestureConfig, load_gesture_config, write_events_jsonl
+from .geom import Vec3
+from .gestures import GestureConfig, write_events_jsonl
 from .interaction import MountMode
-from .orientation import FilterConfig, load_filter_config
+from .orientation import FilterConfig
 from .pipeline import ReplayConfig, replay_bytes, replay_lockstep
 from .protocol import decode_columns, write_trace
 from .simulate import (
@@ -55,13 +57,59 @@ _TRIAL_FLAGS = {
 }
 
 
+def load_config(path, cls, texture=None) -> FilterConfig | GestureConfig:
+    """Read a flat key=value file into a ``cls`` (FilterConfig or GestureConfig).
+
+    Keys are the field names of ``cls``; a value parses as the type of the
+    field's default, and a Vec3 as three comma-separated floats. Given a
+    ``texture``, a ``texture.key`` line sets a key for that surface only;
+    every line is checked, whichever surface it names.
+    """
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    base: dict[str, object] = {}
+    override: dict[str, object] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            target = base
+            if texture is not None and "." in key:
+                prefix, _, key = key.partition(".")
+                if prefix not in TEXTURE_NAMES:
+                    raise ValueError(f"unknown texture {prefix!r}")
+                target = override if prefix == texture else {}
+            if key not in kinds:
+                raise ValueError(f"unknown config key {key!r}")
+            if kinds[key] is Vec3:
+                parts = value.split(",")
+                if len(parts) != 3:
+                    raise ValueError(f"{key} needs 3 components")
+                target[key] = Vec3(*map(float, parts))
+            else:
+                target[key] = kinds[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        return cls(**{**base, **override})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _gesture_config(args) -> GestureConfig:
-    return load_gesture_config(args.gesture_config, args.texture) if args.gesture_config else GestureConfig()
+    return load_config(args.gesture_config, GestureConfig, args.texture) if args.gesture_config else GestureConfig()
 
 
 def _replay_config(args) -> ReplayConfig:
     return ReplayConfig(
-        filter_config=load_filter_config(args.filter_config) if args.filter_config else FilterConfig(),
+        filter_config=load_config(args.filter_config, FilterConfig) if args.filter_config else FilterConfig(),
         gesture_config=_gesture_config(args),
         mount=MountMode(args.mount),
     )

@@ -106,6 +106,7 @@ EX = Vec3(1.0, 0.0, 0.0)
 EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)
 GRAVITY_WORLD = Vec3(0.0, 0.0, -1.0)  # in g
+MAG_FIELD_WORLD = Vec3(0.2, 0.0, -0.4)  # in gauss; the simulated world's field
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,14 +19,13 @@ longer be satisfied; every event produced while a tap is withheld is
 buffered with it so the emitted stream stays timestamp-ordered.
 
 The thresholds default to the mousepad profile; other textures load
-their own numbers via :func:`load_gesture_config`.
+their own numbers from a gesture-config file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 CONTACT_BEGIN = "ContactBegin"
 CONTACT_END = "ContactEnd"
@@ -34,9 +33,6 @@ TAP = "Tap"
 DOUBLE_TAP = "DoubleTap"
 PRESS_BEGIN = "PressBegin"
 PRESS_END = "PressEnd"
-
-# The drawing surfaces; a gesture-config line may override one by name.
-TEXTURE_NAMES = ("mousepad", "wood", "jeans")
 
 
 @dataclass(frozen=True)
@@ -260,46 +256,3 @@ def write_events_jsonl(path, events) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(event.to_json() + "\n")
-
-
-# -- per-texture threshold profiles ---------------------------------------
-
-_INT_FIELDS = set(GestureConfig.__dataclass_fields__)
-
-
-def load_gesture_config(path, texture: str = "mousepad") -> GestureConfig:
-    """Flat key=value profile file.
-
-    Unprefixed keys set the base profile; ``texture.key`` lines override
-    a single texture. Keys are exactly the GestureConfig field names, and
-    every line is checked, whichever texture it names; a prefix that names
-    no texture is an error.
-    """
-    base: dict[str, int] = {}
-    override: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        target = base
-        if "." in key:
-            prefix, _, key = key.partition(".")
-            if prefix not in TEXTURE_NAMES:
-                raise ValueError(f"{path}:{lineno}: unknown texture {prefix!r}")
-            target = override if prefix == texture else {}
-        if key not in _INT_FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown gesture config key {key!r}")
-        try:
-            target[key] = int(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    base.update(override)
-    try:
-        return GestureConfig(**base)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

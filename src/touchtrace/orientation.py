@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .geom import (
     _DEG,
     GRAVITY_WORLD,
     IDENTITY_QUAT,
+    MAG_FIELD_WORLD,
     UnitQuat,
     Vec3,
     _hamilton,
@@ -70,7 +70,7 @@ class FilterConfig:
     bias_random_walk: float = 0.003  # deg/s per sqrt(s)
     accel_noise: float = 0.45  # g, per-axis measurement sigma
     mag_noise: float = 0.18  # gauss, per-axis measurement sigma
-    mag_reference: Vec3 = Vec3(0.2, 0.0, -0.4)  # gauss, world frame
+    mag_reference: Vec3 = MAG_FIELD_WORLD  # gauss, world frame
     accel_gate: float = 0.3  # g; reject when | |a| - 1g | exceeds this
     init_attitude_sigma_deg: float = 30.0
     init_bias_sigma_dps: float = 0.5
@@ -527,33 +527,3 @@ def _batch_vector_update(
     _assign(q, quat_multiply(q, dq), accepted)
     _assign(bias, bias + delta[:, 3:] / _DEG, accepted)
     _assign(p, p - k @ _transposed(pht), accepted)
-
-
-def load_filter_config(path) -> FilterConfig:
-    """Flat key=value file; keys are exactly the FilterConfig field names."""
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in FilterConfig.__dataclass_fields__:
-            raise ValueError(f"{path}:{lineno}: unknown filter config key {key!r}")
-        try:
-            if key == "mag_reference":
-                parts = [float(p) for p in value.split(",")]
-                if len(parts) != 3:
-                    raise ValueError("mag_reference needs 3 components")
-                values[key] = Vec3(*parts)
-            else:
-                values[key] = float(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        return FilterConfig(**values)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

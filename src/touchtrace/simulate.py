@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import _DEG, EY, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
-from .gestures import TEXTURE_NAMES, GestureConfig
-from .orientation import FilterConfig
+from .geom import _DEG, EY, MAG_FIELD_WORLD, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
+from .gestures import GestureConfig
 from .protocol import FrameColumns, ScaleConfig, SensorFrame
 from .trajectory import Trajectory
 
@@ -56,6 +55,7 @@ TEXTURES: dict[str, TextureModel] = {
     "wood": TextureModel(squal_mean=60.0),
     "jeans": TextureModel(squal_mean=55.0),
 }
+TEXTURE_NAMES = tuple(TEXTURES)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ def synthesize_group(
     dt_s = np.diff(truth.t_ms, axis=-1) / 1000.0
     dt_s[dt_s <= 0] = 1.0 / 50.0
     gyro[..., 1:, :] = quat_relative_rotvec(truth.quat) / dt_s[..., None] / _DEG
-    accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in ([0.0, 0.0, -1.0], FilterConfig().mag_reference.as_tuple()))
+    accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in ([0.0, 0.0, -1.0], MAG_FIELD_WORLD.as_tuple()))
 
     imu = np.concatenate([accel + accel_noise, gyro + bias[..., None, :] + gyro_noise, mag + mag_noise], axis=-1)
     imu_raw = np.clip(np.rint(imu / scales.imu_units), -32768, 32767).astype(np.int16)
@@ -399,8 +399,7 @@ _FRAME_MS = 20  # fixture frame period
 def _static_frame(t_ms: int, squal: int, dx: int) -> SensorFrame:
     """Frame with level-device IMU channels so the filter stays happy."""
     scales = ScaleConfig()
-    ref = FilterConfig().mag_reference
-    mag_raw = tuple(int(round(c / scales.mag_gauss_per_lsb)) for c in ref.as_tuple())
+    mag_raw = tuple(int(round(c / scales.mag_gauss_per_lsb)) for c in MAG_FIELD_WORLD.as_tuple())
     return SensorFrame(
         timestamp_ms=t_ms,
         dx=dx,

@@ -96,3 +96,17 @@ def test_every_public_definition_is_reached_outside_its_own_tests():
         used.update(_names_in(tree))
     unreached = sorted(defined - used)
     assert not unreached, f"reached only by their own tests: {', '.join(unreached)}"
+
+
+def test_the_simulator_imports_nothing_it_is_scored_against():
+    # simulate is the independent oracle: the ground truth it writes must not
+    # come from the code whose output that truth scores
+    imported = set()
+    for node in ast.walk(_parsed([PACKAGE / "simulate.py"])["simulate.py"]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imported.update(name.rpartition(".")[2] for name in names)
+    scored = sorted(imported & {"orientation", "interaction", "pipeline", "evaluate"})
+    assert not scored, f"simulate.py imports {', '.join(scored)}"

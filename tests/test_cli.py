@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import read_events_jsonl
-from touchtrace.cli import main
+from touchtrace.cli import load_config, main
+from touchtrace.geom import Vec3
+from touchtrace.gestures import GestureConfig
+from touchtrace.orientation import FilterConfig
 from touchtrace.trajectory import read_csv
 
 
@@ -110,6 +114,31 @@ def test_eval_rejects_a_truth_value_it_cannot_score(tmp_path, capsys, column, va
     assert captured.err == f"error: {bad}: {message} in row {lines[3]!r}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_eval_names_a_truth_file_that_is_not_utf8(tmp_path, capsys):
+    trial = tmp_path / "trial"
+    run(["simulate", "--seed", "7", "--noise", "zero", "--out", str(trial)])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(trial / "truth.csv"), "--truth", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cls, texture", [(FilterConfig, None), (GestureConfig, "jeans")])
+def test_load_config_reads_back_every_default(tmp_path, cls, texture):
+    # every field type the reader parses, with blank and comment lines between
+    lines = []
+    for field in dataclasses.fields(cls):
+        value = field.default
+        text = ",".join(map(repr, value.as_tuple())) if isinstance(value, Vec3) else repr(value)
+        lines += [f"{field.name}={text}", "", f"# after {field.name}"]
+    path = tmp_path / "defaults.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(path, cls, texture) == cls()
 
 
 def test_replay_truncated_input_exits_1(tmp_path, capsys):
@@ -328,6 +357,11 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
         ("--filter-config", "accel_gate=0.3\nbogus_key=1\n", ":2: "),
         ("--gesture-config", "contact_squal=12\njeans.tap_squal=x\n", ":2: "),
         ("--gesture-config", "contact_squal=12\nmousepda.tap_squal=3\n", ":2: "),
+        # a texture prefix is read in gesture files only
+        ("--filter-config", "jeans.accel_noise=0.1\n", ":1: "),
+        # a file that is not UTF-8 names the file
+        ("--filter-config", b"accel_gate=0.3\naccel_noise=\xff\n", ": 'utf-8' codec can't decode byte 0xff"),
+        ("--gesture-config", b"contact_squal=12\n\xfe\n", ": 'utf-8' codec can't decode byte 0xfe"),
         # values that parse but fail validation name the file only
         ("--filter-config", "mag_reference=nan,0,-0.4\n", ": mag_reference must be finite"),
         ("--filter-config", "accel_noise=inf\n", ": accel_noise must be finite"),
@@ -346,6 +380,9 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
         "filter-unknown-key",
         "gesture-value",
         "gesture-unknown-texture",
+        "filter-texture-prefix",
+        "filter-not-utf8",
+        "gesture-not-utf8",
         "filter-nan-vector",
         "filter-inf",
         "filter-zero",
@@ -362,7 +399,7 @@ def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text,
     trace = tmp_path / "tap.3dt"
     assert run(["gesture", "--kind", "tap", "--out", str(trace)]) == 0
     config = tmp_path / "bad.cfg"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     capsys.readouterr()
     out = tmp_path / "out"
     assert run(["replay", "--in", str(trace), "--out", str(out), option, str(config)]) == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import read_events_jsonl
+from touchtrace.cli import load_config
 from touchtrace.gestures import (
     CONTACT_BEGIN,
     CONTACT_END,
@@ -16,7 +17,6 @@ from touchtrace.gestures import (
     GestureConfig,
     GestureDetector,
     GestureEvent,
-    load_gesture_config,
     run_detector,
     write_events_jsonl,
 )
@@ -308,10 +308,10 @@ def test_gesture_config_file_with_texture_profiles(tmp_path):
         "jeans.tap_move_limit_counts=8\n"
         "wood.tap_squal=35\n"
     )
-    jeans = load_gesture_config(path, "jeans")
+    jeans = load_config(path, GestureConfig, "jeans")
     assert jeans.contact_squal == 12
     assert jeans.tap_move_limit_counts == 8
-    wood = load_gesture_config(path, "wood")
+    wood = load_config(path, GestureConfig, "wood")
     assert wood.tap_squal == 35
     assert wood.tap_move_limit_counts == GestureConfig().tap_move_limit_counts
 
@@ -322,7 +322,7 @@ def test_gesture_config_checks_lines_of_every_texture(tmp_path, texture, line):
     path = tmp_path / "gestures.cfg"
     path.write_text(f"contact_squal=12\n{line}\n")
     with pytest.raises(ValueError, match=":2: (.*bogus_key|invalid literal|unknown texture 'mousepda')"):
-        load_gesture_config(path, texture)
+        load_config(path, GestureConfig, texture)
 
 
 def test_gesture_config_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import angle_between
+from touchtrace.cli import load_config
 from touchtrace.geom import (
     EX,
     EY,
@@ -25,7 +26,6 @@ from touchtrace.orientation import (
     batch_step,
     initial_batch,
     initial_state,
-    load_filter_config,
     predict,
     triad_orientation,
     update_accel,
@@ -266,7 +266,7 @@ def test_filter_config_file_round_trip(tmp_path):
     cfg = FilterConfig(accel_noise=0.123, mag_reference=Vec3(0.25, -0.01, -0.39))
     path = tmp_path / "filter.cfg"
     path.write_text("accel_noise=0.123\nmag_reference=0.25,-0.01,-0.39\n")
-    loaded = load_filter_config(path)
+    loaded = load_config(path, FilterConfig)
     assert loaded == cfg
 
 
@@ -274,7 +274,7 @@ def test_filter_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "filter.cfg"
     path.write_text("bogus_key=1.0\n")
     with pytest.raises(ValueError, match="bogus_key"):
-        load_filter_config(path)
+        load_config(path, FilterConfig)
 
 
 def test_filter_config_validation():
