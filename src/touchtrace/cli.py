@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .evaluate import TrajectoryMismatchError, evaluate_trial, summarize_campaign, write_summary
+from .evaluate import evaluate_trial, summarize_campaign, write_summary
 from .geom import Vec3
 from .gestures import GestureConfig, write_events_jsonl
 from .interaction import MountMode
@@ -172,7 +172,7 @@ def cmd_eval(args) -> int:
     truth = read_csv(args.truth)
     try:
         trial = evaluate_trial(None, pred, truth)
-    except TrajectoryMismatchError as exc:
+    except ValueError as exc:
         raise ValueError(f"{args.pred} vs {args.truth}: {exc}") from exc
     if args.out:
         Path(args.out).write_text(trial.metrics_json() + "\n", encoding="utf-8")
@@ -199,9 +199,10 @@ def cmd_campaign(args) -> int:
     results = [None] * len(specs)
     for i, replayed in replay_lockstep(streams):  # score and write each trial as it ends
         trial_dir = root / dirs[i]
+        truth = read_csv(trial_dir / "truth.csv")
         try:
-            results[i] = evaluate_trial(specs[i], replayed.pointer, read_csv(trial_dir / "truth.csv"))
-        except TrajectoryMismatchError as exc:
+            results[i] = evaluate_trial(specs[i], replayed.pointer, truth)
+        except ValueError as exc:
             raise ValueError(f"{dirs[i]}: {exc}") from exc
         (trial_dir / "metrics.json").write_text(results[i].metrics_json() + "\n", encoding="utf-8")
     summary = summarize_campaign(results)

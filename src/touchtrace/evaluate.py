@@ -1,10 +1,12 @@
 """Accuracy metrics, per-cell aggregation and one-way ANOVA.
 
-The device reports only relative position, so predicted trajectories
-are aligned to ground truth by translating the first sample onto it;
-no rotation or scale correction is ever applied. Position error is
-then the per-sample 3D Euclidean distance, orientation error the angle
-between the finger-forward axes.
+``evaluate_trials`` scores in one pass: it checks that prediction and
+truth share their timestamps, aligns, and measures. The device reports
+only relative position, so predicted trajectories are aligned to ground
+truth by translating the first sample onto it; no rotation or scale
+correction is ever applied. Position error is then the per-sample 3D
+Euclidean distance, orientation error the angle between the
+finger-forward axes R(q)·x̂.
 
 Per-trial statistics use the population sigma; the ANOVA uses the
 classical between/within mean squares with the p-value taken from the
@@ -20,53 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import quat_matrices
+from .geom import EX, rotate_vectors
 from .simulate import SHAPE_NAMES, SIZES_MM, TEXTURE_NAMES, REPS, TrialSpec
 from .trajectory import Trajectory
-
-
-class TrajectoryMismatchError(ValueError):
-    pass
-
-
-def _check_lengths(pred: Trajectory, truth: Trajectory) -> None:
-    if len(pred) != len(truth):
-        raise TrajectoryMismatchError(
-            f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}"
-        )
-
-
-def align(pred: Trajectory, truth: Trajectory) -> Trajectory:
-    """Translate each pred trial so its first sample coincides with truth's first."""
-    _check_lengths(pred, truth)
-    if len(pred) == 0:
-        raise TrajectoryMismatchError("cannot align empty trajectories")
-    mismatch = pred.t_ms != truth.t_ms
-    if mismatch.any():
-        at = np.unravel_index(np.argmax(mismatch), mismatch.shape)
-        raise TrajectoryMismatchError(
-            f"timestamp mismatch at sample {at[-1]}: pred {pred.t_ms[at]} ms vs truth {truth.t_ms[at]} ms"
-        )
-    offset = truth.pos_mm[..., :1, :] - pred.pos_mm[..., :1, :]
-    return Trajectory(pred.t_ms.copy(), pred.pos_mm + offset, pred.quat.copy())
-
-
-def position_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float, np.ndarray]:
-    """(mean mm, population sigma mm, per-sample series), per trial of a stack."""
-    _check_lengths(pred, truth)
-    series = np.linalg.norm(pred.pos_mm - truth.pos_mm, axis=-1)
-    return series.mean(axis=-1), series.std(axis=-1), series
-
-
-def orientation_error(pred: Trajectory, truth: Trajectory) -> tuple[float, float, np.ndarray]:
-    """(mean deg, population sigma deg, per-sample series) of forward axes,
-    per trial of a stack."""
-    _check_lengths(pred, truth)
-    fa = quat_matrices(pred.quat)[..., 0]
-    fb = quat_matrices(truth.quat)[..., 0]
-    dots = np.clip(np.einsum("...i,...i->...", fa, fb), -1.0, 1.0)
-    series = np.degrees(np.arccos(dots))
-    return series.mean(axis=-1), series.std(axis=-1), series
 
 
 @dataclass(frozen=True)
@@ -91,12 +49,26 @@ class TrialResult:
 
 
 def evaluate_trials(specs: list[TrialSpec | None], pred: Trajectory, truth: Trajectory) -> list[TrialResult]:
-    """``evaluate_trial`` on each trial of a stack; every statistic runs
-    along one trial's frames, so no result depends on the others."""
-    aligned = align(pred, truth)
-    pos_mean, pos_sigma, _ = position_error(aligned, truth)
-    ori_mean, ori_sigma, _ = orientation_error(aligned, truth)
-    stats = (np.reshape(v, -1).tolist() for v in (pos_mean, pos_sigma, ori_mean, ori_sigma))
+    """Check, align and score each trial of a stack in one pass; every
+    statistic runs along one trial's frames, so no result depends on the others."""
+    if len(pred) != len(truth):
+        raise ValueError(
+            f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}"
+        )
+    if len(pred) == 0:
+        raise ValueError("cannot align empty trajectories")
+    mismatch = pred.t_ms != truth.t_ms
+    if mismatch.any():
+        at = np.unravel_index(np.argmax(mismatch), mismatch.shape)
+        raise ValueError(
+            f"timestamp mismatch at sample {at[-1]}: pred {pred.t_ms[at]} ms vs truth {truth.t_ms[at]} ms"
+        )
+    aligned = pred.pos_mm + (truth.pos_mm[..., :1, :] - pred.pos_mm[..., :1, :])
+    pos_err = np.linalg.norm(aligned - truth.pos_mm, axis=-1)
+    fa, fb = (rotate_vectors(q.reshape(-1, 4), EX.as_tuple()) for q in (pred.quat, truth.quat))
+    dots = np.clip(np.einsum("...i,...i->...", fa, fb), -1.0, 1.0).reshape(pred.t_ms.shape)
+    ori_err = np.degrees(np.arccos(dots))
+    stats = (np.reshape(v, -1).tolist() for err in (pos_err, ori_err) for v in (err.mean(axis=-1), err.std(axis=-1)))
     return [TrialResult(spec, *values, len(truth)) for spec, *values in zip(specs, *stats, strict=True)]
 
 

@@ -217,7 +217,6 @@ class GestureDetector:
             tap_complete = (
                 self._tap_alive
                 and self._peak_squal >= cfg.tap_squal
-                and t - self._onset_t <= cfg.tap_window_ms
             )
             self._emit(out, GestureEvent(CONTACT_END, t, self._cum_x, self._cum_y))
             if tap_complete:

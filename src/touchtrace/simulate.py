@@ -24,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import _DEG, EY, MAG_FIELD_WORLD, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
+from .geom import (
+    _DEG, EY, GRAVITY_WORLD, MAG_FIELD_WORLD, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
+)
 from .gestures import GestureConfig
 from .protocol import FrameColumns, ScaleConfig, SensorFrame
 from .trajectory import Trajectory
@@ -116,6 +118,10 @@ class TrialSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tilt_deg", "rate_hz", "speed_mm_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.texture not in TEXTURE_NAMES:
@@ -284,7 +290,7 @@ def synthesize_group(
     dt_s = np.diff(truth.t_ms, axis=-1) / 1000.0
     dt_s[dt_s <= 0] = 1.0 / 50.0
     gyro[..., 1:, :] = quat_relative_rotvec(truth.quat) / dt_s[..., None] / _DEG
-    accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in ([0.0, 0.0, -1.0], MAG_FIELD_WORLD.as_tuple()))
+    accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in (GRAVITY_WORLD.as_tuple(), MAG_FIELD_WORLD.as_tuple()))
 
     imu = np.concatenate([accel + accel_noise, gyro + bias[..., None, :] + gyro_noise, mag + mag_noise], axis=-1)
     imu_raw = np.clip(np.rint(imu / scales.imu_units), -32768, 32767).astype(np.int16)

@@ -259,9 +259,11 @@ def _set_field(name, value):
     [_drop_dir, lambda p, _: {"campaign_seed": 6, "noise": "zero"}, _set_field("rep", "1"), lambda p, _: p["trials"],
      _set_field("speed_mm_s", float("inf")),  # json writes Infinity
      _set_dir(5), _set_dir(str), _set_dir("../elsewhere"), _set_dir("a/../../elsewhere"),
-     _set_field("rep", 1.5), _set_field("rep", True), _set_field("seed", 2.5)],
+     _set_field("rep", 1.5), _set_field("rep", True), _set_field("seed", 2.5),
+     _set_field("tilt_deg", True), _set_field("rate_hz", True), _set_field("speed_mm_s", True)],
     ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number",
-         "dir-absolute", "dir-parent", "dir-parent-inside", "rep-as-float", "rep-as-bool", "seed-as-float"],
+         "dir-absolute", "dir-parent", "dir-parent-inside", "rep-as-float", "rep-as-bool", "seed-as-float",
+         "tilt-as-bool", "rate-as-bool", "speed-as-bool"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     import shutil

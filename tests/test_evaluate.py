@@ -7,15 +7,11 @@ import pytest
 from conftest import MIXED_SPECS
 from touchtrace.evaluate import (
     AnovaResult,
-    TrajectoryMismatchError,
     TrialResult,
     _betainc,
-    align,
     evaluate_trial,
     evaluate_trials,
     one_way_anova,
-    orientation_error,
-    position_error,
     summarize_campaign,
 )
 from touchtrace.pipeline import replay_lockstep
@@ -35,39 +31,39 @@ def traj(n=10, offset=(0.0, 0.0, 0.0), yaw_deg=0.0):
 
 def test_align_identity():
     a = traj()
-    out = align(a, a)
-    assert np.allclose(out.pos_mm, a.pos_mm)
+    r = evaluate_trial(None, a, a)
+    assert r.mean_pos_err_mm == 0.0 and r.pos_err_sigma == 0.0
 
 
 def test_align_removes_constant_offset():
     truth = traj()
     pred = traj(offset=(1.0, 0.0, 0.0))
-    aligned = align(pred, truth)
-    assert np.allclose(aligned.pos_mm, truth.pos_mm)
+    r = evaluate_trial(None, pred, truth)
+    assert r.mean_pos_err_mm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_align_keeps_drift():
-    truth = traj()
-    pred = traj()
+    n = 10
+    truth = traj(n)
+    pred = traj(n)
     pred.pos_mm[5:, 1] += 2.0  # drift after t0 must survive alignment
-    aligned = align(pred, truth)
-    assert np.allclose(aligned.pos_mm[:5], truth.pos_mm[:5])
-    assert np.allclose(aligned.pos_mm[5:, 1] - truth.pos_mm[5:, 1], 2.0)
+    r = evaluate_trial(None, pred, truth)
+    assert r.mean_pos_err_mm == pytest.approx(2.0 * (n - 5) / n)
 
 
 def test_align_timestamp_mismatch_raises():
     truth = traj()
     pred = traj()
     pred.t_ms[3] += 1
-    with pytest.raises(TrajectoryMismatchError, match="sample 3"):
-        align(pred, truth)
+    with pytest.raises(ValueError, match="sample 3"):
+        evaluate_trial(None, pred, truth)
 
 
 def test_position_error_identical():
     a = traj()
-    mean, sigma, series = position_error(a, a)
-    assert mean == 0.0 and sigma == 0.0
-    assert np.all(series == 0)
+    r = evaluate_trial(None, a, a)
+    assert r.mean_pos_err_mm == 0.0 and r.pos_err_sigma == 0.0
+    assert r.n_samples == len(a)
 
 
 def test_position_error_offset_after_alignment():
@@ -75,30 +71,29 @@ def test_position_error_offset_after_alignment():
     truth = traj(n)
     pred = traj(n)
     pred.pos_mm[1:, 0] += 1.0
-    aligned = align(pred, truth)
-    mean, _, _ = position_error(aligned, truth)
-    assert mean == pytest.approx((n - 1) / n)
+    r = evaluate_trial(None, pred, truth)
+    assert r.mean_pos_err_mm == pytest.approx((n - 1) / n)
 
 
 def test_position_error_symmetric():
     a = traj()
     b = traj()
     b.pos_mm[:, 1] += np.linspace(0, 2, len(b))
-    assert position_error(a, b)[0] == pytest.approx(position_error(b, a)[0])
+    assert evaluate_trial(None, a, b).mean_pos_err_mm == pytest.approx(evaluate_trial(None, b, a).mean_pos_err_mm)
 
 
 def test_orientation_error_identical_and_offset():
     a = traj()
-    assert orientation_error(a, a)[0] == 0.0
+    assert evaluate_trial(None, a, a).mean_ori_err_deg == 0.0
     b = traj(yaw_deg=90.0)
-    mean, sigma, _ = orientation_error(a, b)
-    assert mean == pytest.approx(90.0, abs=1e-9)
-    assert sigma == pytest.approx(0.0, abs=1e-9)
+    r = evaluate_trial(None, a, b)
+    assert r.mean_ori_err_deg == pytest.approx(90.0, abs=1e-9)
+    assert r.ori_err_sigma == pytest.approx(0.0, abs=1e-9)
 
 
 def test_length_mismatch_raises():
-    with pytest.raises(TrajectoryMismatchError):
-        position_error(traj(5), traj(6))
+    with pytest.raises(ValueError, match="^sample count mismatch: pred has 5, truth has 6$"):
+        evaluate_trial(None, traj(5), traj(6))
 
 
 def test_anova_hand_computed_fixture():
@@ -271,7 +266,7 @@ def test_group_scoring_names_a_timestamp_mismatch_in_any_trial():
     truth = Trajectory.stack([traj(), traj(offset=(1.0, 0.0, 0.0))])
     pred = Trajectory.stack([traj(), traj()])
     pred.t_ms[1, 3] += 1
-    with pytest.raises(TrajectoryMismatchError, match="^timestamp mismatch at sample 3: pred 61 ms vs truth 60 ms$"):
+    with pytest.raises(ValueError, match="^timestamp mismatch at sample 3: pred 61 ms vs truth 60 ms$"):
         evaluate_trials([None, None], pred, truth)
 
 

@@ -196,6 +196,18 @@ def test_vector_rotation_is_bitwise_equal_on_floats_and_arrays():
             assert rotate_vector(UnitQuat(*q[k]), Vec3(*v)).as_tuple() == tuple(rows[k])
 
 
+@given(st.lists(unit_quats, min_size=1, max_size=20))
+def test_rotating_x_equals_the_first_matrix_column_bit_for_bit(quats):
+    # the scorer's forward axes: building column 0 alone loses no bit, unless a product of
+    # two components is subnormal, where 2 * (a * b) and a * (2 * b) round apart
+    q = np.array([u.as_tuple() for u in quats])
+    axes, column = rotate_vectors(q, (1.0, 0.0, 0.0)), quat_matrices(q)[:, :, 0]
+    products = np.abs(q[:, :, None] * q[:, None, :])
+    normal = ~((products > 0) & (products < 2 * np.finfo(float).tiny)).any(axis=(1, 2))
+    assert np.array_equal(axes[normal], column[normal])
+    assert np.allclose(axes, column, rtol=0.0, atol=1e-300)
+
+
 def test_quaternion_array_helpers_run_along_the_frame_axis_bit_for_bit():
     rng = np.random.default_rng(7)
     stacks = [_random_quats(rng, 4 * 30).reshape(4, 30, 4)]  # random signs: midpoints flip some

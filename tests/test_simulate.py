@@ -268,6 +268,10 @@ def test_trial_spec_validation():
     for field, value in (("size_mm", 21.0), ("rep", 1.5), ("rep", True), ("seed", 2.5), ("seed", "7")):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             dataclasses.replace(spec_for(), **{field: value})
+    for field, value in (("tilt_deg", True), ("rate_hz", np.bool_(True)), ("speed_mm_s", "30")):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+            dataclasses.replace(spec_for(), **{field: value})
+    assert spec_for(tilt=np.float32(7.5)).tilt_deg == 7.5 and spec_for(tilt=np.int64(3)).tilt_deg == 3
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         spec_for(seed=-1)
     assert spec_for(size=np.int64(21), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
