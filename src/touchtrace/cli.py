@@ -197,7 +197,7 @@ def cmd_campaign(args) -> int:
             raise ValueError(f"{rel}: no frames decoded")
         streams.append(columns)
     results = [None] * len(specs)
-    for i, replayed in replay_lockstep(streams):  # score and write each trial as it ends
+    for i, replayed in enumerate(replay_lockstep(streams)):  # score and write each trial in manifest order
         trial_dir = root / dirs[i]
         truth = read_csv(trial_dir / "truth.csv")
         try:

@@ -8,9 +8,9 @@ correction is ever applied. Position error is then the per-sample 3D
 Euclidean distance, orientation error the angle between the
 finger-forward axes R(q)·x̂.
 
-Per-trial statistics use the population sigma; the ANOVA uses the
-classical between/within mean squares with the p-value taken from the
-F survival function (a regularized incomplete beta, computed here).
+Per-trial statistics use the population sigma; the ANOVA across the
+three textures uses the classical between/within mean squares and the
+closed form of the F survival function at two between-group dfs.
 """
 
 from __future__ import annotations
@@ -77,36 +77,6 @@ def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) 
     return evaluate_trials([spec], pred, truth)[0]
 
 
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
-
-    I_x(a, 1) = x**a. Otherwise the continued fraction of Numerical Recipes (3rd ed.,
-    sec. 6.4) by the modified Lentz method, taken through I_x(a, b) = 1 - I_{1-x}(b, a)
-    for x > (a + 1) / (a + b + 2), where it would converge slowly.
-    """
-    if x <= 0.0 or x >= 1.0:
-        return 0.0 if x <= 0.0 else 1.0
-    if b == 1.0:
-        return x**a
-    flip = x > (a + 1.0) / (a + b + 2.0)
-    if flip:
-        a, b, x = b, a, 1.0 - x
-    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
-    c, d, f = 1.0, 0.0, 1.0
-    for m in range(1000):
-        for term in (-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
-                     (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))):
-            d = 1.0 + term * d
-            d = 1.0 / (d if abs(d) > 1e-300 else 1e-300)
-            c = 1.0 + term / c
-            c = c if abs(c) > 1e-300 else 1e-300
-            f *= c * d
-        if abs(c * d - 1.0) <= math.ulp(1.0):
-            p = math.exp(log_front) / (a * f)
-            return 1.0 - p if flip else p
-    raise ArithmeticError(f"I_{x}({a}, {b}) did not converge in 1000 terms")
-
-
 @dataclass(frozen=True)
 class AnovaResult:
     F: float
@@ -116,21 +86,23 @@ class AnovaResult:
 
 
 def one_way_anova(groups) -> AnovaResult:
-    """Classical one-way F test over two or more groups of observations.
+    """Classical one-way F test over three groups of observations.
 
-    F = MSB / MSW; p = survival of F(df_between, df_within), computed via
-    the regularized incomplete beta. Completely degenerate input (every
-    observation identical) yields F = 0, p = 1.
+    F = MSB / MSW; p = survival of F(2, df_within), which is exactly
+    x ** (df_within / 2) at x = df_within / (df_within + 2 F). Completely
+    degenerate input (every observation identical) yields F = 0, p = 1.
     """
     groups = [np.asarray(g, dtype=float) for g in groups]
-    if len(groups) < 2 or any(len(g) < 2 for g in groups):
-        raise ValueError("one_way_anova needs >= 2 groups with >= 2 values each")
+    if len(groups) != 3:
+        raise ValueError(f"one_way_anova needs 3 groups, got {len(groups)}")
+    if any(len(g) < 2 for g in groups):
+        raise ValueError("one_way_anova needs >= 2 values in each group")
     n_total = sum(len(g) for g in groups)
     grand = sum(float(g.sum()) for g in groups) / n_total
     ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
     ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
-    df_b = len(groups) - 1
-    df_w = n_total - len(groups)
+    df_b = 2
+    df_w = n_total - 3
     msb = ssb / df_b
     msw = ssw / df_w
     if msw == 0.0:
@@ -138,7 +110,7 @@ def one_way_anova(groups) -> AnovaResult:
             return AnovaResult(F=0.0, df_between=df_b, df_within=df_w, p=1.0)
         return AnovaResult(F=math.inf, df_between=df_b, df_within=df_w, p=0.0)
     f = msb / msw
-    p = _betainc(df_w / 2.0, df_b / 2.0, df_w / (df_w + df_b * f))
+    p = (df_w / (df_w + 2 * f)) ** (df_w / 2)
     return AnovaResult(F=f, df_between=df_b, df_within=df_w, p=p)
 
 

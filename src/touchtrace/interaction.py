@@ -41,6 +41,8 @@ class MountMode(str, Enum):
 
 FINGERTIP_COMPENSATION = axis_angle_quat(EY, 90.0)
 _FINGERTIP = np.array(FINGERTIP_COMPENSATION.as_tuple())
+STROKE_GAIN_DEG_PER_MM = 1.0  # end-of-stroke rotation per mm drawn
+STROKE_DEAD_ZONE_MM = 1.0  # strokes this short or shorter rotate nothing
 
 
 def derive_plane(q: UnitQuat, mode: MountMode) -> PlaneBasis:
@@ -89,24 +91,19 @@ class StrokeAccumulator:
         self.in_plane_vector = v
 
 
-def end_stroke_rotation(
-    stroke: StrokeAccumulator | Vec3,
-    plane: PlaneBasis,
-    gain_deg_per_mm: float = 1.0,
-    dead_zone_mm: float = 1.0,
-) -> Rotation | None:
+def end_stroke_rotation(stroke: StrokeAccumulator, plane: PlaneBasis) -> Rotation | None:
     """Rotation from a drawn stroke: angle = gain * length, axis = n x d.
 
     The axis lies in the plane, perpendicular to the drawn vector;
     reversing the stroke flips the rotation direction about the same
     axis line. Strokes inside the dead zone produce no rotation.
     """
-    d = stroke.in_plane_vector if isinstance(stroke, StrokeAccumulator) else stroke
+    d = stroke.in_plane_vector
     length = d.norm()
-    if length <= dead_zone_mm:
+    if length <= STROKE_DEAD_ZONE_MM:
         return None
     axis = plane.n.cross(d.scale(1.0 / length)).normalized()
-    return Rotation(axis=axis, angle_deg=gain_deg_per_mm * length)
+    return Rotation(axis=axis, angle_deg=STROKE_GAIN_DEG_PER_MM * length)
 
 
 # -- scene model and ray casting -------------------------------------------

@@ -16,17 +16,16 @@ every stream still running, with no gesture detection. Both end in the
 same tail, ``interaction.pointer_track`` (which alone knows the touch
 plane and the mount rule), and package the result. The campaign runners
 (``run_campaign`` and the CLI's ``campaign``) push every trial through
-the lockstep path, bytes included, and score it once its stream ends,
-so their numbers measure the whole stack, not a shortcut. The in-memory
-runner synthesizes each grid cell's trials as one stack and scores them
-as one when their equal-length streams end; no float operation mixes
-trials, so no result depends on its cell or its batch. A campaign runs
-in one process.
+the lockstep path, bytes included, so their numbers measure the whole
+stack, not a shortcut; its results come back in input order after the
+last step. The in-memory runner synthesizes and scores each grid cell's
+trials as one stack; no float operation mixes trials, so no result
+depends on its cell or its batch. A campaign runs in one process.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,21 +116,21 @@ def replay_bytes(
 
 def replay_lockstep(
     streams: Sequence[FrameColumns], config: ReplayConfig | None = None
-) -> Iterator[tuple[int, ReplayResult]]:
-    """Replay many streams at once; yield ``(index, result)`` as each ends.
+) -> list[ReplayResult]:
+    """Replay many streams at once; one result per stream, in input order.
 
     Each result equals ``replay_frames`` on that stream's frames to float
     rounding, except that no gestures are detected (``events`` is empty).
     Streams are run longest first, so the streams still running at sample
-    index k are a prefix of the batch; results come out shortest first.
-    Raises ValueError on an empty stream or a backward timestamp, as
-    ``replay_frames`` does.
+    index k are a prefix of the batch; the results are built after the
+    last step. Raises ValueError on an empty stream or a backward
+    timestamp, as ``replay_frames`` does.
     """
     config = config or ReplayConfig(with_gestures=False)
     if config.with_gestures:
         raise ValueError("lockstep replay detects no gestures; use replay_frames")
     if not streams:
-        return
+        return []
     for columns in streams:
         _check_timestamps(columns.t_ms)
     lengths = np.array([len(c) for c in streams], dtype=np.int64)
@@ -147,22 +146,19 @@ def replay_lockstep(
     first = imu_raw[starts] * units
     state = initial_batch(config.filter_config, first[:, 0:3], first[:, 6:9])
     quat[starts] = state.q
-    running = len(order)
-    for k in range(1, int(lengths[0]) + 1):
+    for k in range(1, int(lengths[0])):
         n = int(np.searchsorted(-lengths, -k, side="left"))  # streams longer than k
-        for j in range(n, running):
-            rows = slice(starts[j], starts[j] + lengths[j])
-            yield int(order[j]), _replayed(
-                t_ms[rows], dxdy[rows], quat[rows].copy(), config, [], state.diagnostics(j)
-            )
-        running = n
-        if n == 0:
-            break
         rows = starts[:n] + k  # sample k of each stream still running
         imu = imu_raw[rows] * units
         dt = (t_ms[rows] - t_ms[rows - 1]) / 1000.0
         batch_step(state, config.filter_config, dt, imu[:, 3:6], imu[:, 0:3], imu[:, 6:9])
         quat[rows] = state.q[:n]
+
+    results: list[ReplayResult] = [None] * len(order)  # type: ignore[list-item]
+    for j, i in enumerate(order.tolist()):
+        rows = slice(starts[j], starts[j] + lengths[j])
+        results[i] = _replayed(t_ms[rows], dxdy[rows], quat[rows], config, [], state.diagnostics(j))
+    return results
 
 
 def _check_timestamps(t_ms: np.ndarray) -> None:
@@ -189,26 +185,28 @@ def run_trials(
     """
     config = config or ReplayConfig(with_gestures=False)
     cells = group_by_cell(specs)
+    replayed = replay_lockstep(_wire_streams(specs, cells, noise_preset, config.scales), config)
+    results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
+    for cell in cells:
+        # truth is a pure function of the specs: rebuild it rather than keep it
+        group = [specs[i] for i in cell]
+        pred = Trajectory.stack([replayed[i].pointer for i in cell])
+        for i, result in zip(cell, evaluate_trials(group, pred, gen_trajectories(group))):
+            results[i] = result
+    return results
+
+
+def _wire_streams(
+    specs: list[TrialSpec], cells: list[list[int]], noise_preset: str, scales: ScaleConfig
+) -> list[FrameColumns]:
+    """Each trial's frames as decoded from its own wire bytes, synthesized a grid cell at a time."""
     streams: list[FrameColumns] = [None] * len(specs)  # type: ignore[list-item]
     for cell in cells:
         group = [specs[i] for i in cell]
-        blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]), config.scales)[1]
+        blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]), scales)[1]
         for i, block in zip(cell, blocks):
             streams[i] = decode_columns(encode_frames(block))[0]
-    cell_of = {i: cell for cell in cells for i in cell}
-    pointers: dict[int, Trajectory] = {}
-    results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
-    replayed_trials = replay_lockstep(streams, config)
-    del streams  # the runner frees the columns once it has packed them
-    for i, replayed in replayed_trials:
-        pointers[i] = replayed.pointer
-        if all(j in pointers for j in cell_of[i]):
-            # truth is a pure function of the specs: rebuild it rather than keep it
-            group = [specs[j] for j in cell_of[i]]
-            pred = Trajectory.stack([pointers.pop(j) for j in cell_of[i]])
-            for j, result in zip(cell_of[i], evaluate_trials(group, pred, gen_trajectories(group))):
-                results[j] = result
-    return results
+    return streams
 
 
 def run_campaign(

@@ -254,9 +254,6 @@ def synthesize_group(
     """
     scales = scales or ScaleConfig()
     n = len(truth)
-    if n == 0:
-        return [FrameColumns.of([]) for _ in rngs]
-
     rot = quat_matrices(truth.quat)
     dp = np.diff(truth.pos_mm, axis=-2)
     mid = quat_matrices(quat_midpoints(truth.quat))

@@ -8,7 +8,6 @@ from conftest import MIXED_SPECS
 from touchtrace.evaluate import (
     AnovaResult,
     TrialResult,
-    _betainc,
     evaluate_trial,
     evaluate_trials,
     one_way_anova,
@@ -119,9 +118,9 @@ def test_anova_translation_and_scale_invariance():
     assert one_way_anova(scaled).F == pytest.approx(f0, abs=1e-9)
 
 
-@pytest.mark.parametrize("groups", [2, 3, 5])
+@pytest.mark.parametrize("groups", [3])
 def test_anova_p_monotone_in_f(groups):
-    """p must fall as F rises for fixed dfs (three groups take the closed form)."""
+    """p must fall as F rises for fixed dfs."""
     results = [one_way_anova([[j * k, j * k + 1, j * k + 2, j * k + 4] for j in range(groups)])
                for k in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)]
     assert results[0].F == 0.0 and results[0].p == 1.0
@@ -137,30 +136,15 @@ def test_anova_three_groups_p_is_the_closed_form():
         assert res.p == x ** (res.df_within / 2)
 
 
-def test_betainc_edges():
-    with pytest.raises(ArithmeticError, match="did not converge in 1000 terms"):
-        _betainc(1e8, 1e8, 0.5)  # needs about sqrt(a) terms
-    assert _betainc(3.0, 0.5, 0.0) == 0.0
-    assert _betainc(3.0, 0.5, 1.0) == 1.0
-    assert _betainc(0.5, 3.0, 1e-300) == pytest.approx(0.0, abs=1e-140)
-    assert 0.0 < _betainc(0.5, 3.0, 1e-300) < _betainc(0.5, 3.0, 1e-299)
-    assert _betainc(3.0, 0.5, 1.0 - 1e-15) == pytest.approx(1.0, abs=1e-6)
-    assert _betainc(3.0, 0.5, 1.0 - 1e-15) < 1.0
+def test_anova_extreme_f():
     assert 0.0 < one_way_anova([[0, 1], [1e8, 1e8 + 1], [2e8, 2e8 + 1]]).p < 1e-20
     assert one_way_anova([[0, 2], [1e-12, 2], [0, 2 + 1e-12]]).p == 1.0
 
 
-def test_betainc_matches_scipy():
-    special = pytest.importorskip("scipy.special")
-    for df_b in range(1, 20):
-        for df_w in np.unique(np.geomspace(2, 5000, 25).round().astype(int)):
-            for f in np.geomspace(1e-6, 1e4, 21):
-                a, b, x = df_w / 2, df_b / 2, float(df_w / (df_w + df_b * f))
-                # Near the underflow threshold scipy keeps fewer digits than
-                # this code (checked against mpmath), so the bound is absolute there.
-                assert _betainc(a, b, x) == pytest.approx(
-                    special.betainc(a, b, x), rel=1e-10, abs=1e-290
-                ), (df_b, df_w, f)
+@pytest.mark.parametrize("count", [2, 4])
+def test_anova_takes_exactly_three_groups(count):
+    with pytest.raises(ValueError, match=f"^one_way_anova needs 3 groups, got {count}$"):
+        one_way_anova([[k, k + 1.0, k + 3.0] for k in range(count)])
 
 
 def test_anova_validates_input():
@@ -168,6 +152,8 @@ def test_anova_validates_input():
         one_way_anova([[1, 2]])
     with pytest.raises(ValueError):
         one_way_anova([[1], [2]])
+    with pytest.raises(ValueError, match="^one_way_anova needs >= 2 values in each group$"):
+        one_way_anova([[1, 2], [3], [4, 5]])
 
 
 def _fake_results(campaign_seed=1):
@@ -255,7 +241,7 @@ def test_group_scoring_equals_groups_of_one(preset):
     for cell in group_by_cell(MIXED_SPECS):
         group = [MIXED_SPECS[i] for i in cell]
         truth, blocks = simulate_group(group, noise_for_preset(preset, TEXTURES[group[0].texture]))
-        replayed = dict(replay_lockstep(blocks))
+        replayed = replay_lockstep(blocks)
         pred = Trajectory.stack([replayed[k].pointer for k in range(len(group))])
         results = evaluate_trials(group, pred, truth)
         assert results == [evaluate_trial(spec, pred.trial(k), truth.trial(k)) for k, spec in enumerate(group)]

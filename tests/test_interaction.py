@@ -141,9 +141,16 @@ def test_pointer_track_equals_stepwise_projection(mode):
     assert not np.signbit(pos[pos == 0.0]).any()
 
 
+def drawn(d):
+    """A stroke that has drawn the in-plane vector ``d``."""
+    acc = StrokeAccumulator()
+    acc.in_plane_vector = d
+    return acc
+
+
 def test_stroke_rotation_along_u():
     plane = derive_plane(IDENTITY_QUAT, MountMode.FINGERPAD)
-    rot = end_stroke_rotation(Vec3(30.0, 0.0, 0.0), plane, gain_deg_per_mm=1.0)
+    rot = end_stroke_rotation(drawn(Vec3(30.0, 0.0, 0.0)), plane)
     assert rot is not None
     assert rot.angle_deg == pytest.approx(30.0)
     assert abs(rot.axis.dot(Vec3(30, 0, 0))) < 1e-9
@@ -155,8 +162,8 @@ def test_stroke_rotation_along_u():
 def test_stroke_reversed_flips_direction_same_axis_line():
     plane = derive_plane(axis_angle_quat(EY, 20.0), MountMode.FINGERPAD)
     d = plane.u.scale(14.0) + plane.v.scale(-3.0)
-    fwd = end_stroke_rotation(d, plane)
-    rev = end_stroke_rotation(d.scale(-1.0), plane)
+    fwd = end_stroke_rotation(drawn(d), plane)
+    rev = end_stroke_rotation(drawn(d.scale(-1.0)), plane)
     assert fwd is not None and rev is not None
     assert rev.axis.as_tuple() == pytest.approx(fwd.axis.scale(-1.0).as_tuple(), abs=1e-12)
     assert rev.angle_deg == pytest.approx(fwd.angle_deg)
@@ -164,7 +171,7 @@ def test_stroke_reversed_flips_direction_same_axis_line():
 
 def test_stroke_dead_zone():
     plane = derive_plane(IDENTITY_QUAT, MountMode.FINGERPAD)
-    assert end_stroke_rotation(Vec3(0.5, 0, 0), plane) is None
+    assert end_stroke_rotation(drawn(Vec3(0.5, 0, 0)), plane) is None
 
 
 def test_stroke_axis_orthogonality_random():

@@ -97,8 +97,8 @@ def test_lockstep_replay_matches_replay_frames():
     streams.append(streams[0][:1])
     for mount in MountMode:
         config = ReplayConfig(mount=mount, with_gestures=False)
-        got = dict(replay_lockstep([FrameColumns.of(f) for f in streams], config))
-        assert sorted(got) == list(range(len(streams)))
+        got = replay_lockstep([FrameColumns.of(f) for f in streams], config)
+        assert len(got) == len(streams)
         for i, frames in enumerate(streams):
             want = replay_frames(frames, config)
             assert np.array_equal(got[i].pointer.t_ms, want.pointer.t_ms)
@@ -106,6 +106,22 @@ def test_lockstep_replay_matches_replay_frames():
             np.testing.assert_allclose(got[i].pointer.pos_mm, want.pointer.pos_mm, rtol=0, atol=1e-9)
             assert got[i].filter_diagnostics == want.filter_diagnostics
             assert got[i].events == []
+
+
+def test_lockstep_results_come_back_in_input_order():
+    # mixed lengths, repeated and of one frame: the batch runs longest
+    # first, but result i is stream i's
+    _, a = simulate_trial(SPECS[85], noise_for_preset("default", TEXTURES[SPECS[85].texture]))
+    _, b = simulate_trial(SPECS[200], noise_for_preset("default", TEXTURES[SPECS[200].texture]))
+    streams = [a[:40], b[:1], a[:90], b[:40], a[:1], b[:90], a[:65]]
+    config = ReplayConfig(with_gestures=False)
+    got = replay_lockstep([FrameColumns.of(f) for f in streams], config)
+    assert isinstance(got, list) and len(got) == len(streams)
+    for result, frames in zip(got, streams):
+        want = replay_frames(frames, config)
+        assert np.array_equal(result.pointer.t_ms, want.pointer.t_ms)
+        np.testing.assert_allclose(result.pointer.quat, want.pointer.quat, rtol=0, atol=1e-12)
+        assert result.filter_diagnostics == want.filter_diagnostics
 
 
 def test_filter_paths_count_alike_on_faulted_streams():
@@ -126,7 +142,7 @@ def test_filter_paths_count_alike_on_faulted_streams():
     kernel = replay_columns(faulted, config)
     filt = OrientationFilter(config.filter_config)
     adapter = [filt.process(apply_scales(f, config.scales)).q.as_tuple() for f in faulted.frames()]
-    (_, lockstep), = replay_lockstep([faulted], config)
+    lockstep, = replay_lockstep([faulted], config)
 
     want = FilterDiagnostics(clamped_dt=2, gated_accel=5)
     assert kernel.filter_diagnostics == filt.diagnostics == lockstep.filter_diagnostics == want
@@ -171,7 +187,7 @@ def test_pointer_tracks_hold_no_negative_zero():
     _, frames = simulate_trial(spec, noise_for_preset("default", TEXTURES["jeans"]))
     for mount in MountMode:
         config = ReplayConfig(mount=mount, with_gestures=False)
-        (_, lockstep), = replay_lockstep([FrameColumns.of(frames)], config)
+        lockstep, = replay_lockstep([FrameColumns.of(frames)], config)
         for result in (replay_frames(frames, config), lockstep):
             pos = result.pointer.pos_mm
             assert not np.signbit(pos[pos == 0.0]).any(), mount
@@ -179,7 +195,7 @@ def test_pointer_tracks_hold_no_negative_zero():
 
 REPLAY_PATHS = {
     "frames": replay_frames,
-    "lockstep": lambda frames: list(replay_lockstep([FrameColumns.of(frames)])),
+    "lockstep": lambda frames: replay_lockstep([FrameColumns.of(frames)]),
 }
 
 
