@@ -28,7 +28,7 @@ from .gestures import GestureConfig, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig
 from .pipeline import ReplayConfig, replay_bytes, replay_lockstep
-from .protocol import decode_columns, write_trace
+from .protocol import FrameColumns, decode_columns, write_trace
 from .simulate import (
     GESTURE_KINDS,
     NOISE_PRESETS,
@@ -190,14 +190,8 @@ def cmd_campaign(args) -> int:
     if not manifest.exists():
         raise ValueError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
-    streams = []
-    for rel in dirs:
-        columns, _ = decode_columns((root / rel / "sensor.3dt").read_bytes())
-        if not len(columns):
-            raise ValueError(f"{rel}: no frames decoded")
-        streams.append(columns)
     results = [None] * len(specs)
-    for i, replayed in enumerate(replay_lockstep(streams)):  # score and write each trial in manifest order
+    for i, replayed in enumerate(replay_lockstep(_decoded(root, dirs))):  # score and write each trial in manifest order
         trial_dir = root / dirs[i]
         truth = read_csv(trial_dir / "truth.csv")
         try:
@@ -217,6 +211,18 @@ def cmd_campaign(args) -> int:
         f"df=({summary.anova.df_between},{summary.anova.df_within}) p={summary.anova.p:.4f}"
     )
     return 0
+
+
+def _decoded(root: Path, dirs: list[str]) -> list[FrameColumns]:
+    """Each trial's ``sensor.3dt`` under ``root``, decoded (a trial with no frame is an error),
+    as a temporary for ``replay_lockstep``, which frees the streams once it has packed them."""
+    streams = []
+    for rel in dirs:
+        columns, _ = decode_columns((root / rel / "sensor.3dt").read_bytes())
+        if not len(columns):
+            raise ValueError(f"{rel}: no frames decoded")
+        streams.append(columns)
+    return streams
 
 
 def cmd_gesture(args) -> int:

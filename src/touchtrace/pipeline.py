@@ -11,16 +11,17 @@ through the streaming filter, sample by sample on plain floats, then the
 gesture detector over the block's rows; it is the path of ``replay``
 (``replay_bytes``) and of the tests' sequential trial reference, and
 ``replay_frames`` is it on a list of frames. ``replay_lockstep`` runs
-many streams at once: one batched filter step per sample index across
-every stream still running, with no gesture detection. Both end in the
-same tail, ``interaction.pointer_track`` (which alone knows the touch
-plane and the mount rule), and package the result. The campaign runners
+many streams at once through ``orientation.filter_streams``, one
+batched filter step per sample index across every stream still running,
+with no gesture detection. Both end in the same tail,
+``interaction.pointer_track`` (which alone knows the touch plane and the
+mount rule), and package the result. The campaign runners
 (``run_campaign`` and the CLI's ``campaign``) push every trial through
 the lockstep path, bytes included, so their numbers measure the whole
-stack, not a shortcut; its results come back in input order after the
-last step. The in-memory runner synthesizes and scores each grid cell's
-trials as one stack; no float operation mixes trials, so no result
-depends on its cell or its batch. A campaign runs in one process.
+stack, not a shortcut; its results come back in input order. The
+in-memory runner synthesizes and scores each grid cell's trials as one
+stack; no float operation mixes trials, so no result depends on its cell
+or its batch. A campaign runs in one process.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .evaluate import CampaignSummary, TrialResult, evaluate_trials, summarize_campaign
 from .gestures import GestureConfig, GestureEvent, detect_rows
 from .interaction import MountMode, pointer_track
-from .orientation import FilterConfig, FilterDiagnostics, batch_step, filter_stream, initial_batch
+from .orientation import FilterConfig, FilterDiagnostics, filter_stream, filter_streams
 from .protocol import DecoderDiagnostics, FrameColumns, ScaleConfig, SensorFrame, decode_columns, encode_frames
 from .simulate import (
     CYLINDER_SHAPE,
@@ -75,12 +76,12 @@ def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None)
 
 
 def replay_columns(columns: FrameColumns, config: ReplayConfig | None = None) -> ReplayResult:
-    """``replay_frames`` on a frame block: the IMU is scaled once per block
-    and the streaming filter and the gesture detector read its rows."""
+    """``replay_frames`` on a frame block: the streaming filter and the
+    gesture detector read its rows."""
     config = config or ReplayConfig()
     t_ms = columns.t_ms
     _check_timestamps(t_ms)
-    quat, diagnostics = filter_stream(config.filter_config, t_ms, columns.imu_raw * config.scales.imu_units)
+    quat, diagnostics = filter_stream(config.filter_config, t_ms, columns.imu_raw, config.scales.imu_units)
     events = []
     if config.with_gestures:
         rows = zip(t_ms.tolist(), *columns.dxdy.T.tolist(), columns.squal.tolist())
@@ -121,10 +122,9 @@ def replay_lockstep(
 
     Each result equals ``replay_frames`` on that stream's frames to float
     rounding, except that no gestures are detected (``events`` is empty).
-    Streams are run longest first, so the streams still running at sample
-    index k are a prefix of the batch; the results are built after the
-    last step. Raises ValueError on an empty stream or a backward
-    timestamp, as ``replay_frames`` does.
+    The streams are packed back to back, filtered in lockstep by
+    ``filter_streams`` and split again. Raises ValueError on an empty
+    stream or a backward timestamp, as ``replay_frames`` does.
     """
     config = config or ReplayConfig(with_gestures=False)
     if config.with_gestures:
@@ -133,32 +133,15 @@ def replay_lockstep(
         return []
     for columns in streams:
         _check_timestamps(columns.t_ms)
-    lengths = np.array([len(c) for c in streams], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    packed = FrameColumns.concat([streams[i] for i in order])
-    t_ms, imu_raw, dxdy = packed.t_ms, packed.imu_raw, packed.dxdy
-    del streams, packed  # a caller that keeps no reference frees the streams here
-    units = config.scales.imu_units
-
-    quat = np.empty((len(t_ms), 4))
-    first = imu_raw[starts] * units
-    state = initial_batch(config.filter_config, first[:, 0:3], first[:, 6:9])
-    quat[starts] = state.q
-    for k in range(1, int(lengths[0])):
-        n = int(np.searchsorted(-lengths, -k, side="left"))  # streams longer than k
-        rows = starts[:n] + k  # sample k of each stream still running
-        imu = imu_raw[rows] * units
-        dt = (t_ms[rows] - t_ms[rows - 1]) / 1000.0
-        batch_step(state, config.filter_config, dt, imu[:, 3:6], imu[:, 0:3], imu[:, 6:9])
-        quat[rows] = state.q[:n]
-
-    results: list[ReplayResult] = [None] * len(order)  # type: ignore[list-item]
-    for j, i in enumerate(order.tolist()):
-        rows = slice(starts[j], starts[j] + lengths[j])
-        results[i] = _replayed(t_ms[rows], dxdy[rows], quat[rows], config, [], state.diagnostics(j))
-    return results
+    lengths = [len(c) for c in streams]
+    packed = FrameColumns.concat(streams)
+    del streams  # a caller that keeps no reference frees the streams here
+    quat, diagnostics = filter_streams(
+        config.filter_config, packed.t_ms, packed.imu_raw, config.scales.imu_units, lengths
+    )
+    bounds = np.cumsum(lengths)[:-1]
+    split = (np.split(a, bounds) for a in (packed.t_ms, packed.dxdy, quat))
+    return [_replayed(t_ms, dxdy, q, config, [], d) for t_ms, dxdy, q, d in zip(*split, diagnostics)]
 
 
 def _check_timestamps(t_ms: np.ndarray) -> None:

@@ -23,8 +23,7 @@ from touchtrace.orientation import (
     FilterConfig,
     FilterState,
     OrientationFilter,
-    batch_step,
-    initial_batch,
+    filter_streams,
     initial_state,
     predict,
     triad_orientation,
@@ -312,7 +311,7 @@ def ragged_stream(rng: np.random.Generator, length: int):
 
 
 def scalar_run(stream):
-    """Per-sample (q, bias) of the streaming filter, and its diagnostics."""
+    """Per-sample attitude of the streaming filter, and its diagnostics."""
     t_ms, gyro, accel, mag = stream
     filt = OrientationFilter(CFG)
     out = []
@@ -320,8 +319,7 @@ def scalar_run(stream):
         sample = CalibratedSample(
             int(t_ms[k]), 0, 0, 60, Vec3(*accel[k]), Vec3(*gyro[k]), Vec3(*mag[k])
         )
-        est = filt.process(sample)
-        out.append((est.q.as_tuple(), est.gyro_bias_dps.as_tuple()))
+        out.append(filt.process(sample).q.as_tuple())
     return out, filt.diagnostics
 
 
@@ -330,24 +328,15 @@ def scalar_run(stream):
     lengths=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_batch_step_equals_streaming_filter(lengths, seed):
+def test_filter_streams_equals_streaming_filter(lengths, seed):
+    # packed in the order drawn, so the lockstep sort meets unsorted lengths
     rng = np.random.default_rng(seed)
-    streams = [ragged_stream(rng, n) for n in sorted(lengths, reverse=True)]
-    expected = [scalar_run(s) for s in streams]
-
-    state = initial_batch(
-        CFG, np.array([s[2][0] for s in streams]), np.array([s[3][0] for s in streams])
-    )
-    for k in range(max(lengths)):
-        active = [s for s in streams if len(s[0]) > k]
-        n = len(active)
-        if k > 0:
-            dt = np.array([(s[0][k] - s[0][k - 1]) / 1000.0 for s in active])
-            gyro, accel, mag = (np.array([s[j][k] for s in active]) for j in (1, 2, 3))
-            batch_step(state, CFG, dt, gyro, accel, mag)
-        for i in range(n):
-            q, bias = expected[i][0][k]
-            np.testing.assert_allclose(state.q[i], q, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state.gyro_bias_dps[i], bias, rtol=0, atol=1e-12)
-    for i, (_, diagnostics) in enumerate(expected):
-        assert state.diagnostics(i) == diagnostics
+    streams = [ragged_stream(rng, n) for n in lengths]
+    t_ms = np.concatenate([s[0] for s in streams])
+    imu = np.concatenate([np.hstack((accel, gyro, mag)) for _, gyro, accel, mag in streams])
+    quat, diagnostics = filter_streams(CFG, t_ms, imu, np.ones(9), lengths)
+    assert len(diagnostics) == len(streams)
+    for stream, got, got_diagnostics in zip(streams, np.split(quat, np.cumsum(lengths)[:-1]), diagnostics):
+        expected, expected_diagnostics = scalar_run(stream)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert got_diagnostics == expected_diagnostics
