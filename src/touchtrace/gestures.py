@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .protocol import SQUAL_MAX
+
 CONTACT_BEGIN = "ContactBegin"
 CONTACT_END = "ContactEnd"
 TAP = "Tap"
@@ -48,10 +50,10 @@ class GestureConfig:
     press_hold_ms: int = 300
 
     def __post_init__(self) -> None:
-        if not 0 < self.contact_squal <= self.tap_squal <= 169:
-            raise ValueError("need 0 < contact_squal <= tap_squal <= 169")
-        if not self.contact_squal <= self.press_squal <= 169:
-            raise ValueError("need contact_squal <= press_squal <= 169")
+        if not 0 < self.contact_squal <= self.tap_squal <= SQUAL_MAX:
+            raise ValueError(f"need 0 < contact_squal <= tap_squal <= {SQUAL_MAX}")
+        if not self.contact_squal <= self.press_squal <= SQUAL_MAX:
+            raise ValueError(f"need contact_squal <= press_squal <= {SQUAL_MAX}")
         for name in ("tap_move_limit_counts", "doubletap_offset_counts"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -126,7 +128,7 @@ class GestureDetector:
         out.extend(self._holdback)
         self._holdback = []
 
-    def _candidate_may_pair(self, t_now: int) -> bool:
+    def _candidate_may_pair(self) -> bool:
         """Could the currently open contact still become the pairing tap?"""
         if not (self._in_contact and self._tap_alive):
             return False
@@ -168,7 +170,7 @@ class GestureDetector:
         # a withheld tap whose pairing window has lapsed becomes a plain Tap,
         # unless an open contact might still complete as the pairing tap
         if self._pending is not None and t - self._pending.onset_ms > cfg.doubletap_max_gap_ms:
-            if not self._candidate_may_pair(t):
+            if not self._candidate_may_pair():
                 self._flush_pending_as_tap(out)
 
         self._cum_x += dx

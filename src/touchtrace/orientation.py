@@ -245,16 +245,26 @@ def filter_stream(
 
     ``t_ms`` (n,) holds the timestamps and ``imu_raw`` (n, 9) the raw
     accel, gyro and mag channels of each sample, which ``units`` (9,)
-    scales to g, deg/s and gauss.
+    scales to g, deg/s and gauss. Raises ValueError, naming the sample,
+    where an extreme config divides by zero, overflows or gives NaN.
     """
     rows = (imu_raw * units).tolist()
-    q, bias, p = _unpacked(initial_state(cfg, Vec3(*rows[0][0:3]), Vec3(*rows[0][6:9])))
     diagnostics = FilterDiagnostics()
-    quat = [q]
-    for dt, row in zip((np.diff(t_ms) / 1000.0).tolist(), rows[1:]):
-        q, bias, p = _step(q, bias, p, cfg, diagnostics, dt, row[3:6], row[0:3], row[6:9])
+    quat = []
+    try:
+        q, bias, p = _unpacked(initial_state(cfg, Vec3(*rows[0][0:3]), Vec3(*rows[0][6:9])))
         quat.append(q)
-    return np.array(quat), diagnostics
+        for dt, row in zip((np.diff(t_ms) / 1000.0).tolist(), rows[1:]):
+            q, bias, p = _step(q, bias, p, cfg, diagnostics, dt, row[3:6], row[0:3], row[6:9])
+            quat.append(q)
+    except ArithmeticError:
+        quat.append((math.nan,) * 4)  # the sample whose step raised
+    quat = np.array(quat)
+    broken = np.flatnonzero(~np.isfinite(quat).all(axis=1))
+    if len(broken):
+        t = t_ms[broken[0]]
+        raise ValueError(f"orientation filter left the float range at {t} ms; the filter config is too extreme")
+    return quat, diagnostics
 
 
 # -- the streaming step, on floats ------------------------------------------------

@@ -5,23 +5,24 @@ the byte stream, scale the channels, fuse orientation, detect gestures,
 and integrate optical deltas along the derived touch plane into a 3D
 pointer track (one row per frame).
 
-There are two ways through it, which differ only in how they run the
+There are two ways through it, which differ in how they run the
 orientation filter. ``replay_columns`` runs one stream's frame block
 through the streaming filter, sample by sample on plain floats, then the
-gesture detector over the block's rows; it is the path of ``replay``
-(``replay_bytes``) and of the tests' sequential trial reference, and
-``replay_frames`` is it on a list of frames. ``replay_lockstep`` runs
-many streams at once through ``orientation.filter_streams``, one
-batched filter step per sample index across every stream still running,
-with no gesture detection. Both end in the same tail,
-``interaction.pointer_track`` (which alone knows the touch plane and the
-mount rule), and package the result. The campaign runners
-(``run_campaign`` and the CLI's ``campaign``) push every trial through
-the lockstep path, bytes included, so their numbers measure the whole
-stack, not a shortcut; its results come back in input order. The
-in-memory runner synthesizes and scores each grid cell's trials as one
-stack; no float operation mixes trials, so no result depends on its cell
-or its batch. A campaign runs in one process.
+gesture detector over the block's rows, in any ``ReplayConfig``; it is
+the path of ``replay`` (``replay_bytes``) and of the tests' sequential
+trial reference, and ``replay_frames`` is it on a list of frames.
+``replay_lockstep`` runs many streams at once through
+``orientation.filter_streams``, one batched filter step per sample index
+across every stream still running, in the campaign's one configuration:
+the fingerpad mount, the default filter and scales, no gestures. Both
+end in the same tail, ``interaction.pointer_track`` (which alone knows
+the touch plane and the mount rule), and package the result. The
+campaign runners (``run_campaign`` and the CLI's ``campaign``) push
+every trial through the lockstep path, bytes included, so their numbers
+measure the whole stack, not a shortcut; its results come back in input
+order. The in-memory runner synthesizes and scores each grid cell's
+trials as one stack; no float operation mixes trials, so no result
+depends on its cell or its batch. A campaign runs in one process.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ class ReplayResult:
     pointer: Trajectory
     events: list[GestureEvent]
     filter_diagnostics: FilterDiagnostics
+
+
+# the lockstep's one configuration, and the cylinder demo's: fingerpad, default filter and scales, no gestures
+_CAMPAIGN = ReplayConfig(with_gestures=False)
 
 
 def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None) -> ReplayResult:
@@ -115,20 +120,15 @@ def replay_bytes(
 # -- lockstep replay -------------------------------------------------------------
 
 
-def replay_lockstep(
-    streams: Sequence[FrameColumns], config: ReplayConfig | None = None
-) -> list[ReplayResult]:
-    """Replay many streams at once; one result per stream, in input order.
+def replay_lockstep(streams: Sequence[FrameColumns]) -> list[ReplayResult]:
+    """Replay many streams at once, in the lockstep's one configuration ``_CAMPAIGN``.
 
-    Each result equals ``replay_frames`` on that stream's frames to float
-    rounding, except that no gestures are detected (``events`` is empty).
-    The streams are packed back to back, filtered in lockstep by
-    ``filter_streams`` and split again. Raises ValueError on an empty
+    One result per stream, in input order; each equals ``replay_frames``
+    at ``_CAMPAIGN`` on that stream's frames to float rounding, with no
+    gestures. The streams are packed back to back, filtered in lockstep
+    by ``filter_streams`` and split again. Raises ValueError on an empty
     stream or a backward timestamp, as ``replay_frames`` does.
     """
-    config = config or ReplayConfig(with_gestures=False)
-    if config.with_gestures:
-        raise ValueError("lockstep replay detects no gestures; use replay_frames")
     if not streams:
         return []
     for columns in streams:
@@ -137,11 +137,11 @@ def replay_lockstep(
     packed = FrameColumns.concat(streams)
     del streams  # a caller that keeps no reference frees the streams here
     quat, diagnostics = filter_streams(
-        config.filter_config, packed.t_ms, packed.imu_raw, config.scales.imu_units, lengths
+        _CAMPAIGN.filter_config, packed.t_ms, packed.imu_raw, _CAMPAIGN.scales.imu_units, lengths
     )
     bounds = np.cumsum(lengths)[:-1]
     split = (np.split(a, bounds) for a in (packed.t_ms, packed.dxdy, quat))
-    return [_replayed(t_ms, dxdy, q, config, [], d) for t_ms, dxdy, q, d in zip(*split, diagnostics)]
+    return [_replayed(t_ms, dxdy, q, _CAMPAIGN, [], d) for t_ms, dxdy, q, d in zip(*split, diagnostics)]
 
 
 def _check_timestamps(t_ms: np.ndarray) -> None:
@@ -157,18 +157,13 @@ def _check_timestamps(t_ms: np.ndarray) -> None:
 # -- campaign -----------------------------------------------------------------
 
 
-def run_trials(
-    specs: list[TrialSpec],
-    noise_preset: str = "default",
-    config: ReplayConfig | None = None,
-) -> list[TrialResult]:
+def run_trials(specs: list[TrialSpec], noise_preset: str = "default") -> list[TrialResult]:
     """Synthesize trials by grid cell, replay them through the wire in lockstep, score them.
 
-    The campaign's runner; each result matches replaying its trial alone, to float rounding.
+    The campaign's runner; each result matches replaying its trial alone at ``_CAMPAIGN``, to float rounding.
     """
-    config = config or ReplayConfig(with_gestures=False)
     cells = group_by_cell(specs)
-    replayed = replay_lockstep(_wire_streams(specs, cells, noise_preset, config.scales), config)
+    replayed = replay_lockstep(_wire_streams(specs, cells, noise_preset))
     results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
     for cell in cells:
         # truth is a pure function of the specs: rebuild it rather than keep it
@@ -179,14 +174,12 @@ def run_trials(
     return results
 
 
-def _wire_streams(
-    specs: list[TrialSpec], cells: list[list[int]], noise_preset: str, scales: ScaleConfig
-) -> list[FrameColumns]:
+def _wire_streams(specs: list[TrialSpec], cells: list[list[int]], noise_preset: str) -> list[FrameColumns]:
     """Each trial's frames as decoded from its own wire bytes, synthesized a grid cell at a time."""
     streams: list[FrameColumns] = [None] * len(specs)  # type: ignore[list-item]
     for cell in cells:
         group = [specs[i] for i in cell]
-        blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]), scales)[1]
+        blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]))[1]
         for i, block in zip(cell, blocks):
             streams[i] = decode_columns(encode_frames(block))[0]
     return streams
@@ -208,9 +201,7 @@ def run_campaign(
     return results, summarize_campaign(results)
 
 
-def replay_cylinder_demo(
-    diameter_mm: float = 30.0, seed: int = 7, config: ReplayConfig | None = None
-) -> tuple[Trajectory, ReplayResult]:
+def replay_cylinder_demo(diameter_mm: float = 30.0) -> tuple[Trajectory, ReplayResult]:
     """Zero-noise wrap around a cylinder (the curved-surface scenario)."""
     spec = TrialSpec(
         texture="mousepad",
@@ -218,10 +209,9 @@ def replay_cylinder_demo(
         shape=CYLINDER_SHAPE,
         rep=1,
         tilt_deg=0.0,
-        seed=seed,
+        seed=7,
     )
-    config = config or ReplayConfig(with_gestures=False)
-    truth, block = simulate_columns(spec, NoiseModel.zero(), config.scales)
-    result, _ = replay_bytes(encode_frames(block), config)
+    truth, block = simulate_columns(spec, NoiseModel.zero())
+    result, _ = replay_bytes(encode_frames(block), _CAMPAIGN)
     assert result is not None
     return truth, result

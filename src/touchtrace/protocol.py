@@ -42,7 +42,7 @@ VERSION = 0x01
 FRAME_SIZE = 34
 SQUAL_MAX = 169
 
-_BODY = struct.Struct("<4BIhh2B9h")  # the scanner's unpack of bytes 0..31, which the CRC covers
+_FRAME = struct.Struct("<4BIhh2B9hH")  # the scanner's unpack of one frame, CRC included
 FRAME_DTYPE = np.dtype(  # the layout above, one record per frame; encode and the decode fast path use it
     [("sync", "u1", (2,)), ("version", "u1"), ("flags", "u1"), ("t_ms", "<u4"), ("dxdy", "<i2", (2,)),
      ("squal", "u1"), ("pad", "u1"), ("imu_raw", "<i2", (9,)), ("crc", "<u2")]
@@ -206,30 +206,22 @@ class DecoderState:
             pos = sync
             if n - pos < FRAME_SIZE:
                 break
-            if buf[pos + 2] != VERSION:
-                # not a real frame boundary; resume scanning past the sync
-                self._skip(1)
-                pos += 1
-                continue
-            (crc_stored,) = struct.unpack_from("<H", buf, pos + 32)
-            if crc_stored != crc16_ccitt_false(buf[pos : pos + 32]):
+            f = _FRAME.unpack_from(buf, pos)
+            if f[2] != VERSION:
+                pass  # not a real frame boundary
+            elif f[18] != crc16_ccitt_false(buf[pos : pos + 32]):
                 self.diagnostics.crc_failures += 1
-                self._skip(1)
-                pos += 1
+            elif f[7] > SQUAL_MAX:  # every other field is in range by its wire type
+                self.diagnostics.field_errors += 1  # intact bytes carrying an invalid field
+            else:
+                out.append(SensorFrame(f[4], f[5], f[6], f[7], f[9:12], f[12:15], f[15:18]))
+                self.diagnostics.frames += 1
+                self._skip_run_open = False
+                pos += FRAME_SIZE
                 continue
-            f = _BODY.unpack_from(buf, pos)
-            try:
-                frame = SensorFrame(f[4], f[5], f[6], f[7], f[9:12], f[12:15], f[15:18])
-            except ValueError:
-                # intact bytes carrying an invalid field: skip it like corruption
-                self.diagnostics.field_errors += 1
-                self._skip(1)
-                pos += 1
-                continue
-            out.append(frame)
-            self.diagnostics.frames += 1
-            self._skip_run_open = False
-            pos += FRAME_SIZE
+            # not a frame: skip it like corruption and resume scanning past the sync
+            self._skip(1)
+            pos += 1
         del buf[:pos]
         return out
 

@@ -28,7 +28,7 @@ from .geom import (
     _DEG, EY, GRAVITY_WORLD, MAG_FIELD_WORLD, axis_angle_quat, quat_matrices, quat_midpoints, quat_relative_rotvec
 )
 from .gestures import GestureConfig
-from .protocol import FrameColumns, ScaleConfig, SensorFrame
+from .protocol import SQUAL_MAX, FrameColumns, ScaleConfig, SensorFrame
 from .trajectory import Trajectory
 
 SIZES_MM = (12, 21, 42, 84)
@@ -431,7 +431,7 @@ def script_gesture_trace(kind: str, cfg: GestureConfig | None = None) -> list[Se
     if kind not in GESTURE_KINDS:
         raise ValueError(f"unknown gesture kind {kind!r}; expected one of {GESTURE_KINDS}")
     cfg = cfg or GestureConfig()
-    hi = min(cfg.tap_squal + 5, 169)
+    hi = min(cfg.tap_squal + 5, SQUAL_MAX)
     if cfg.tap_squal < cfg.press_squal:
         hi = min(hi, cfg.press_squal - 1)  # a tap level the press timer ignores
     n = min(6 if kind == "moving-tap-reject" else 4, cfg.tap_window_ms // _FRAME_MS)  # frames of one tap

@@ -409,3 +409,40 @@ def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text,
     assert err.startswith(f"error: {config}{where}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, t_ms",
+    [
+        ("accel_noise=1e-9\n", 20),
+        ("mag_reference=1e10,0,-4e10\n", 40),
+        ("init_attitude_sigma_deg=1e200\n", 0),
+        ("init_bias_sigma_dps=1e160\n", 0),
+        ("bias_random_walk=1e170\n", 20),
+        ("accel_noise=1e150\n", 20),
+        ("init_attitude_sigma_deg=1e150\n", 20),
+    ],
+    ids=[
+        "zero-division-accel-noise",
+        "zero-division-mag-reference",
+        "overflow-init-attitude",
+        "overflow-init-bias",
+        "overflow-bias-walk",
+        "nan-accel-noise",
+        "nan-init-attitude",
+    ],
+)
+def test_replay_stops_when_an_extreme_filter_config_breaks_the_filter(tmp_path, capsys, text, t_ms):
+    # valid but extreme values: the filter's arithmetic divides by zero,
+    # overflows or turns the attitude to NaN at the named sample
+    trial = tmp_path / "trial"
+    assert run(["simulate", "--seed", "7", "--noise", "zero", "--out", str(trial)]) == 0
+    config = tmp_path / "extreme.cfg"
+    config.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["replay", "--in", str(trial / "sensor.3dt"), "--out", str(out), "--filter-config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: orientation filter left the float range at {t_ms} ms")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -18,7 +18,7 @@ from touchtrace.pipeline import (
 )
 from touchtrace.interaction import MountMode
 from touchtrace.orientation import FilterDiagnostics, OrientationFilter
-from touchtrace.protocol import FrameColumns, ScaleConfig, apply_scales, encode_frames
+from touchtrace.protocol import FrameColumns, apply_scales, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
     TrialSpec,
@@ -34,15 +34,14 @@ from touchtrace.simulate import (
 SPECS = campaign_specs(11)
 
 
-def run_trial(spec, noise, config=None):
+def run_trial(spec, noise):
     """Synthesize one trial, replay it through the wire, score it.
 
     The sequential reference for the lockstep campaign: one trial, one
-    streaming filter.
+    streaming filter, in the lockstep's configuration.
     """
-    config = config or ReplayConfig(with_gestures=False)
-    truth, block = simulate_columns(spec, noise, config.scales)
-    result, _ = replay_bytes(encode_frames(block), config)
+    truth, block = simulate_columns(spec, noise)
+    result, _ = replay_bytes(encode_frames(block), ReplayConfig(with_gestures=False))
     assert result is not None
     return evaluate_trial(spec, result.pointer, truth)
 
@@ -82,30 +81,26 @@ def test_replay_deterministic():
 def test_lockstep_runner_matches_streaming_reference():
     # the lockstep runner against run_trial, the sequential reference
     sampled = SPECS[40::37]
-    for mount in MountMode:
-        config = ReplayConfig(mount=mount, with_gestures=False)
-        for spec, trial in zip(sampled, run_trials(sampled, "default", config)):
-            direct = run_trial(spec, noise_for_preset("default", TEXTURES[spec.texture]), config)
-            assert trial.spec == direct.spec
-            assert trial.n_samples == direct.n_samples
-            for field in ("mean_pos_err_mm", "pos_err_sigma", "mean_ori_err_deg", "ori_err_sigma"):
-                assert getattr(trial, field) == pytest.approx(getattr(direct, field), rel=1e-9, abs=0)
+    for spec, trial in zip(sampled, run_trials(sampled, "default")):
+        direct = run_trial(spec, noise_for_preset("default", TEXTURES[spec.texture]))
+        assert trial.spec == direct.spec
+        assert trial.n_samples == direct.n_samples
+        for field in ("mean_pos_err_mm", "pos_err_sigma", "mean_ori_err_deg", "ori_err_sigma"):
+            assert getattr(trial, field) == pytest.approx(getattr(direct, field), rel=1e-9, abs=0)
 
 
 def test_lockstep_replay_matches_replay_frames():
     streams = [simulate_trial(spec, NoiseModel())[1] for spec in SPECS[::60]]
     streams.append(streams[0][:1])
-    for mount in MountMode:
-        config = ReplayConfig(mount=mount, with_gestures=False)
-        got = replay_lockstep([FrameColumns.of(f) for f in streams], config)
-        assert len(got) == len(streams)
-        for i, frames in enumerate(streams):
-            want = replay_frames(frames, config)
-            assert np.array_equal(got[i].pointer.t_ms, want.pointer.t_ms)
-            np.testing.assert_allclose(got[i].pointer.quat, want.pointer.quat, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got[i].pointer.pos_mm, want.pointer.pos_mm, rtol=0, atol=1e-9)
-            assert got[i].filter_diagnostics == want.filter_diagnostics
-            assert got[i].events == []
+    got = replay_lockstep([FrameColumns.of(f) for f in streams])
+    assert len(got) == len(streams)
+    for i, frames in enumerate(streams):
+        want = replay_frames(frames, ReplayConfig(with_gestures=False))
+        assert np.array_equal(got[i].pointer.t_ms, want.pointer.t_ms)
+        np.testing.assert_allclose(got[i].pointer.quat, want.pointer.quat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[i].pointer.pos_mm, want.pointer.pos_mm, rtol=0, atol=1e-9)
+        assert got[i].filter_diagnostics == want.filter_diagnostics
+        assert got[i].events == []
 
 
 def test_lockstep_results_come_back_in_input_order():
@@ -114,11 +109,10 @@ def test_lockstep_results_come_back_in_input_order():
     _, a = simulate_trial(SPECS[85], noise_for_preset("default", TEXTURES[SPECS[85].texture]))
     _, b = simulate_trial(SPECS[200], noise_for_preset("default", TEXTURES[SPECS[200].texture]))
     streams = [a[:40], b[:1], a[:90], b[:40], a[:1], b[:90], a[:65]]
-    config = ReplayConfig(with_gestures=False)
-    got = replay_lockstep([FrameColumns.of(f) for f in streams], config)
+    got = replay_lockstep([FrameColumns.of(f) for f in streams])
     assert isinstance(got, list) and len(got) == len(streams)
     for result, frames in zip(got, streams):
-        want = replay_frames(frames, config)
+        want = replay_frames(frames, ReplayConfig(with_gestures=False))
         assert np.array_equal(result.pointer.t_ms, want.pointer.t_ms)
         np.testing.assert_allclose(result.pointer.quat, want.pointer.quat, rtol=0, atol=1e-12)
         assert result.filter_diagnostics == want.filter_diagnostics
@@ -142,7 +136,7 @@ def test_filter_paths_count_alike_on_faulted_streams():
     kernel = replay_columns(faulted, config)
     filt = OrientationFilter(config.filter_config)
     adapter = [filt.process(apply_scales(f, config.scales)).q.as_tuple() for f in faulted.frames()]
-    lockstep, = replay_lockstep([faulted], config)
+    lockstep, = replay_lockstep([faulted])
 
     want = FilterDiagnostics(clamped_dt=2, gated_accel=5)
     assert kernel.filter_diagnostics == filt.diagnostics == lockstep.filter_diagnostics == want
@@ -185,12 +179,11 @@ def test_pointer_tracks_hold_no_negative_zero():
     # this trace's first optical step is 0 counts along a negative plane axis
     spec = TrialSpec("jeans", 84, "square", rep=1, tilt_deg=draw_tilt(9), seed=9)
     _, frames = simulate_trial(spec, noise_for_preset("default", TEXTURES["jeans"]))
-    for mount in MountMode:
-        config = ReplayConfig(mount=mount, with_gestures=False)
-        lockstep, = replay_lockstep([FrameColumns.of(frames)], config)
-        for result in (replay_frames(frames, config), lockstep):
-            pos = result.pointer.pos_mm
-            assert not np.signbit(pos[pos == 0.0]).any(), mount
+    lockstep, = replay_lockstep([FrameColumns.of(frames)])
+    streaming = [replay_frames(frames, ReplayConfig(mount=mount, with_gestures=False)) for mount in MountMode]
+    for result in (*streaming, lockstep):
+        pos = result.pointer.pos_mm
+        assert not np.signbit(pos[pos == 0.0]).any()
 
 
 REPLAY_PATHS = {
@@ -290,14 +283,6 @@ def test_cylinder_scales_with_diameter():
         _, result = replay_cylinder_demo(diameter_mm=d)
         span = result.pointer.pos_mm[:, 0].max() - result.pointer.pos_mm[:, 0].min()
         assert span == pytest.approx(d, rel=0.02)
-
-
-def test_cylinder_demo_synthesizes_at_the_replay_scales():
-    # at 800 counts per inch a count is half as long: the synthesized deltas
-    # must double for the replayed wrap to keep its diameter
-    config = ReplayConfig(scales=ScaleConfig(counts_per_inch=800.0), with_gestures=False)
-    truth, result = replay_cylinder_demo(diameter_mm=30.0, config=config)
-    assert np.abs(result.pointer.pos_mm - truth.pos_mm).max() <= 1.0
 
 
 def test_evaluate_trial_pipeline_consistency():
