@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .evaluate import evaluate_trial, summarize_campaign, write_summary
+from .evaluate import evaluate_decoded, summarize_campaign, write_summary
 from .geom import Vec3
 from .gestures import GestureConfig, write_events_jsonl
 from .interaction import MountMode
@@ -35,15 +35,13 @@ from .simulate import (
     SHAPE_NAMES,
     SIZES_MM,
     TEXTURE_NAMES,
-    TEXTURES,
     TrialSpec,
     campaign_specs,
     draw_tilt,
-    group_by_cell,
     noise_for_preset,
     read_manifest,
     script_gesture_trace,
-    simulate_group,
+    simulate_by_cell,
     trial_dirname,
     write_manifest,
 )
@@ -118,14 +116,11 @@ def _replay_config(args) -> ReplayConfig:
 def _write_trials(out: Path, specs: list[TrialSpec], dirs: list[str], noise_preset: str) -> int:
     """Synthesize by grid cell; write trial i's sensor.3dt and truth.csv under out/dirs[i]."""
     total = 0
-    for cell in group_by_cell(specs):
-        group = [specs[i] for i in cell]
-        truth, blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]))
-        for k, (i, block) in enumerate(zip(cell, blocks)):
-            (out / dirs[i]).mkdir(parents=True, exist_ok=True)
-            write_trace(out / dirs[i] / "sensor.3dt", block)
-            truth.trial(k).write_csv(out / dirs[i] / "truth.csv")
-            total += len(block)
+    for i, truth, block in simulate_by_cell(specs, noise_for_preset(noise_preset)):
+        (out / dirs[i]).mkdir(parents=True, exist_ok=True)
+        write_trace(out / dirs[i] / "sensor.3dt", block)
+        truth.write_csv(out / dirs[i] / "truth.csv")
+        total += len(block)
     return total
 
 
@@ -171,17 +166,23 @@ def cmd_eval(args) -> int:
     pred = read_csv(args.pred)
     truth = read_csv(args.truth)
     try:
-        trial = evaluate_trial(None, pred, truth)
+        trial, dropped = evaluate_decoded(None, pred, truth)
     except ValueError as exc:
         raise ValueError(f"{args.pred} vs {args.truth}: {exc}") from exc
     if args.out:
         Path(args.out).write_text(trial.metrics_json() + "\n", encoding="utf-8")
+    _print_dropped(dropped, len(truth))
     print(
         f"mean position error {trial.mean_pos_err_mm:.4f} mm, "
         f"mean orientation error {trial.mean_ori_err_deg:.4f} deg "
         f"over {trial.n_samples} samples"
     )
     return 0
+
+
+def _print_dropped(dropped: int, rows: int) -> None:
+    if dropped:
+        print(f"dropped frames: {dropped} of {rows} truth rows have no prediction and are not scored")
 
 
 def cmd_campaign(args) -> int:
@@ -191,16 +192,19 @@ def cmd_campaign(args) -> int:
         raise ValueError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
     results = [None] * len(specs)
+    dropped = rows = 0
     for i, replayed in enumerate(replay_lockstep(_decoded(root, dirs))):  # score and write each trial in manifest order
         trial_dir = root / dirs[i]
         truth = read_csv(trial_dir / "truth.csv")
         try:
-            results[i] = evaluate_trial(specs[i], replayed.pointer, truth)
+            results[i], lost = evaluate_decoded(specs[i], replayed.pointer, truth)
         except ValueError as exc:
             raise ValueError(f"{dirs[i]}: {exc}") from exc
+        dropped, rows = dropped + lost, rows + len(truth)
         (trial_dir / "metrics.json").write_text(results[i].metrics_json() + "\n", encoding="utf-8")
     summary = summarize_campaign(results)
     write_summary(summary, Path(args.out))
+    _print_dropped(dropped, rows)
     g = summary.grand
     print(
         f"grand mean position error {g['mean_pos_err_mm']:.4f} mm, "

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geom import EX, rotate_vectors
-from .simulate import SHAPE_NAMES, SIZES_MM, TEXTURE_NAMES, REPS, TrialSpec
+from .simulate import GRID, SHAPE_NAMES, SIZES_MM, TEXTURE_NAMES, TrialSpec
 from .trajectory import Trajectory
 
 
@@ -75,6 +75,37 @@ def evaluate_trials(specs: list[TrialSpec | None], pred: Trajectory, truth: Traj
 def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> TrialResult:
     """Align pred to truth and score it; ``spec`` only labels the result."""
     return evaluate_trials([spec], pred, truth)[0]
+
+
+MAX_DROPPED_SHARE = 0.1  # a policy, not a measurement: the largest share of its truth's rows a scored replay may lack
+
+
+def evaluate_decoded(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> tuple[TrialResult, int]:
+    """Score a replay that may have lost frames: the result and the count of dropped frames.
+
+    Each prediction row is scored against the truth row at its time, so a
+    replay as long as its truth is scored row by row. Every prediction
+    time must appear in the truth, in order; an error names the first that
+    does not. The truth rows the prediction lacks are the dropped frames,
+    and a prediction lacking more than ``MAX_DROPPED_SHARE`` of them is refused.
+    """
+    at = np.searchsorted(truth.t_ms, pred.t_ms)
+    unmatched = at == len(truth)
+    unmatched[~unmatched] = truth.t_ms[at[~unmatched]] != pred.t_ms[~unmatched]
+    if unmatched.any():
+        k = int(np.argmax(unmatched))
+        raise ValueError(f"timestamp mismatch at sample {k}: pred {pred.t_ms[k]} ms has no truth row")
+    backward = np.diff(at) <= 0
+    if backward.any():
+        k = int(np.argmax(backward)) + 1
+        raise ValueError(f"timestamp order at sample {k}: pred {pred.t_ms[k]} ms after {pred.t_ms[k - 1]} ms")
+    dropped = len(truth) - len(pred)
+    if dropped > MAX_DROPPED_SHARE * len(truth):
+        raise ValueError(
+            f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}; "
+            f"{dropped} truth rows have no prediction, more than {MAX_DROPPED_SHARE:.0%} of them"
+        )
+    return evaluate_trial(spec, pred, Trajectory(truth.t_ms[at], truth.pos_mm[at], truth.quat[at])), dropped
 
 
 @dataclass(frozen=True)
@@ -165,14 +196,7 @@ def summarize_campaign(results) -> CampaignSummary:
         if key in seen:
             raise ValueError("campaign has cell {}/{}/{}/rep{} more than once".format(*key))
         seen.add(key)
-    missing = [
-        f"{tex}/{size}/{shape}/rep{rep}"
-        for tex in TEXTURE_NAMES
-        for size in SIZES_MM
-        for shape in SHAPE_NAMES
-        for rep in range(1, REPS + 1)
-        if (tex, size, shape, rep) not in seen
-    ]
+    missing = ["{}/{}/{}/rep{}".format(*cell) for cell in GRID if cell not in seen]
     if missing:
         preview = ", ".join(missing[:6]) + ("..." if len(missing) > 6 else "")
         raise ValueError(f"campaign is missing {len(missing)} cells: {preview}")

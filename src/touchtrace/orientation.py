@@ -226,16 +226,28 @@ class OrientationFilter:
         self._last_t_ms: int | None = None
 
     def process(self, sample: CalibratedSample) -> FilterState:
+        """The state after ``sample``; raises ValueError, as ``filter_stream`` does, where the config breaks it."""
         t = sample.timestamp_ms
-        if self.state is None:
-            self.state = initial_state(self.config, sample.accel_g, sample.mag_gauss)
-        else:
-            self.state = _packed(*_step(
-                *_unpacked(self.state), self.config, self.diagnostics, (t - self._last_t_ms) / 1000.0,
-                sample.gyro_dps.as_tuple(), sample.accel_g.as_tuple(), sample.mag_gauss.as_tuple(),
-            ))
+        try:
+            if self.state is None:
+                state = initial_state(self.config, sample.accel_g, sample.mag_gauss)
+            else:
+                state = _packed(*_step(
+                    *_unpacked(self.state), self.config, self.diagnostics, (t - self._last_t_ms) / 1000.0,
+                    sample.gyro_dps.as_tuple(), sample.accel_g.as_tuple(), sample.mag_gauss.as_tuple(),
+                ))
+        except ArithmeticError:
+            raise _out_of_range(t) from None
+        q = state.q
+        if not math.isfinite(q.w + q.x + q.y + q.z):  # a unit quaternion's sum is finite unless a part is NaN or inf
+            raise _out_of_range(t)
+        self.state = state
         self._last_t_ms = t
-        return self.state
+        return state
+
+
+def _out_of_range(t_ms: int) -> ValueError:
+    return ValueError(f"orientation filter left the float range at {t_ms} ms; the filter config is too extreme")
 
 
 def filter_stream(
@@ -262,8 +274,7 @@ def filter_stream(
     quat = np.array(quat)
     broken = np.flatnonzero(~np.isfinite(quat).all(axis=1))
     if len(broken):
-        t = t_ms[broken[0]]
-        raise ValueError(f"orientation filter left the float range at {t} ms; the filter config is too extreme")
+        raise _out_of_range(t_ms[broken[0]])
     return quat, diagnostics
 
 

@@ -40,14 +40,13 @@ from .protocol import DecoderDiagnostics, FrameColumns, ScaleConfig, SensorFrame
 from .simulate import (
     CYLINDER_SHAPE,
     NoiseModel,
-    TEXTURES,
     TrialSpec,
     campaign_specs,
     gen_trajectories,
     group_by_cell,
     noise_for_preset,
+    simulate_by_cell,
     simulate_columns,
-    simulate_group,
 )
 from .trajectory import Trajectory
 
@@ -162,10 +161,9 @@ def run_trials(specs: list[TrialSpec], noise_preset: str = "default") -> list[Tr
 
     The campaign's runner; each result matches replaying its trial alone at ``_CAMPAIGN``, to float rounding.
     """
-    cells = group_by_cell(specs)
-    replayed = replay_lockstep(_wire_streams(specs, cells, noise_preset))
+    replayed = replay_lockstep(_wire_streams(specs, noise_preset))
     results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
-    for cell in cells:
+    for cell in group_by_cell(specs):
         # truth is a pure function of the specs: rebuild it rather than keep it
         group = [specs[i] for i in cell]
         pred = Trajectory.stack([replayed[i].pointer for i in cell])
@@ -174,14 +172,11 @@ def run_trials(specs: list[TrialSpec], noise_preset: str = "default") -> list[Tr
     return results
 
 
-def _wire_streams(specs: list[TrialSpec], cells: list[list[int]], noise_preset: str) -> list[FrameColumns]:
+def _wire_streams(specs: list[TrialSpec], noise_preset: str) -> list[FrameColumns]:
     """Each trial's frames as decoded from its own wire bytes, synthesized a grid cell at a time."""
     streams: list[FrameColumns] = [None] * len(specs)  # type: ignore[list-item]
-    for cell in cells:
-        group = [specs[i] for i in cell]
-        blocks = simulate_group(group, noise_for_preset(noise_preset, TEXTURES[group[0].texture]))[1]
-        for i, block in zip(cell, blocks):
-            streams[i] = decode_columns(encode_frames(block))[0]
+    for i, _, block in simulate_by_cell(specs, noise_for_preset(noise_preset)):
+        streams[i] = decode_columns(encode_frames(block))[0]
     return streams
 
 

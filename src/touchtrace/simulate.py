@@ -5,13 +5,14 @@ down where the finger really was, then fabricates the byte-for-byte
 sensor stream a device would have produced while drawing that path.
 
 The evaluation campaign covers a 3 texture x 4 size x 6 shape grid with
-five repetitions per cell (360 trials), each drawn on a plane tilted at
-a per-trial random angle in [0, 90) degrees, traced at constant speed
-and sampled at 50 Hz. The repetitions of a cell share one time base and
-one plane-frame path, so a cell is traced and synthesized as one
-``(trials, frames)`` stack (``simulate_group``); each trial keeps its
-own seeded generator, and no float operation mixes trials, so a trial's
-bytes are those it would get alone (``simulate_columns``).
+five repetitions per cell (360 trials, ``GRID``), each traced at constant
+speed and 50 Hz on a plane tilted at a random angle in [0, 90) degrees.
+A surface sets only the mean SQUAL; the noise preset sets the rest, slip
+included. A cell's repetitions share one time base and plane path, so a
+cell is synthesized as one ``(trials, frames)`` stack (``simulate_group``;
+cell by cell, ``simulate_by_cell``); each trial keeps its own seeded
+generator and no float operation mixes trials, so a trial's bytes are
+those it would get alone (``simulate_columns``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -40,16 +42,13 @@ _SQUAL_JITTER = 6.0  # SQUAL standard deviation on every surface
 
 @dataclass(frozen=True)
 class TextureModel:
-    """Statistical stand-in for one drawing surface."""
+    """Statistical stand-in for one drawing surface: its mean SQUAL, the one thing surfaces differ in."""
 
     squal_mean: float
-    slip_sigma_counts: float = 0.3
 
     def __post_init__(self) -> None:
         if not 50.0 <= self.squal_mean <= 90.0:
             raise ValueError("squal_mean must lie in [50, 90]")
-        if self.slip_sigma_counts < 0:
-            raise ValueError("slip_sigma_counts must be >= 0")
 
 
 TEXTURES: dict[str, TextureModel] = {
@@ -58,6 +57,7 @@ TEXTURES: dict[str, TextureModel] = {
     "jeans": TextureModel(squal_mean=55.0),
 }
 TEXTURE_NAMES = tuple(TEXTURES)
+GRID = tuple(itertools.product(TEXTURE_NAMES, SIZES_MM, SHAPE_NAMES, range(1, REPS + 1)))  # (texture, size, shape, rep)
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,16 @@ class NoiseModel:
     def zero() -> "NoiseModel":
         return NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    @staticmethod
-    def default_for(texture: TextureModel) -> "NoiseModel":
-        return NoiseModel(slip_sigma_counts=texture.slip_sigma_counts)
-
 
 NOISE_PRESETS = ("zero", "default")
 
 
-def noise_for_preset(preset: str, texture: TextureModel) -> NoiseModel:
+def noise_for_preset(preset: str, texture: TextureModel | None = None) -> NoiseModel:
+    """One noise for every surface; ``texture`` is kept only because the bench harness still passes one."""
     if preset == "zero":
         return NoiseModel.zero()
     if preset == "default":
-        return NoiseModel.default_for(texture)
+        return NoiseModel()
     raise ValueError(f"unknown noise preset {preset!r}; expected one of {NOISE_PRESETS}")
 
 
@@ -320,6 +317,14 @@ def simulate_group(
     return truth, synthesize_group(truth, TEXTURES[specs[0].texture], noise, rngs, scales)
 
 
+def simulate_by_cell(specs: list[TrialSpec], noise: NoiseModel) -> Iterator[tuple[int, Trajectory, FrameColumns]]:
+    """Each trial's (index into ``specs``, truth, block), synthesized cell by cell through ``simulate_group``."""
+    for cell in group_by_cell(specs):
+        truth, blocks = simulate_group([specs[i] for i in cell], noise)
+        for k, (i, block) in enumerate(zip(cell, blocks)):
+            yield i, truth.trial(k), block
+
+
 def simulate_columns(
     spec: TrialSpec,
     noise: NoiseModel,
@@ -347,8 +352,7 @@ def trial_seed(campaign_seed: int, index: int) -> int:
 def campaign_specs(campaign_seed: int) -> list[TrialSpec]:
     """The full 3 x 4 x 6 x 5 grid with per-trial seeds and tilts."""
     specs = []
-    grid = itertools.product(TEXTURE_NAMES, SIZES_MM, SHAPE_NAMES, range(1, REPS + 1))
-    for index, (texture, size, shape, rep) in enumerate(grid):
+    for index, (texture, size, shape, rep) in enumerate(GRID):
         seed = trial_seed(campaign_seed, index)
         specs.append(TrialSpec(texture, size, shape, rep, tilt_deg=draw_tilt(seed), seed=seed))
     return specs

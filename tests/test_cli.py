@@ -1,14 +1,22 @@
 import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import read_events_jsonl
+from conftest import read_events_jsonl, run_commands
 from touchtrace.cli import load_config, main
+from touchtrace.evaluate import MAX_DROPPED_SHARE, evaluate_decoded
 from touchtrace.geom import Vec3
 from touchtrace.gestures import GestureConfig
-from touchtrace.orientation import FilterConfig
+from touchtrace.orientation import FilterConfig, OrientationFilter, filter_stream
+from touchtrace.pipeline import replay_bytes
+from touchtrace.protocol import FRAME_SIZE, ScaleConfig, apply_scales, decode_columns
+from touchtrace.simulate import NoiseModel, TrialSpec, draw_tilt, simulate_columns
 from touchtrace.trajectory import read_csv
 
 
@@ -86,6 +94,85 @@ def test_eval_length_mismatch_is_data_error(tmp_path, capsys):
     code = run(["eval", "--pred", str(t1 / "truth.csv"), "--truth", str(t2 / "truth.csv")])
     assert code == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_eval_names_a_prediction_time_with_no_truth_row(tmp_path, capsys):
+    t1, t2 = tmp_path / "t1", tmp_path / "t2"
+    run(["simulate", "--seed", "3", "--shape", "hline", "--size", "12", "--out", str(t1)])
+    run(["simulate", "--seed", "3", "--shape", "square", "--size", "84", "--out", str(t2)])
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(t2 / "truth.csv"), "--truth", str(t1 / "truth.csv")]) == 1
+    assert capsys.readouterr().err.endswith("timestamp mismatch at sample 21: pred 420 ms has no truth row\n")
+
+
+@pytest.fixture(scope="module")
+def zero_noise_trial(tmp_path_factory):
+    """The README's seed-7 zero-noise trial (221 frames)."""
+    trial = tmp_path_factory.mktemp("zero_noise") / "trial"
+    assert run(["simulate", "--seed", "7", "--noise", "zero", "--out", str(trial)]) == 0
+    return trial
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_eval_scores_the_frames_a_damaged_trace_keeps(zero_noise_trial, data):
+    trace = (zero_noise_trial / "sensor.3dt").read_bytes()
+    n = len(trace) // FRAME_SIZE
+    lost = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=int(MAX_DROPPED_SHARE * n)), "lost frames")
+    damaged = bytearray()
+    for k in range(n):
+        frame = bytearray(trace[k * FRAME_SIZE:(k + 1) * FRAME_SIZE])
+        if k in lost:
+            flip = data.draw(st.none() | st.integers(0, FRAME_SIZE - 1), f"frame {k}: byte flipped, or None to drop")
+            if flip is None:
+                continue
+            frame[flip] ^= 0xFF
+        damaged += frame
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "damaged.3dt").write_bytes(damaged)
+        truth = zero_noise_trial / "truth.csv"
+        transcript = run_commands([  # each must exit 0
+            f"replay --in {root / 'damaged.3dt'} --out {root / 'rep'}",
+            f"eval --pred {root / 'rep' / 'pointer.csv'} --truth {truth} --out {root / 'm.json'}",
+        ])
+        assert json.loads((root / "m.json").read_text())["n"] == n - len(lost)
+    eval_out = transcript.split("$ touchtrace eval")[1].splitlines()[1]
+    assert eval_out == f"dropped frames: {len(lost)} of {n} truth rows have no prediction and are not scored"
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ([*range(5), *range(7, 11), 10, *range(11, 221)], "timestamp order at sample 9: pred 200 ms after 200 ms"),
+        ([0, 1, 2, 4, 3, *range(5, 221)], "timestamp order at sample 4: pred 60 ms after 80 ms"),
+    ],
+    ids=["rows-5-6-lost-row-10-repeated", "rows-3-4-swapped"],
+)
+def test_eval_refuses_prediction_rows_out_of_order(zero_noise_trial, tmp_path, capsys, order, message):
+    header, *rows = (zero_noise_trial / "truth.csv").read_text().splitlines()
+    pred = tmp_path / "pred.csv"
+    pred.write_text("\n".join([header, *(rows[k] for k in order)]) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(pred), "--truth", str(zero_noise_trial / "truth.csv")]) == 1
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+
+
+def test_a_dropped_frame_moves_the_score_by_at_most_its_counts(zero_noise_trial):
+    # the lost optical counts stay in the score as drift, and nothing else moves it further;
+    # frame 0 carries no counts, but losing it moves the alignment to frame 1
+    data = (zero_noise_trial / "sensor.3dt").read_bytes()
+    truth = read_csv(zero_noise_trial / "truth.csv")
+    dxdy = decode_columns(data)[0].dxdy
+    clean, dropped = evaluate_decoded(None, replay_bytes(data)[0].pointer, truth)
+    assert dropped == 0
+    n = len(data) // FRAME_SIZE
+    for k in [*range(1, n, 11), n - 1]:
+        damaged = replay_bytes(data[:k * FRAME_SIZE] + data[(k + 1) * FRAME_SIZE:])[0]
+        score, dropped = evaluate_decoded(None, damaged.pointer, truth)
+        assert dropped == 1
+        lost_mm = math.hypot(*dxdy[k].tolist()) * ScaleConfig().mm_per_count
+        assert abs(score.mean_pos_err_mm - clean.mean_pos_err_mm) <= lost_mm, k
 
 
 @pytest.mark.parametrize(
@@ -211,6 +298,35 @@ def test_campaign_partial_grid_scores_then_reports_missing(tmp_path, capsys):
     for i, spec in enumerate(specs):
         metrics = json.loads((camp / trial_dirname(i, spec) / "metrics.json").read_text())
         assert metrics["mean_pos_err_mm"] <= 0.2
+
+
+def test_campaign_scores_a_trial_that_lost_a_frame(tmp_path, capsys, cli_campaign):
+    import shutil
+
+    from touchtrace.simulate import read_manifest
+
+    camp = tmp_path / "camp"
+    shutil.copytree(cli_campaign[0] / "camp", camp)
+    _, _, _, dirs = read_manifest(camp / "manifest.json")
+    clean = {d: (camp / d / "metrics.json").read_text() for d in dirs}
+    for d in dirs:
+        (camp / d / "metrics.json").unlink()
+    trace = camp / dirs[100] / "sensor.3dt"
+    data = bytearray(trace.read_bytes())
+    data[3 * FRAME_SIZE + 10] ^= 0xFF  # frame 3 fails its CRC
+    trace.write_bytes(data)
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "dropped frames: 1 of 52605 truth rows have no prediction and are not scored"
+    assert "grand mean position error" in out
+    assert json.loads((tmp_path / "summary.json").read_text())["grand"]["n"] == 52604
+    for d in dirs:
+        metrics = (camp / d / "metrics.json").read_text()
+        if d == dirs[100]:
+            assert json.loads(metrics)["n"] == json.loads(clean[d])["n"] - 1
+        else:
+            assert metrics == clean[d]
 
 
 def test_campaign_without_manifest_is_data_error(tmp_path, capsys):
@@ -411,7 +527,8 @@ def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text,
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+# valid but extreme filter configs, with the time of the sample whose step breaks the filter
+_EXTREME_FILTER_CONFIGS = pytest.mark.parametrize(
     "text, t_ms",
     [
         ("accel_noise=1e-9\n", 20),
@@ -432,6 +549,9 @@ def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text,
         "nan-init-attitude",
     ],
 )
+
+
+@_EXTREME_FILTER_CONFIGS
 def test_replay_stops_when_an_extreme_filter_config_breaks_the_filter(tmp_path, capsys, text, t_ms):
     # valid but extreme values: the filter's arithmetic divides by zero,
     # overflows or turns the attitude to NaN at the named sample
@@ -446,3 +566,21 @@ def test_replay_stops_when_an_extreme_filter_config_breaks_the_filter(tmp_path, 
     assert err.startswith(f"error: orientation filter left the float range at {t_ms} ms")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@_EXTREME_FILTER_CONFIGS
+def test_streaming_filter_stops_where_filter_stream_does(tmp_path, text, t_ms):
+    # the same frames as the replay above, through the whole-stream kernel and the sample-by-sample adapter
+    config = tmp_path / "extreme.cfg"
+    config.write_text(text)
+    cfg = load_config(config, FilterConfig)
+    _, block = simulate_columns(TrialSpec("mousepad", 42, "circle", 1, draw_tilt(7), 7), NoiseModel.zero())
+    scales = ScaleConfig()
+    with pytest.raises(ValueError) as streamed:
+        filter_stream(cfg, block.t_ms, block.imu_raw, scales.imu_units)
+    filt = OrientationFilter(cfg)
+    with pytest.raises(ValueError) as stepped:
+        for frame in block.frames():
+            filt.process(apply_scales(frame, scales))
+    assert str(streamed.value) == str(stepped.value)
+    assert str(stepped.value).startswith(f"orientation filter left the float range at {t_ms} ms;")

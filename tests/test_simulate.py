@@ -23,6 +23,7 @@ from touchtrace.simulate import (
     noise_for_preset,
     read_manifest,
     shape_path_length,
+    simulate_by_cell,
     simulate_columns,
     simulate_group,
     simulate_trial,
@@ -175,6 +176,25 @@ def test_group_synthesis_equals_groups_of_one(preset):
             assert encode_frames(blocks[k]) == encode_frames(one_block)
             for name in ("t_ms", "pos_mm", "quat"):
                 assert np.array_equal(getattr(truth.trial(k), name), getattr(one_truth, name))
+
+
+@pytest.mark.parametrize("preset", NOISE_PRESETS)
+def test_simulate_by_cell_yields_each_trial_as_simulated_alone(preset):
+    noise = noise_for_preset(preset)
+    indices = []
+    for i, truth, block in simulate_by_cell(MIXED_SPECS, noise):
+        indices.append(i)
+        one_truth, one_block = simulate_columns(MIXED_SPECS[i], noise)
+        assert encode_frames(block) == encode_frames(one_block)
+        for name in ("t_ms", "pos_mm", "quat"):
+            assert np.array_equal(getattr(truth, name), getattr(one_truth, name))
+    assert sorted(indices) == list(range(len(MIXED_SPECS)))
+
+
+def test_noise_preset_is_the_same_on_every_surface():
+    for preset in NOISE_PRESETS:
+        for name in TEXTURE_NAMES:
+            assert noise_for_preset(preset, TEXTURES[name]) == noise_for_preset(preset)
 
 
 def test_same_seed_same_bytes():
