@@ -42,6 +42,7 @@ from .simulate import (
     read_manifest,
     script_gesture_trace,
     simulate_by_cell,
+    time_base,
     trial_dirname,
     write_manifest,
 )
@@ -196,7 +197,10 @@ def cmd_campaign(args) -> int:
     for i, replayed in enumerate(replay_lockstep(_decoded(root, dirs))):  # score and write each trial in manifest order
         trial_dir = root / dirs[i]
         truth = read_csv(trial_dir / "truth.csv")
+        t_ms, _ = time_base(specs[i])
         try:
+            if truth.t_ms.tolist() != t_ms.tolist():  # a wrong truth file; frames the replay lost count as dropped
+                raise ValueError(f"truth.csv is not on its spec's time base: {len(truth)} rows against {len(t_ms)}")
             results[i], lost = evaluate_decoded(specs[i], replayed.pointer, truth)
         except ValueError as exc:
             raise ValueError(f"{dirs[i]}: {exc}") from exc

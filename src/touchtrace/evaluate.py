@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -154,17 +154,8 @@ class CampaignSummary:
     anova: AnovaResult
 
     def to_json(self) -> str:
-        payload = {
-            "per_size": self.per_size,
-            "per_texture": self.per_texture,
-            "per_shape": self.per_shape,
-            "grand": self.grand,
-            "anova": {
-                "F": self.anova.F,
-                "df": [self.anova.df_between, self.anova.df_within],
-                "p": self.anova.p,
-            },
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}  # the tables and grand, in field order
+        payload["anova"] = {"F": self.anova.F, "df": [self.anova.df_between, self.anova.df_within], "p": self.anova.p}
         return json.dumps(payload, indent=2)
 
 
@@ -201,30 +192,21 @@ def summarize_campaign(results) -> CampaignSummary:
         preview = ", ".join(missing[:6]) + ("..." if len(missing) > 6 else "")
         raise ValueError(f"campaign is missing {len(missing)} cells: {preview}")
 
-    per_size = {
-        str(size): _cell_stats([r for r in results if r.spec.size_mm == size])
-        for size in SIZES_MM
+    tables = {
+        name: {str(value): _cell_stats([r for r in results if getattr(r.spec, field) == value]) for value in values}
+        for name, field, values in (
+            ("per_size", "size_mm", SIZES_MM),
+            ("per_texture", "texture", TEXTURE_NAMES),
+            ("per_shape", "shape", SHAPE_NAMES),
+        )
     }
-    per_texture = {
-        tex: _cell_stats([r for r in results if r.spec.texture == tex]) for tex in TEXTURE_NAMES
-    }
-    per_shape = {
-        shape: _cell_stats([r for r in results if r.spec.shape == shape]) for shape in SHAPE_NAMES
-    }
-    grand = _cell_stats(results)
     anova = one_way_anova(
         [
             [r.mean_pos_err_mm for r in results if r.spec.texture == tex]
             for tex in TEXTURE_NAMES
         ]
     )
-    return CampaignSummary(
-        per_size=per_size,
-        per_texture=per_texture,
-        per_shape=per_shape,
-        grand=grand,
-        anova=anova,
-    )
+    return CampaignSummary(**tables, grand=_cell_stats(results), anova=anova)
 
 
 def write_summary(summary: CampaignSummary, path) -> None:

@@ -18,14 +18,15 @@ semi-definite to well below test tolerances.
 
 The formulation is the error-state filter of Solà, *Quaternion
 kinematics for the error-state Kalman filter* (arXiv:1711.02508). It
-exists twice, with one set of equations: the streaming step ``_step``
-runs one stream sample by sample on a float state (``filter_stream``
-over a whole stream on the replay path; ``OrientationFilter.process``,
-``predict``, ``update_accel`` and ``update_mag`` adapt it to the
-``FilterState`` objects), and ``filter_streams`` runs many streams in
-lockstep, one batched step per sample index over stacked states,
-``q (N,4)``, ``bias (N,3)`` and ``P (N,6,6)``, for the campaign's
-replay. The property tests hold the lockstep filter to the streaming one.
+exists twice, with one set of equations. ``OrientationFilter.advance``
+steps one stream by one scaled sample on a float state through ``_step``
+(``filter_stream`` is it over a whole stream, on the replay path;
+``OrientationFilter.process`` adapts it to ``CalibratedSample`` and
+``FilterState``, as ``predict``, ``update_accel`` and ``update_mag`` adapt
+the stages). ``filter_streams`` runs many streams in lockstep, one
+batched step per sample index over stacked states, ``q (N,4)``,
+``bias (N,3)`` and ``P (N,6,6)``, for the campaign's replay. The
+property tests hold the lockstep filter to the streaming one.
 """
 
 from __future__ import annotations
@@ -214,68 +215,59 @@ class OrientationFilter:
     """Streaming wrapper: one instance per sensor stream.
 
     Initializes from the first sample's accel+mag pair (TRIAD), then runs
-    predict + accel update + mag update per sample and returns the state
-    after it. Timestamps must not decrease; replay checks this once per
-    stream, before the filter runs, so the filter does not.
+    predict + accel update + mag update per sample. Timestamps must not
+    decrease; replay checks this once per stream, before the filter runs,
+    so the filter does not.
     """
 
     def __init__(self, config: FilterConfig | None = None):
         self.config = config or FilterConfig()
-        self.state: FilterState | None = None
         self.diagnostics = FilterDiagnostics()
+        self._floats = None  # (q, bias, P) after the last sample, None before the first
         self._last_t_ms: int | None = None
 
-    def process(self, sample: CalibratedSample) -> FilterState:
-        """The state after ``sample``; raises ValueError, as ``filter_stream`` does, where the config breaks it."""
-        t = sample.timestamp_ms
+    @property
+    def state(self) -> FilterState | None:
+        return None if self._floats is None else _packed(*self._floats)
+
+    def advance(self, t_ms: int, accel, gyro, mag) -> tuple[float, float, float, float]:
+        """Step over one sample, scaled to g, deg/s and gauss, and return the attitude (w, x, y, z).
+
+        Raises ValueError naming ``t_ms``, and keeps the state, where an
+        extreme config divides by zero, overflows or gives NaN.
+        """
         try:
-            if self.state is None:
-                state = initial_state(self.config, sample.accel_g, sample.mag_gauss)
+            if self._floats is None:
+                floats = _unpacked(initial_state(self.config, Vec3(*accel), Vec3(*mag)))
             else:
-                state = _packed(*_step(
-                    *_unpacked(self.state), self.config, self.diagnostics, (t - self._last_t_ms) / 1000.0,
-                    sample.gyro_dps.as_tuple(), sample.accel_g.as_tuple(), sample.mag_gauss.as_tuple(),
-                ))
+                dt = (t_ms - self._last_t_ms) / 1000.0
+                floats = _step(*self._floats, self.config, self.diagnostics, dt, gyro, accel, mag)
+            finite = math.isfinite(sum(floats[0]))  # a unit quaternion's sum is finite unless a part is NaN or inf
         except ArithmeticError:
-            raise _out_of_range(t) from None
-        q = state.q
-        if not math.isfinite(q.w + q.x + q.y + q.z):  # a unit quaternion's sum is finite unless a part is NaN or inf
-            raise _out_of_range(t)
-        self.state = state
-        self._last_t_ms = t
-        return state
+            finite = False
+        if not finite:
+            raise ValueError(f"orientation filter left the float range at {t_ms} ms; the filter config is too extreme")
+        self._floats, self._last_t_ms = floats, t_ms
+        return floats[0]
 
-
-def _out_of_range(t_ms: int) -> ValueError:
-    return ValueError(f"orientation filter left the float range at {t_ms} ms; the filter config is too extreme")
+    def process(self, sample: CalibratedSample) -> FilterState:
+        """``advance`` over a ``CalibratedSample``: the state after it."""
+        self.advance(sample.timestamp_ms, *(v.as_tuple() for v in (sample.accel_g, sample.gyro_dps, sample.mag_gauss)))
+        return self.state
 
 
 def filter_stream(
     cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray, units: np.ndarray
 ) -> tuple[np.ndarray, FilterDiagnostics]:
-    """``OrientationFilter.process`` over a whole stream: its attitudes (n, 4) and counters.
+    """``OrientationFilter.advance`` over a whole stream: its attitudes (n, 4) and counters.
 
     ``t_ms`` (n,) holds the timestamps and ``imu_raw`` (n, 9) the raw
     accel, gyro and mag channels of each sample, which ``units`` (9,)
-    scales to g, deg/s and gauss. Raises ValueError, naming the sample,
-    where an extreme config divides by zero, overflows or gives NaN.
+    scales to g, deg/s and gauss. Raises ValueError where ``advance`` does.
     """
-    rows = (imu_raw * units).tolist()
-    diagnostics = FilterDiagnostics()
-    quat = []
-    try:
-        q, bias, p = _unpacked(initial_state(cfg, Vec3(*rows[0][0:3]), Vec3(*rows[0][6:9])))
-        quat.append(q)
-        for dt, row in zip((np.diff(t_ms) / 1000.0).tolist(), rows[1:]):
-            q, bias, p = _step(q, bias, p, cfg, diagnostics, dt, row[3:6], row[0:3], row[6:9])
-            quat.append(q)
-    except ArithmeticError:
-        quat.append((math.nan,) * 4)  # the sample whose step raised
-    quat = np.array(quat)
-    broken = np.flatnonzero(~np.isfinite(quat).all(axis=1))
-    if len(broken):
-        raise _out_of_range(t_ms[broken[0]])
-    return quat, diagnostics
+    filt = OrientationFilter(cfg)
+    rows = zip(t_ms.tolist(), (imu_raw * units).tolist())
+    return np.array([filt.advance(t, row[0:3], row[3:6], row[6:9]) for t, row in rows]), filt.diagnostics
 
 
 # -- the streaming step, on floats ------------------------------------------------

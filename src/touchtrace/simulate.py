@@ -7,12 +7,13 @@ sensor stream a device would have produced while drawing that path.
 The evaluation campaign covers a 3 texture x 4 size x 6 shape grid with
 five repetitions per cell (360 trials, ``GRID``), each traced at constant
 speed and 50 Hz on a plane tilted at a random angle in [0, 90) degrees.
-A surface sets only the mean SQUAL; the noise preset sets the rest, slip
-included. A cell's repetitions share one time base and plane path, so a
-cell is synthesized as one ``(trials, frames)`` stack (``simulate_group``;
-cell by cell, ``simulate_by_cell``); each trial keeps its own seeded
-generator and no float operation mixes trials, so a trial's bytes are
-those it would get alone (``simulate_columns``).
+A surface sets only its mean SQUAL (``TEXTURES``); the noise preset sets
+the rest, slip included. A cell's repetitions share one time base
+(``time_base``) and plane path, so a cell is synthesized as one
+``(trials, frames)`` stack (``simulate_group``; cell by cell,
+``simulate_by_cell``); each trial keeps its own seeded generator and no
+float operation mixes trials, so a trial's bytes are those it would get
+alone (``simulate_columns``).
 """
 
 from __future__ import annotations
@@ -40,22 +41,8 @@ CYLINDER_SHAPE = "cylinder"  # curved-surface wrap demo; not in the campaign gri
 _SQUAL_JITTER = 6.0  # SQUAL standard deviation on every surface
 
 
-@dataclass(frozen=True)
-class TextureModel:
-    """Statistical stand-in for one drawing surface: its mean SQUAL, the one thing surfaces differ in."""
-
-    squal_mean: float
-
-    def __post_init__(self) -> None:
-        if not 50.0 <= self.squal_mean <= 90.0:
-            raise ValueError("squal_mean must lie in [50, 90]")
-
-
-TEXTURES: dict[str, TextureModel] = {
-    "mousepad": TextureModel(squal_mean=70.0),
-    "wood": TextureModel(squal_mean=60.0),
-    "jeans": TextureModel(squal_mean=55.0),
-}
+# each drawing surface's mean SQUAL, the one thing surfaces differ in; synthesis clips SQUAL to 50..90
+TEXTURES: dict[str, float] = {"mousepad": 70.0, "wood": 60.0, "jeans": 55.0}
 TEXTURE_NAMES = tuple(TEXTURES)
 GRID = tuple(itertools.product(TEXTURE_NAMES, SIZES_MM, SHAPE_NAMES, range(1, REPS + 1)))  # (texture, size, shape, rep)
 
@@ -90,7 +77,7 @@ class NoiseModel:
 NOISE_PRESETS = ("zero", "default")
 
 
-def noise_for_preset(preset: str, texture: TextureModel | None = None) -> NoiseModel:
+def noise_for_preset(preset: str, texture: float | None = None) -> NoiseModel:
     """One noise for every surface; ``texture`` is kept only because the bench harness still passes one."""
     if preset == "zero":
         return NoiseModel.zero()
@@ -187,6 +174,15 @@ def group_by_cell(specs: list[TrialSpec]) -> list[list[int]]:
     return list(cells.values())
 
 
+def time_base(spec: TrialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A trial's frame times (ms) and the arc length (mm) traced at each: a frame per step at constant speed."""
+    dt = 1.0 / spec.rate_hz
+    step = spec.speed_mm_s * dt
+    length = shape_path_length(spec.shape, spec.size_mm)
+    frames = np.arange(int(math.ceil(length / step - 1e-9)) + 1)
+    return np.round(frames * (1000.0 * dt)).astype(np.int64), np.minimum(frames * step, length)
+
+
 def gen_trajectories(specs: list[TrialSpec]) -> Trajectory:
     """Trace one cell's trials at constant speed on their tilted planes, stacked ``(trials, frames)``.
 
@@ -196,12 +192,7 @@ def gen_trajectories(specs: list[TrialSpec]) -> Trajectory:
     spec = specs[0]
     if len(group_by_cell(specs)) != 1:
         raise ValueError("the trials of a group must share one grid cell")
-    dt = 1.0 / spec.rate_hz
-    step = spec.speed_mm_s * dt
-    length = shape_path_length(spec.shape, spec.size_mm)
-    n_steps = int(math.ceil(length / step - 1e-9))
-    arcs = np.minimum(np.arange(n_steps + 1) * step, length)
-    t_ms = np.round(np.arange(n_steps + 1) * (1000.0 * dt)).astype(np.int64)
+    t_ms, arcs = time_base(spec)
 
     if spec.shape == CYLINDER_SHAPE:  # one wrap, whatever the tilt
         pos, quat = (np.tile(a, (len(specs), 1, 1)) for a in _cylinder_path(spec, arcs))
@@ -233,7 +224,7 @@ def _cylinder_path(spec: TrialSpec, arcs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def synthesize_group(
     truth: Trajectory,
-    texture: TextureModel,
+    squal_mean: float,
     noise: NoiseModel,
     rngs: list[np.random.Generator],
     scales: ScaleConfig | None = None,
@@ -267,7 +258,7 @@ def synthesize_group(
     # trial's generator, and with it every byte of every stored trace.
     draws = [
         (rng.normal(0.0, noise.slip_sigma_counts, (n - 1, 2)), rng.random(n - 1),
-         rng.normal(texture.squal_mean, _SQUAL_JITTER, n), rng.uniform(0.0, 3.0, n),
+         rng.normal(squal_mean, _SQUAL_JITTER, n), rng.uniform(0.0, 3.0, n),
          rng.normal(0.0, noise.gyro_bias_sigma_dps, 3), rng.normal(0.0, noise.gyro_sigma_dps, (n, 3)),
          rng.normal(0.0, noise.accel_sigma_g, (n, 3)), rng.normal(0.0, noise.mag_sigma_gauss, (n, 3)))
         for rng in rngs

@@ -329,6 +329,23 @@ def test_campaign_scores_a_trial_that_lost_a_frame(tmp_path, capsys, cli_campaig
             assert metrics == clean[d]
 
 
+def test_campaign_refuses_a_truth_file_from_another_trial(tmp_path, capsys, cli_campaign):
+    # both trials are 42 mm wood trials on the 20 ms time base; only the
+    # row count tells the circle's truth (221 rows) from the triangle's (211)
+    import shutil
+
+    camp = tmp_path / "camp"
+    shutil.copytree(cli_campaign[0] / "camp", camp)
+    wrong = "trial_195_wood_42_triangle_r1"
+    shutil.copyfile(camp / "trial_205_wood_42_circle_r1" / "truth.csv", camp / wrong / "truth.csv")
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {wrong}: truth.csv is not on its spec's time base: 221 rows against 211\n"
+    assert "grand mean" not in captured.out
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_campaign_without_manifest_is_data_error(tmp_path, capsys):
     code = run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")])
     assert code == 1

@@ -21,8 +21,10 @@ from touchtrace.geom import (
 from touchtrace.orientation import (
     MAX_DT_S,
     FilterConfig,
+    FilterDiagnostics,
     FilterState,
     OrientationFilter,
+    filter_stream,
     filter_streams,
     initial_state,
     predict,
@@ -30,7 +32,7 @@ from touchtrace.orientation import (
     update_accel,
     update_mag,
 )
-from touchtrace.protocol import CalibratedSample
+from touchtrace.protocol import CalibratedSample, ScaleConfig, apply_scales
 
 CFG = FilterConfig()
 
@@ -340,3 +342,22 @@ def test_filter_streams_equals_streaming_filter(lengths, seed):
         expected, expected_diagnostics = scalar_run(stream)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert got_diagnostics == expected_diagnostics
+
+
+def test_process_and_filter_stream_agree_bit_for_bit():
+    # the two streaming entry points, sample by sample and over a whole
+    # stream, on clean streams, a gap over MAX_DT_S, a duplicate timestamp,
+    # gated accel and zero mag readings
+    from test_golden import replay_streams
+
+    scales = ScaleConfig()
+    counted = {}
+    for name, block, _ in replay_streams():
+        filt = OrientationFilter()
+        stepped = np.array([filt.process(apply_scales(frame, scales)).q.as_tuple() for frame in block.frames()])
+        quat, diagnostics = filter_stream(FilterConfig(), block.t_ms, block.imu_raw, scales.imu_units)
+        assert stepped.tobytes() == quat.tobytes(), name
+        assert filt.diagnostics == diagnostics, name
+        counted[name] = diagnostics
+    assert counted["gap"] == FilterDiagnostics(clamped_dt=1, gated_accel=0)
+    assert counted["gated-accel"] == FilterDiagnostics(clamped_dt=0, gated_accel=5)
