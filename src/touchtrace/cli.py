@@ -6,8 +6,8 @@ Commands:
                the whole 360-trial campaign grid
     replay     decode a .3dt stream into pointer.csv + gestures.jsonl
     eval       score a pointer.csv against a truth.csv
-    campaign   replay + score every trial of a simulated campaign, in
-               lockstep in one process
+    campaign   check every trial of a simulated campaign, then replay them
+               in lockstep, score them and write; a bad trial writes nothing
     gesture    write a scripted gesture fixture trace
 
 Every command is deterministic given its flags and seed: re-running
@@ -22,12 +22,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .evaluate import evaluate_decoded, summarize_campaign, write_summary
+from .evaluate import evaluate_trial, match_truth, summarize_campaign
 from .geom import Vec3
 from .gestures import GestureConfig, write_events_jsonl
 from .interaction import MountMode
 from .orientation import FilterConfig
-from .pipeline import ReplayConfig, replay_bytes, replay_lockstep
+from .pipeline import ReplayConfig, check_timestamps, replay_bytes, replay_lockstep, score_trials
 from .protocol import FrameColumns, decode_columns, write_trace
 from .simulate import (
     GESTURE_KINDS,
@@ -46,7 +46,7 @@ from .simulate import (
     trial_dirname,
     write_manifest,
 )
-from .trajectory import read_csv
+from .trajectory import Trajectory, read_csv
 
 
 # `simulate` flags that set up one trial, with their defaults; no --tilt
@@ -167,11 +167,13 @@ def cmd_eval(args) -> int:
     pred = read_csv(args.pred)
     truth = read_csv(args.truth)
     try:
-        trial, dropped = evaluate_decoded(None, pred, truth)
+        matched, dropped = match_truth(pred.t_ms, truth)
+        trial = evaluate_trial(None, pred, matched)
+        text = trial.metrics_json() + "\n"
     except ValueError as exc:
         raise ValueError(f"{args.pred} vs {args.truth}: {exc}") from exc
     if args.out:
-        Path(args.out).write_text(trial.metrics_json() + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     _print_dropped(dropped, len(truth))
     print(
         f"mean position error {trial.mean_pos_err_mm:.4f} mm, "
@@ -192,23 +194,17 @@ def cmd_campaign(args) -> int:
     if not manifest.exists():
         raise ValueError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
-    results = [None] * len(specs)
-    dropped = rows = 0
-    for i, replayed in enumerate(replay_lockstep(_decoded(root, dirs))):  # score and write each trial in manifest order
-        trial_dir = root / dirs[i]
-        truth = read_csv(trial_dir / "truth.csv")
-        t_ms, _ = time_base(specs[i])
-        try:
-            if truth.t_ms.tolist() != t_ms.tolist():  # a wrong truth file; frames the replay lost count as dropped
-                raise ValueError(f"truth.csv is not on its spec's time base: {len(truth)} rows against {len(t_ms)}")
-            results[i], lost = evaluate_decoded(specs[i], replayed.pointer, truth)
-        except ValueError as exc:
-            raise ValueError(f"{dirs[i]}: {exc}") from exc
-        dropped, rows = dropped + lost, rows + len(truth)
-        (trial_dir / "metrics.json").write_text(results[i].metrics_json() + "\n", encoding="utf-8")
-    summary = summarize_campaign(results)
-    write_summary(summary, Path(args.out))
-    _print_dropped(dropped, rows)
+    # four passes: check every trial's files, replay them in lockstep, score them, then write
+    checked = [_named(rel, _checked_trial, root / rel, spec) for rel, spec in zip(dirs, specs)]
+    pointers = [r.pointer for r in replay_lockstep([columns for columns, _, _ in checked])]
+    results = score_trials(specs, pointers, lambda group: Trajectory.stack([checked[i][1] for i in group]))
+    texts = [_named(rel, result.metrics_json) for rel, result in zip(dirs, results)]
+    for rel, text in zip(dirs, texts):
+        (root / rel / "metrics.json").write_text(text + "\n", encoding="utf-8")
+    summary = summarize_campaign(results)  # the grid check: a partial campaign's trials are scored and written
+    Path(args.out).write_text(summary.to_json() + "\n", encoding="utf-8")
+    dropped = sum(lost for _, _, lost in checked)
+    _print_dropped(dropped, dropped + sum(len(truth) for _, truth, _ in checked))
     g = summary.grand
     print(
         f"grand mean position error {g['mean_pos_err_mm']:.4f} mm, "
@@ -221,16 +217,25 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def _decoded(root: Path, dirs: list[str]) -> list[FrameColumns]:
-    """Each trial's ``sensor.3dt`` under ``root``, decoded (a trial with no frame is an error),
-    as a temporary for ``replay_lockstep``, which frees the streams once it has packed them."""
-    streams = []
-    for rel in dirs:
-        columns, _ = decode_columns((root / rel / "sensor.3dt").read_bytes())
-        if not len(columns):
-            raise ValueError(f"{rel}: no frames decoded")
-        streams.append(columns)
-    return streams
+def _named(rel: str, step, *args):
+    """``step(*args)`` for the trial in dir ``rel``; an error names the dir."""
+    try:
+        return step(*args)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{rel}: {exc}") from exc
+
+
+def _checked_trial(trial_dir: Path, spec: TrialSpec) -> tuple[FrameColumns, Trajectory, int]:
+    """A trial's decoded frames, the rows of its ``truth.csv`` at their times, and how many frames it lost."""
+    columns, _ = decode_columns((trial_dir / "sensor.3dt").read_bytes())
+    if not len(columns):
+        raise ValueError("no frames decoded")
+    check_timestamps(columns.t_ms)
+    truth = read_csv(trial_dir / "truth.csv")
+    t_ms, _ = time_base(spec)
+    if truth.t_ms.tolist() != t_ms.tolist():
+        raise ValueError(f"truth.csv is not on its spec's time base: {len(truth)} rows against {len(t_ms)}")
+    return (columns, *match_truth(columns.t_ms, truth))
 
 
 def cmd_gesture(args) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -37,15 +36,17 @@ class TrialResult:
     n_samples: int
 
     def metrics_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_pos_err_mm": self.mean_pos_err_mm,
-                "pos_sigma": self.pos_err_sigma,
-                "mean_ori_err_deg": self.mean_ori_err_deg,
-                "ori_sigma": self.ori_err_sigma,
-                "n": self.n_samples,
-            }
-        )
+        """The scores as one JSON object; a score that is not finite is an error: RFC 8259 has no number for it."""
+        scores = {
+            "mean_pos_err_mm": self.mean_pos_err_mm,
+            "pos_sigma": self.pos_err_sigma,
+            "mean_ori_err_deg": self.mean_ori_err_deg,
+            "ori_sigma": self.ori_err_sigma,
+            "n": self.n_samples,
+        }
+        if not all(map(math.isfinite, scores.values())):
+            raise ValueError(f"score is not finite: {scores}")
+        return json.dumps(scores)
 
 
 def evaluate_trials(specs: list[TrialSpec | None], pred: Trajectory, truth: Trajectory) -> list[TrialResult]:
@@ -63,13 +64,14 @@ def evaluate_trials(specs: list[TrialSpec | None], pred: Trajectory, truth: Traj
         raise ValueError(
             f"timestamp mismatch at sample {at[-1]}: pred {pred.t_ms[at]} ms vs truth {truth.t_ms[at]} ms"
         )
-    aligned = pred.pos_mm + (truth.pos_mm[..., :1, :] - pred.pos_mm[..., :1, :])
-    pos_err = np.linalg.norm(aligned - truth.pos_mm, axis=-1)
-    fa, fb = (rotate_vectors(q.reshape(-1, 4), EX.as_tuple()) for q in (pred.quat, truth.quat))
-    dots = np.clip(np.einsum("...i,...i->...", fa, fb), -1.0, 1.0).reshape(pred.t_ms.shape)
-    ori_err = np.degrees(np.arccos(dots))
-    stats = (np.reshape(v, -1).tolist() for err in (pos_err, ori_err) for v in (err.mean(axis=-1), err.std(axis=-1)))
-    return [TrialResult(spec, *values, len(truth)) for spec, *values in zip(specs, *stats, strict=True)]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge inputs score inf or nan; metrics_json refuses them
+        aligned = pred.pos_mm + (truth.pos_mm[..., :1, :] - pred.pos_mm[..., :1, :])
+        pos_err = np.linalg.norm(aligned - truth.pos_mm, axis=-1)
+        fa, fb = (rotate_vectors(q.reshape(-1, 4), EX.as_tuple()) for q in (pred.quat, truth.quat))
+        dots = np.clip(np.einsum("...i,...i->...", fa, fb), -1.0, 1.0).reshape(pred.t_ms.shape)
+        ori_err = np.degrees(np.arccos(dots))
+        stats = [np.reshape(v, -1).tolist() for err in (pos_err, ori_err) for v in (err.mean(-1), err.std(-1))]
+        return [TrialResult(spec, *values, len(truth)) for spec, *values in zip(specs, *stats, strict=True)]
 
 
 def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> TrialResult:
@@ -80,32 +82,30 @@ def evaluate_trial(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) 
 MAX_DROPPED_SHARE = 0.1  # a policy, not a measurement: the largest share of its truth's rows a scored replay may lack
 
 
-def evaluate_decoded(spec: TrialSpec | None, pred: Trajectory, truth: Trajectory) -> tuple[TrialResult, int]:
-    """Score a replay that may have lost frames: the result and the count of dropped frames.
+def match_truth(t_ms: np.ndarray, truth: Trajectory) -> tuple[Trajectory, int]:
+    """The rows of ``truth`` at a replay's times ``t_ms``, and the count of frames the replay dropped.
 
-    Each prediction row is scored against the truth row at its time, so a
-    replay as long as its truth is scored row by row. Every prediction
-    time must appear in the truth, in order; an error names the first that
-    does not. The truth rows the prediction lacks are the dropped frames,
-    and a prediction lacking more than ``MAX_DROPPED_SHARE`` of them is refused.
+    Every time must appear in the truth, in order; an error names the first
+    that does not. The truth rows the replay lacks are its dropped frames,
+    and a replay lacking more than ``MAX_DROPPED_SHARE`` of them is refused.
     """
-    at = np.searchsorted(truth.t_ms, pred.t_ms)
+    at = np.searchsorted(truth.t_ms, t_ms)
     unmatched = at == len(truth)
-    unmatched[~unmatched] = truth.t_ms[at[~unmatched]] != pred.t_ms[~unmatched]
+    unmatched[~unmatched] = truth.t_ms[at[~unmatched]] != t_ms[~unmatched]
     if unmatched.any():
         k = int(np.argmax(unmatched))
-        raise ValueError(f"timestamp mismatch at sample {k}: pred {pred.t_ms[k]} ms has no truth row")
+        raise ValueError(f"timestamp mismatch at sample {k}: pred {t_ms[k]} ms has no truth row")
     backward = np.diff(at) <= 0
     if backward.any():
         k = int(np.argmax(backward)) + 1
-        raise ValueError(f"timestamp order at sample {k}: pred {pred.t_ms[k]} ms after {pred.t_ms[k - 1]} ms")
-    dropped = len(truth) - len(pred)
+        raise ValueError(f"timestamp order at sample {k}: pred {t_ms[k]} ms after {t_ms[k - 1]} ms")
+    dropped = len(truth) - len(t_ms)
     if dropped > MAX_DROPPED_SHARE * len(truth):
         raise ValueError(
-            f"sample count mismatch: pred has {len(pred)}, truth has {len(truth)}; "
+            f"sample count mismatch: pred has {len(t_ms)}, truth has {len(truth)}; "
             f"{dropped} truth rows have no prediction, more than {MAX_DROPPED_SHARE:.0%} of them"
         )
-    return evaluate_trial(spec, pred, Trajectory(truth.t_ms[at], truth.pos_mm[at], truth.quat[at])), dropped
+    return Trajectory(truth.t_ms[at], truth.pos_mm[at], truth.quat[at]), dropped
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,3 @@ def summarize_campaign(results) -> CampaignSummary:
     )
     return CampaignSummary(**tables, grand=_cell_stats(results), anova=anova)
 
-
-def write_summary(summary: CampaignSummary, path) -> None:
-    Path(path).write_text(summary.to_json() + "\n", encoding="utf-8")

@@ -1,33 +1,28 @@
-"""Host-side replay pipeline and the evaluation campaign runner.
+"""Host-side replay pipeline and the campaign's trial runner.
 
 Replay mirrors what the tethered host does with a live device: decode
 the byte stream, scale the channels, fuse orientation, detect gestures,
 and integrate optical deltas along the derived touch plane into a 3D
 pointer track (one row per frame).
 
-There are two ways through it, which differ in how they run the
-orientation filter. ``replay_columns`` runs one stream's frame block
-through the streaming filter, sample by sample on plain floats, then the
-gesture detector over the block's rows, in any ``ReplayConfig``; it is
-the path of ``replay`` (``replay_bytes``) and of the tests' sequential
-trial reference, and ``replay_frames`` is it on a list of frames.
-``replay_lockstep`` runs many streams at once through
-``orientation.filter_streams``, one batched filter step per sample index
-across every stream still running, in the campaign's one configuration:
-the fingerpad mount, the default filter and scales, no gestures. Both
-end in the same tail, ``interaction.pointer_track`` (which alone knows
-the touch plane and the mount rule), and package the result. The
-campaign runners (``run_campaign`` and the CLI's ``campaign``) push
-every trial through the lockstep path, bytes included, so their numbers
-measure the whole stack, not a shortcut; its results come back in input
-order. The in-memory runner synthesizes and scores each grid cell's
-trials as one stack; no float operation mixes trials, so no result
-depends on its cell or its batch. A campaign runs in one process.
+Two paths differ in how they run the orientation filter.
+``replay_columns`` (``replay_bytes``, ``replay_frames``) runs one stream
+through the streaming filter, then the gesture detector over its rows, in
+any ``ReplayConfig``. ``replay_lockstep`` runs many streams at once, one
+batched ``orientation.filter_streams`` step per sample index, in the
+campaign's one configuration: the fingerpad mount, the default filter and
+scales, no gestures. Both run ``check_timestamps`` first and end in
+``interaction.pointer_track``, which alone knows the touch plane and the
+mount rule. Both campaign runners, ``run_trials`` in memory and the CLI's
+``campaign`` over files, replay every trial through the lockstep path,
+bytes included, and score through ``score_trials``, a grid cell's tracks
+of one length as one stack against truth their caller supplies. No float
+operation mixes trials, so no result depends on its cell or its batch.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,19 +67,16 @@ _CAMPAIGN = ReplayConfig(with_gestures=False)
 
 
 def replay_frames(frames: list[SensorFrame], config: ReplayConfig | None = None) -> ReplayResult:
-    """Run decoded frames through filter, gestures and pointer projection.
-
-    Raises ValueError on an empty stream or a backward timestamp.
-    """
+    """``replay_columns`` on a list of decoded frames."""
     return replay_columns(FrameColumns.of(frames), config)
 
 
 def replay_columns(columns: FrameColumns, config: ReplayConfig | None = None) -> ReplayResult:
-    """``replay_frames`` on a frame block: the streaming filter and the
-    gesture detector read its rows."""
+    """Run one stream's frame block through the streaming filter, the gesture detector and pointer
+    projection. Raises ValueError on an empty stream or a backward timestamp."""
     config = config or ReplayConfig()
     t_ms = columns.t_ms
-    _check_timestamps(t_ms)
+    check_timestamps(t_ms)
     quat, diagnostics = filter_stream(config.filter_config, t_ms, columns.imu_raw, config.scales.imu_units)
     events = []
     if config.with_gestures:
@@ -122,16 +114,16 @@ def replay_bytes(
 def replay_lockstep(streams: Sequence[FrameColumns]) -> list[ReplayResult]:
     """Replay many streams at once, in the lockstep's one configuration ``_CAMPAIGN``.
 
-    One result per stream, in input order; each equals ``replay_frames``
+    One result per stream, in input order; each equals ``replay_columns``
     at ``_CAMPAIGN`` on that stream's frames to float rounding, with no
     gestures. The streams are packed back to back, filtered in lockstep
     by ``filter_streams`` and split again. Raises ValueError on an empty
-    stream or a backward timestamp, as ``replay_frames`` does.
+    stream or a backward timestamp, as ``replay_columns`` does.
     """
     if not streams:
         return []
     for columns in streams:
-        _check_timestamps(columns.t_ms)
+        check_timestamps(columns.t_ms)
     lengths = [len(c) for c in streams]
     packed = FrameColumns.concat(streams)
     del streams  # a caller that keeps no reference frees the streams here
@@ -143,8 +135,8 @@ def replay_lockstep(streams: Sequence[FrameColumns]) -> list[ReplayResult]:
     return [_replayed(t_ms, dxdy, q, _CAMPAIGN, [], d) for t_ms, dxdy, q, d in zip(*split, diagnostics)]
 
 
-def _check_timestamps(t_ms: np.ndarray) -> None:
-    """Both replay paths' one order check per stream; the filter and detector rely on it."""
+def check_timestamps(t_ms: np.ndarray) -> None:
+    """The one order check of a stream, which the filter and the detector rely on."""
     if len(t_ms) == 0:
         raise ValueError("replay needs at least one frame")
     back = np.flatnonzero(t_ms[1:] < t_ms[:-1])
@@ -157,18 +149,24 @@ def _check_timestamps(t_ms: np.ndarray) -> None:
 
 
 def run_trials(specs: list[TrialSpec], noise_preset: str = "default") -> list[TrialResult]:
-    """Synthesize trials by grid cell, replay them through the wire in lockstep, score them.
+    """Synthesize trials by grid cell, replay them through the wire in lockstep, score them against
+    truth rebuilt a cell at a time, not kept. Each result matches replaying its trial alone at
+    ``_CAMPAIGN``, to float rounding."""
+    pointers = [r.pointer for r in replay_lockstep(_wire_streams(specs, noise_preset))]
+    return score_trials(specs, pointers, lambda group: gen_trajectories([specs[i] for i in group]))
 
-    The campaign's runner; each result matches replaying its trial alone at ``_CAMPAIGN``, to float rounding.
-    """
-    replayed = replay_lockstep(_wire_streams(specs, noise_preset))
+
+def score_trials(specs: list[TrialSpec], pointers: Sequence[Trajectory], truth_of: Callable) -> list[TrialResult]:
+    """Score each trial's pointer track: the tracks of a grid cell that share a length are one
+    ``group`` of indices into ``specs``, one ``evaluate_trials`` stack against ``truth_of(group)``,
+    their truths stacked, each at its track's timestamps."""
     results: list[TrialResult] = [None] * len(specs)  # type: ignore[list-item]
     for cell in group_by_cell(specs):
-        # truth is a pure function of the specs: rebuild it rather than keep it
-        group = [specs[i] for i in cell]
-        pred = Trajectory.stack([replayed[i].pointer for i in cell])
-        for i, result in zip(cell, evaluate_trials(group, pred, gen_trajectories(group))):
-            results[i] = result
+        for n in {len(pointers[i]) for i in cell}:
+            group = [i for i in cell if len(pointers[i]) == n]
+            pred = Trajectory.stack([pointers[i] for i in group])
+            for i, result in zip(group, evaluate_trials([specs[i] for i in group], pred, truth_of(group))):
+                results[i] = result
     return results
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import read_events_jsonl, run_commands
 from touchtrace.cli import load_config, main
-from touchtrace.evaluate import MAX_DROPPED_SHARE, evaluate_decoded
+from touchtrace.evaluate import MAX_DROPPED_SHARE, evaluate_trial, match_truth
 from touchtrace.geom import Vec3
 from touchtrace.gestures import GestureConfig
 from touchtrace.orientation import FilterConfig, OrientationFilter, filter_stream
@@ -158,18 +158,24 @@ def test_eval_refuses_prediction_rows_out_of_order(zero_noise_trial, tmp_path, c
     assert capsys.readouterr().err.endswith(f"{message}\n")
 
 
+def _score(pointer, truth):
+    """What ``eval`` scores: the pointer against its matched truth rows, and the dropped frames."""
+    matched, dropped = match_truth(pointer.t_ms, truth)
+    return evaluate_trial(None, pointer, matched), dropped
+
+
 def test_a_dropped_frame_moves_the_score_by_at_most_its_counts(zero_noise_trial):
     # the lost optical counts stay in the score as drift, and nothing else moves it further;
     # frame 0 carries no counts, but losing it moves the alignment to frame 1
     data = (zero_noise_trial / "sensor.3dt").read_bytes()
     truth = read_csv(zero_noise_trial / "truth.csv")
     dxdy = decode_columns(data)[0].dxdy
-    clean, dropped = evaluate_decoded(None, replay_bytes(data)[0].pointer, truth)
+    clean, dropped = _score(replay_bytes(data)[0].pointer, truth)
     assert dropped == 0
     n = len(data) // FRAME_SIZE
     for k in [*range(1, n, 11), n - 1]:
         damaged = replay_bytes(data[:k * FRAME_SIZE] + data[(k + 1) * FRAME_SIZE:])[0]
-        score, dropped = evaluate_decoded(None, damaged.pointer, truth)
+        score, dropped = _score(damaged.pointer, truth)
         assert dropped == 1
         lost_mm = math.hypot(*dxdy[k].tolist()) * ScaleConfig().mm_per_count
         assert abs(score.mean_pos_err_mm - clean.mean_pos_err_mm) <= lost_mm, k
@@ -201,6 +207,42 @@ def test_eval_rejects_a_truth_value_it_cannot_score(tmp_path, capsys, column, va
     assert captured.err == f"error: {bad}: {message} in row {lines[3]!r}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def _alternate_x(src, dst):
+    """``src``'s rows with x alternating +-1e308: finite, so ``read_csv`` takes them, but the alignment overflows."""
+    header, *rows = Path(src).read_text().splitlines()
+    for k, row in enumerate(rows):
+        t, _, rest = row.split(",", 2)
+        rows[k] = f"{t},{'1e308' if k % 2 == 0 else '-1e308'},{rest}"
+    Path(dst).write_text("\n".join([header, *rows]) + "\n")
+
+
+def test_eval_refuses_a_score_that_is_not_finite(zero_noise_trial, tmp_path, capsys):
+    pred, truth, out = tmp_path / "pointer.csv", zero_noise_trial / "truth.csv", tmp_path / "m.json"
+    _alternate_x(truth, pred)
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {pred} vs {truth}: score is not finite: {{'mean_pos_err_mm': inf, ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_campaign_refuses_a_score_that_is_not_finite(tmp_path, capsys):
+    from touchtrace.simulate import trial_dirname
+
+    camp, specs = _partial_campaign(tmp_path, 3)
+    bad = trial_dirname(1, specs[1])
+    _alternate_x(camp / bad / "truth.csv", camp / bad / "truth.csv")
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: score is not finite: {{'mean_pos_err_mm': inf, ")
+    assert captured.out == ""
+    assert not list(camp.rglob("metrics.json"))
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_eval_names_a_truth_file_that_is_not_utf8(tmp_path, capsys):
@@ -338,11 +380,15 @@ def test_campaign_refuses_a_truth_file_from_another_trial(tmp_path, capsys, cli_
     shutil.copytree(cli_campaign[0] / "camp", camp)
     wrong = "trial_195_wood_42_triangle_r1"
     shutil.copyfile(camp / "trial_205_wood_42_circle_r1" / "truth.csv", camp / wrong / "truth.csv")
+    for metrics in camp.rglob("metrics.json"):
+        metrics.unlink()
     capsys.readouterr()
     assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json")]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {wrong}: truth.csv is not on its spec's time base: 221 rows against 211\n"
     assert "grand mean" not in captured.out
+    # every trial's files are checked before any is scored: the 195 trials before it write nothing either
+    assert not list(camp.rglob("metrics.json"))
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -363,7 +409,11 @@ def test_campaign_backward_timestamp_exits_1(tmp_path, capsys):
     write_trace(trace, frames)
     capsys.readouterr()
     assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
-    assert "out-of-order timestamp" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {trial_dirname(1, specs[1])}: out-of-order timestamp: "
+        f"{frames[4].timestamp_ms} ms arrived after {frames[3].timestamp_ms} ms\n"
+    )
+    assert not list(camp.rglob("metrics.json"))
 
 
 def _set_dir(value):
@@ -415,6 +465,13 @@ def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     assert "Traceback" not in err
     assert not (outside / "metrics.json").exists()
     assert not list(camp.rglob("metrics.json"))
+
+
+def test_campaign_with_no_trials_reports_every_cell_missing(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text(json.dumps({"campaign_seed": 6, "noise": "zero", "trials": []}))
+    assert run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: campaign is missing 360 cells: mousepad/12/hline/rep1, ")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):

@@ -24,17 +24,22 @@
   in-memory campaign runner is held byte for byte, not only to 1e-9;
 * ``versions.json``: the Python and numpy versions they were made with.
 
-Under those versions every byte must match. Under other versions the
-numbers in stdout and in the text files must agree within 1e-9
-relative, the ``.3dt`` traces and the seed-7 trace digests (integers
-only) must match exactly, and the ``camp/``, replay-stream,
-filter-state and ``run_trials`` digests are skipped.
+Under those versions, and an OpenBLAS kernel of the FMA family that
+recorded them (``Haswell`` and ``SkylakeX`` measured), every byte must
+match: the filter's small matmuls run in BLAS, and a kernel without fused
+multiply-adds rounds them differently, so every failure message names
+numpy's version, the BLAS library and the OpenBLAS core (``pinned_on``).
+Under other versions the numbers in stdout and in the text files must
+agree within 1e-9 relative, the ``.3dt`` traces and the seed-7 trace
+digests (integers only) must match exactly, and the ``camp/``,
+replay-stream, filter-state and ``run_trials`` digests are skipped.
 Regenerate the files only in a change that means to alter outputs, and
 list what changed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -87,6 +92,33 @@ _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def openblas_core() -> str:
+    """The OpenBLAS kernel family running numpy's matmuls, read through ctypes where the library tells it."""
+    here = Path(np.__file__).parent
+    for path in [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]:
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            try:
+                corename = getattr(ctypes.CDLL(str(path)), name)
+            except (OSError, AttributeError):
+                continue
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def pinned_on() -> str:
+    """Where the golden bytes were recorded, and the platform of this run, for failure messages."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version')}"
+    except (TypeError, KeyError):  # a numpy before 1.25 only prints its config
+        blas = "unknown"
+    return (
+        f"golden files recorded under {_recorded_versions()} with an FMA OpenBLAS kernel (Haswell, SkylakeX); "
+        f"this run: numpy {np.__version__}, BLAS {blas}, OpenBLAS core {openblas_core()}"
+    )
 
 
 def readme_outputs(work: Path, campaign_root: Path, campaign_transcript: str):
@@ -225,50 +257,50 @@ def test_readme_outputs_match_golden(tmp_path, cli_campaign):
     assert sorted(files) == sorted(want)
     want_transcript = (GOLDEN / "stdout.txt").read_text()
     if _recorded_versions() == versions():
-        assert transcript == want_transcript
+        assert transcript == want_transcript, pinned_on()
         for rel, data in files.items():
-            assert data == want[rel], f"{rel} differs from tests/golden/files/{rel}"
+            assert data == want[rel], f"{rel} differs from tests/golden/files/{rel}; {pinned_on()}"
     else:
-        assert values_close(transcript, want_transcript)
+        assert values_close(transcript, want_transcript), pinned_on()
         for rel, data in files.items():
             if rel.endswith(".3dt"):
-                assert data == want[rel], f"{rel} differs from tests/golden/files/{rel}"
+                assert data == want[rel], f"{rel} differs from tests/golden/files/{rel}; {pinned_on()}"
             else:
-                assert values_close(data.decode(), want[rel].decode()), f"{rel} differs beyond 1e-9"
+                assert values_close(data.decode(), want[rel].decode()), f"{rel} differs beyond 1e-9; {pinned_on()}"
 
 
 def test_campaign_files_match_golden_digests(cli_campaign):
     _skip_unless_recorded_versions("a digest")
     digests = campaign_digests(cli_campaign[0])
-    assert digests.splitlines() == (GOLDEN / "campaign.sha256").read_text().splitlines()
+    assert digests.splitlines() == (GOLDEN / "campaign.sha256").read_text().splitlines(), pinned_on()
 
 
 def test_seed_7_traces_match_golden_digests():
     # integers only, like the .3dt files above: exact under any version
     digests = trace_digests(7)
-    assert digests.splitlines() == (GOLDEN / "seed7_traces.sha256").read_text().splitlines()
+    assert digests.splitlines() == (GOLDEN / "seed7_traces.sha256").read_text().splitlines(), pinned_on()
 
 
 def test_replay_streams_match_golden_digests():
     _skip_unless_recorded_versions("float digests")
     digests = replay_stream_digests()
-    assert digests.splitlines() == (GOLDEN / "replay_streams.sha256").read_text().splitlines()
+    assert digests.splitlines() == (GOLDEN / "replay_streams.sha256").read_text().splitlines(), pinned_on()
     # replay_bytes replays the same block, so it gives the same digests
     for (name, block, mount), line in zip(replay_streams(), digests.splitlines()):
         result, _ = replay_bytes(encode_frames(block), ReplayConfig(mount=mount))
-        assert f"{replay_digest(result)}  {name}" == line
+        assert f"{replay_digest(result)}  {name}" == line, pinned_on()
 
 
 def test_filter_states_match_golden_digests():
     _skip_unless_recorded_versions("float digests")
     digests = filter_state_digests()
-    assert digests.splitlines() == (GOLDEN / "filter_states.sha256").read_text().splitlines()
+    assert digests.splitlines() == (GOLDEN / "filter_states.sha256").read_text().splitlines(), pinned_on()
 
 
 def test_run_trials_match_golden_digests():
     _skip_unless_recorded_versions("float digests")
     digests = run_trials_digests()
-    assert digests.splitlines() == (GOLDEN / "run_trials.sha256").read_text().splitlines()
+    assert digests.splitlines() == (GOLDEN / "run_trials.sha256").read_text().splitlines(), pinned_on()
 
 
 def test_values_close_holds_numbers_to_1e_9_relative():

@@ -15,6 +15,7 @@ from touchtrace.geom import (
     UnitQuat,
     Vec3,
     axis_angle_quat,
+    quat_multiply,
     rotate_vector,
     to_euler,
 )
@@ -33,6 +34,7 @@ from touchtrace.orientation import (
     update_mag,
 )
 from touchtrace.protocol import CalibratedSample, ScaleConfig, apply_scales
+from touchtrace.simulate import NoiseModel, campaign_specs, simulate_by_cell
 
 CFG = FilterConfig()
 
@@ -361,3 +363,51 @@ def test_process_and_filter_stream_agree_bit_for_bit():
         counted[name] = diagnostics
     assert counted["gap"] == FilterDiagnostics(clamped_dt=1, gated_accel=0)
     assert counted["gated-accel"] == FilterDiagnostics(clamped_dt=0, gated_accel=5)
+
+
+# -- the filter held to its own covariance ------------------------------------
+
+# The FilterConfig whose noise is the simulator's default NoiseModel, field by field.
+_NOISE = NoiseModel()
+MATCHED = FilterConfig(
+    accel_noise=_NOISE.accel_sigma_g,  # the per-axis sigma (g) the simulator adds to every accel sample
+    mag_noise=_NOISE.mag_sigma_gauss,  # the per-axis sigma (gauss) it adds to every mag sample
+    # white gyro noise of sigma s per sample, every dt: Q = density^2 dt = (s dt)^2, so density = s sqrt(dt)
+    gyro_noise_density=_NOISE.gyro_sigma_dps * math.sqrt(1.0 / 50.0),  # the campaign's 50 Hz
+    init_bias_sigma_dps=_NOISE.gyro_bias_sigma_dps,  # each trial's constant gyro bias is drawn with this sigma
+)
+# The rest keep their defaults: the simulated bias does not walk (and the walk must be > 0), TRIAD
+# starts the attitude, the simulator's field is the default mag_reference, and its accel is never gated.
+
+
+def mean_attitude_nees(cfg: FilterConfig, specs, skip: int = 10) -> float:
+    """Each trial's attitude NEES (normalized estimation error squared) averaged over its samples after
+    the first ``skip``, then over the trials: dθᵀ P_θθ⁻¹ dθ, with dθ the body-frame error q⁻¹ ⊗ q_true,
+    the error state the filter's covariance describes."""
+    units = ScaleConfig().imu_units
+    means = []
+    for _, truth, block in simulate_by_cell(specs, NoiseModel()):
+        filt = OrientationFilter(cfg)
+        q, p = [], []
+        for t, row in zip(block.t_ms.tolist(), (block.imu_raw * units).tolist()):
+            filt.advance(t, row[0:3], row[3:6], row[6:9])
+            state = filt.state
+            q.append(state.q.as_tuple())
+            p.append(state.covariance[:3, :3])
+        err = quat_multiply(np.array(q) * (1.0, -1.0, -1.0, -1.0), truth.quat)
+        dtheta = 2.0 * err[:, 1:] * np.sign(err[:, :1])  # small-angle error, of the quaternion with w >= 0
+        nees = np.einsum("ni,nij,nj->n", dtheta, np.linalg.inv(np.array(p)), dtheta)
+        means.append(nees[skip:].mean())
+    return float(np.mean(means))
+
+
+def test_matched_filter_is_consistent_with_its_own_covariance():
+    # Bar-Shalom, Li & Kirubarajan (2001), 5.4: in a consistent filter the attitude NEES is chi-square
+    # with 3 dof. A trial's samples are correlated; in the widest case, perfectly, each trial's mean is
+    # one chi-square(3) draw and the mean of 36 independent trials is chi-square(108) / 36, whose
+    # two-sided 95% band is [2.254, 3.851]. Less correlated samples only narrow it.
+    specs = campaign_specs(42)[::10]
+    assert 2.254 <= mean_attitude_nees(MATCHED, specs) <= 3.851  # reads 3.47; with R x 0.25, 10.8
+    # the default filter trusts its accel and mag far less than the simulator warrants, and so
+    # over-states its own uncertainty: a tuning fact, reported here, not a defect (reads 0.60)
+    assert mean_attitude_nees(FilterConfig(), specs) < 2.254

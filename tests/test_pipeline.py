@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import touchtrace
-from touchtrace.evaluate import evaluate_trial
+from touchtrace.evaluate import evaluate_trial, match_truth
 from touchtrace.gestures import DOUBLE_TAP, PRESS_BEGIN, TAP
 from touchtrace.pipeline import (
     ReplayConfig,
@@ -15,10 +15,11 @@ from touchtrace.pipeline import (
     replay_lockstep,
     run_campaign,
     run_trials,
+    score_trials,
 )
 from touchtrace.interaction import MountMode
 from touchtrace.orientation import FilterDiagnostics, OrientationFilter
-from touchtrace.protocol import FrameColumns, apply_scales, encode_frames
+from touchtrace.protocol import FRAME_SIZE, FrameColumns, apply_scales, decode_columns, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
     TrialSpec,
@@ -26,10 +27,12 @@ from touchtrace.simulate import (
     draw_tilt,
     noise_for_preset,
     script_gesture_trace,
+    simulate_by_cell,
     simulate_columns,
     simulate_trial,
     TEXTURES,
 )
+from touchtrace.trajectory import Trajectory, read_csv
 
 SPECS = campaign_specs(11)
 
@@ -216,6 +219,24 @@ def test_trial_result_is_independent_of_its_batch():
     half = len(SPECS) // 2
     for batch in (range(half), range(half, len(SPECS)), range(0, len(SPECS), 7)):
         assert run_trials([SPECS[i] for i in batch]) == [whole[i] for i in batch]
+
+
+def test_score_trials_on_file_truths_equals_evaluate_trial_on_matched_rows(tmp_path):
+    # the `campaign` command's scoring: truth.csv rows matched to each track; a trial
+    # that lost a frame is a stack of its own within its cell
+    specs = SPECS[:10]  # two grid cells of five trials
+    streams, files = [None] * len(specs), [tmp_path / f"truth_{i}.csv" for i in range(len(specs))]
+    for i, truth, block in simulate_by_cell(specs, noise_for_preset("default")):
+        data = encode_frames(block)
+        if i == 2:
+            data = data[: 3 * FRAME_SIZE] + data[4 * FRAME_SIZE :]  # frame 3 never arrives
+        streams[i] = decode_columns(data)[0]
+        truth.write_csv(files[i])
+    pointers = [r.pointer for r in replay_lockstep(streams)]
+    matched = [match_truth(pointer.t_ms, read_csv(path)) for pointer, path in zip(pointers, files)]
+    assert [dropped for _, dropped in matched] == [0, 0, 1] + [0] * 7
+    got = score_trials(specs, pointers, lambda group: Trajectory.stack([matched[i][0] for i in group]))
+    assert got == [evaluate_trial(spec, p, truth) for spec, p, (truth, _) in zip(specs, pointers, matched)]
 
 
 def test_run_campaign_refuses_more_than_one_job(monkeypatch):
