@@ -154,28 +154,36 @@ class CampaignSummary:
     anova: AnovaResult
 
     def to_json(self) -> str:
+        """The summary as one JSON object; a number that is not finite is an error naming its table and
+        field, as in ``TrialResult.metrics_json``."""
         payload = {f.name: getattr(self, f.name) for f in fields(self)}  # the tables and grand, in field order
         payload["anova"] = {"F": self.anova.F, "df": [self.anova.df_between, self.anova.df_within], "p": self.anova.p}
+        for table, entries in payload.items():
+            for key, value in entries.items():
+                for field, number in value.items() if isinstance(value, dict) else [("", value)]:
+                    if isinstance(number, float) and not math.isfinite(number):
+                        raise ValueError(f"summary {table}.{key}{field and '.' + field} is not finite: {number}")
         return json.dumps(payload, indent=2)
 
 
 def _cell_stats(results) -> dict:
     """Sample-weighted mean and sigma reconstructed from per-trial moments."""
     n = sum(r.n_samples for r in results)
-    pos_sum = math.fsum(r.mean_pos_err_mm * r.n_samples for r in results)
-    ori_sum = math.fsum(r.mean_ori_err_deg * r.n_samples for r in results)
-    pos_sq = math.fsum((r.pos_err_sigma**2 + r.mean_pos_err_mm**2) * r.n_samples for r in results)
-    ori_sq = math.fsum((r.ori_err_sigma**2 + r.mean_ori_err_deg**2) * r.n_samples for r in results)
-    pos_mean = pos_sum / n
-    ori_mean = ori_sum / n
-    return {
-        "n": n,
-        "trials": len(results),
-        "mean_pos_err_mm": pos_mean,
-        "pos_sigma": math.sqrt(max(0.0, pos_sq / n - pos_mean**2)),
-        "mean_ori_err_deg": ori_mean,
-        "ori_sigma": math.sqrt(max(0.0, ori_sq / n - ori_mean**2)),
-    }
+    pos_mean, pos_sigma = _moments(results, n, "mean_pos_err_mm", "pos_err_sigma")
+    ori_mean, ori_sigma = _moments(results, n, "mean_ori_err_deg", "ori_err_sigma")
+    return {"n": n, "trials": len(results), "mean_pos_err_mm": pos_mean, "pos_sigma": pos_sigma,
+            "mean_ori_err_deg": ori_mean, "ori_sigma": ori_sigma}
+
+
+def _moments(results, n: int, mean: str, sigma: str) -> tuple[float, float]:
+    """One score's mean and sigma over the ``n`` samples of ``results``; a moment past the float range is inf."""
+    m = math.inf  # if the sum of the means overflows
+    try:
+        m = math.fsum(getattr(r, mean) * r.n_samples for r in results) / n
+        sq = math.fsum((getattr(r, sigma) ** 2 + getattr(r, mean) ** 2) * r.n_samples for r in results)
+        return m, math.sqrt(max(0.0, sq / n - m**2))
+    except OverflowError:  # fsum's intermediate overflow, or a square past the float range
+        return m, math.inf
 
 
 def summarize_campaign(results) -> CampaignSummary:

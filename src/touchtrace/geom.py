@@ -253,12 +253,8 @@ def to_euler(q: UnitQuat) -> EulerAngles:
     """
     m = quat_matrices(q.as_tuple())
     sp = -m[2][0]
-    if sp >= 1.0 - 1e-12:
-        pitch = 90.0
-        yaw = math.degrees(math.atan2(-m[0][1], m[1][1]))
-        roll = 0.0
-    elif sp <= -1.0 + 1e-12:
-        pitch = -90.0
+    if abs(sp) >= 1.0 - 1e-12:
+        pitch = math.copysign(90.0, sp)
         yaw = math.degrees(math.atan2(-m[0][1], m[1][1]))
         roll = 0.0
     else:

@@ -9,11 +9,12 @@ five repetitions per cell (360 trials, ``GRID``), each traced at constant
 speed and 50 Hz on a plane tilted at a random angle in [0, 90) degrees.
 A surface sets only its mean SQUAL (``TEXTURES``); the noise preset sets
 the rest, slip included. A cell's repetitions share one time base
-(``time_base``) and plane path, so a cell is synthesized as one
-``(trials, frames)`` stack (``simulate_group``; cell by cell,
-``simulate_by_cell``); each trial keeps its own seeded generator and no
-float operation mixes trials, so a trial's bytes are those it would get
-alone (``simulate_columns``).
+(``time_base``) and plane path, and ``simulate_by_cell``, the one walk
+over the grid, synthesizes each cell as one ``(trials, frames)`` stack;
+each trial keeps its own seeded generator and no float operation mixes
+trials, so a trial's bytes are those it would get alone, in a cell of one
+(``simulate_columns``). The synthesizer models one device, the default
+``ScaleConfig``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ _SQUAL_JITTER = 6.0  # SQUAL standard deviation on every surface
 TEXTURES: dict[str, float] = {"mousepad": 70.0, "wood": 60.0, "jeans": 55.0}
 TEXTURE_NAMES = tuple(TEXTURES)
 GRID = tuple(itertools.product(TEXTURE_NAMES, SIZES_MM, SHAPE_NAMES, range(1, REPS + 1)))  # (texture, size, shape, rep)
+_SCALES = ScaleConfig()  # the one device the synthesizer models
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,6 @@ def synthesize_group(
     squal_mean: float,
     noise: NoiseModel,
     rngs: list[np.random.Generator],
-    scales: ScaleConfig | None = None,
 ) -> list[FrameColumns]:
     """Fabricate the block of wire frames a device tracing each trial of
     the ``(trials, frames)`` stack ``truth`` would emit.
@@ -240,7 +241,6 @@ def synthesize_group(
     slip, dropout, squal, lift squal, gyro bias, gyro, accel, mag. No
     operation mixes trials, so a block does not depend on its group.
     """
-    scales = scales or ScaleConfig()
     n = len(truth)
     rot = quat_matrices(truth.quat)
     dp = np.diff(truth.pos_mm, axis=-2)
@@ -251,7 +251,7 @@ def synthesize_group(
     if np.any(off_plane > tol):
         at = np.unravel_index(np.argmax(off_plane - tol), off_plane.shape)
         raise ValueError(f"truth leaves the touch plane at step {at[-1]}: {off_plane[at]:.3g} mm off-plane")
-    counts = np.stack(along[:2], axis=-1) / scales.mm_per_count
+    counts = np.stack(along[:2], axis=-1) / _SCALES.mm_per_count
 
     # The dropout and lift-SQUAL draws of retired model parts are still
     # made and discarded: skipping one would shift every later draw of the
@@ -278,7 +278,7 @@ def synthesize_group(
     accel, mag = (np.einsum("...ij,i->...j", rot, v) for v in (GRAVITY_WORLD.as_tuple(), MAG_FIELD_WORLD.as_tuple()))
 
     imu = np.concatenate([accel + accel_noise, gyro + bias[..., None, :] + gyro_noise, mag + mag_noise], axis=-1)
-    imu_raw = np.clip(np.rint(imu / scales.imu_units), -32768, 32767).astype(np.int16)
+    imu_raw = np.clip(np.rint(imu / _SCALES.imu_units), -32768, 32767).astype(np.int16)
     return [FrameColumns(*columns) for columns in zip(truth.t_ms.copy(), dxdy, squal, imu_raw)]
 
 
@@ -296,43 +296,31 @@ def draw_tilt(seed: int) -> float:
     return float(trial_rng.uniform(0.0, 90.0))
 
 
-def simulate_group(
-    specs: list[TrialSpec],
-    noise: NoiseModel,
-    scales: ScaleConfig | None = None,
-) -> tuple[Trajectory, list[FrameColumns]]:
-    """Ground truth, stacked, plus each trial's block of synthesized wire
-    frames for the trials of one grid cell (see ``group_by_cell``)."""
-    truth = gen_trajectories(specs)
-    rngs = [trial_streams(s.seed)[1] for s in specs]
-    return truth, synthesize_group(truth, TEXTURES[specs[0].texture], noise, rngs, scales)
-
-
 def simulate_by_cell(specs: list[TrialSpec], noise: NoiseModel) -> Iterator[tuple[int, Trajectory, FrameColumns]]:
-    """Each trial's (index into ``specs``, truth, block), synthesized cell by cell through ``simulate_group``."""
+    """Each trial's (index into ``specs``, truth, block of wire frames), cell by cell (``group_by_cell``):
+    a cell's truth is one ``gen_trajectories`` stack, its blocks one ``synthesize_group`` call."""
     for cell in group_by_cell(specs):
-        truth, blocks = simulate_group([specs[i] for i in cell], noise)
-        for k, (i, block) in enumerate(zip(cell, blocks)):
+        group = [specs[i] for i in cell]
+        truth = gen_trajectories(group)
+        rngs = [trial_streams(s.seed)[1] for s in group]
+        for k, (i, block) in enumerate(zip(cell, synthesize_group(truth, TEXTURES[group[0].texture], noise, rngs))):
             yield i, truth.trial(k), block
 
 
-def simulate_columns(
-    spec: TrialSpec,
-    noise: NoiseModel,
-    scales: ScaleConfig | None = None,
-) -> tuple[Trajectory, FrameColumns]:
-    """Ground truth plus the block of synthesized wire frames for one trial."""
-    truth, blocks = simulate_group([spec], noise, scales)
-    return truth.trial(0), blocks[0]
+def simulate_columns(spec: TrialSpec, noise: NoiseModel) -> tuple[Trajectory, FrameColumns]:
+    """Ground truth plus the block of synthesized wire frames for one trial: the walk over a cell of one."""
+    _, truth, block = next(simulate_by_cell([spec], noise))
+    return truth, block
 
 
 def simulate_trial(
-    spec: TrialSpec,
-    noise: NoiseModel,
-    scales: ScaleConfig | None = None,
+    spec: TrialSpec, noise: NoiseModel, scales: ScaleConfig | None = None
 ) -> tuple[Trajectory, list[SensorFrame]]:
-    """``simulate_columns`` with the frames as a list."""
-    truth, block = simulate_columns(spec, noise, scales)
+    """``simulate_columns`` with the frames as a list. ``scales`` is kept only because the bench
+    harness still passes the default; the synthesizer models one device, so any other is an error."""
+    if scales not in (None, _SCALES):
+        raise ValueError(f"the synthesizer models one device; scales must be ScaleConfig(), got {scales!r}")
+    truth, block = simulate_columns(spec, noise)
     return truth, block.frames()
 
 
@@ -392,21 +380,15 @@ def read_manifest(path) -> tuple[int, str, list[TrialSpec], list[str]]:
 
 GESTURE_KINDS = ("tap", "doubletap", "press", "moving-tap-reject")
 _FRAME_MS = 20  # fixture frame period
+# a level device's accel, gyro and mag channels (gravity, no rate, the field), quantized as synthesis quantizes
+_LEVEL_IMU = tuple(map(tuple, np.rint(
+    np.concatenate([GRAVITY_WORLD.as_tuple(), (0.0, 0.0, 0.0), MAG_FIELD_WORLD.as_tuple()]) / _SCALES.imu_units
+).astype(int).reshape(3, 3).tolist()))
 
 
 def _static_frame(t_ms: int, squal: int, dx: int) -> SensorFrame:
     """Frame with level-device IMU channels so the filter stays happy."""
-    scales = ScaleConfig()
-    mag_raw = tuple(int(round(c / scales.mag_gauss_per_lsb)) for c in MAG_FIELD_WORLD.as_tuple())
-    return SensorFrame(
-        timestamp_ms=t_ms,
-        dx=dx,
-        dy=0,
-        squal=squal,
-        accel_raw=(0, 0, -16384),
-        gyro_raw=(0, 0, 0),
-        mag_raw=mag_raw,
-    )
+    return SensorFrame(t_ms, dx, 0, squal, *_LEVEL_IMU)
 
 
 def _no_fixture(kind: str, cfg: GestureConfig, *names: str) -> ValueError:

@@ -392,6 +392,63 @@ def test_campaign_refuses_a_truth_file_from_another_trial(tmp_path, capsys, cli_
     assert not (tmp_path / "summary.json").exists()
 
 
+def _rewrite_x(path, x_of):
+    """Rewrite the x of each row k of the truth file ``path`` as ``x_of(k, x)``."""
+    header, *rows = Path(path).read_text().splitlines()
+    for k, row in enumerate(rows):
+        t, x, rest = row.split(",", 2)
+        rows[k] = f"{t},{x_of(k, float(x))!r},{rest}"
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "trials, x_of, field",
+    [
+        # five short trials alternate x between 0 and 3e153: the 12 mm cell's sum of squares overflows fsum
+        (range(5), lambda k, x: 0.0 if k % 2 == 0 else 3e153, "per_size.12.pos_sigma"),
+        # one 84 mm circle moves 3e153 mm after its first row: its scores are finite, its cell's sigma is not
+        ([115], lambda k, x: x if k == 0 else x + 3e153, "per_size.84.pos_sigma"),
+    ],
+    ids=["fsum-overflow", "sigma-overflow"],
+)
+def test_campaign_writes_no_summary_with_a_number_json_cannot_hold(tmp_path, capsys, cli_campaign, trials, x_of, field):
+    import shutil
+
+    from touchtrace.simulate import read_manifest
+
+    camp = tmp_path / "camp"
+    shutil.copytree(cli_campaign[0] / "camp", camp)
+    _, _, _, dirs = read_manifest(camp / "manifest.json")
+    for d in dirs:
+        (camp / d / "metrics.json").unlink()
+    for i in trials:
+        _rewrite_x(camp / dirs[i] / "truth.csv", x_of)
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "summary.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: summary {field} is not finite: inf\n"
+    assert captured.out == ""
+    assert not (tmp_path / "summary.json").exists()
+    # the summary is built after every trial's metrics.json is written, and each of those is finite
+    for d in dirs:
+        assert all(map(math.isfinite, json.loads((camp / d / "metrics.json").read_text()).values()))
+
+
+def test_campaign_names_a_trial_whose_trace_decodes_no_frame(tmp_path, capsys):
+    from touchtrace.simulate import trial_dirname
+
+    camp, specs = _partial_campaign(tmp_path, 2)
+    bad = trial_dirname(1, specs[1])
+    (camp / bad / "sensor.3dt").write_bytes(b"\x00" * 100)
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: no frames decoded\n"
+    assert captured.out == ""
+    assert not list(camp.rglob("metrics.json"))
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_campaign_without_manifest_is_data_error(tmp_path, capsys):
     code = run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")])
     assert code == 1
@@ -547,6 +604,8 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
         ("--filter-config", "accel_gate=0.3\naccel_noise=abc\n", ":2: "),
         ("--filter-config", "accel_gate=0.3\nmag_reference=0.2,x,-0.4\n", ":2: "),
         ("--filter-config", "accel_gate=0.3\nbogus_key=1\n", ":2: "),
+        ("--filter-config", "accel_gate=0.3\naccel_noise 0.1\n", ":2: expected key=value, got 'accel_noise 0.1'\n"),
+        ("--filter-config", "mag_reference=0.2,-0.4\n", ":1: mag_reference needs 3 components\n"),
         ("--gesture-config", "contact_squal=12\njeans.tap_squal=x\n", ":2: "),
         ("--gesture-config", "contact_squal=12\nmousepda.tap_squal=3\n", ":2: "),
         # a texture prefix is read in gesture files only
@@ -570,6 +629,8 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
         "filter-value",
         "filter-vector",
         "filter-unknown-key",
+        "filter-no-equals",
+        "filter-vector-of-two",
         "gesture-value",
         "gesture-unknown-texture",
         "filter-texture-prefix",

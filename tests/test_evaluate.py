@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from touchtrace.evaluate import (
     summarize_campaign,
 )
 from touchtrace.pipeline import replay_lockstep
-from touchtrace.simulate import NOISE_PRESETS, TEXTURES, campaign_specs, gen_trajectories, group_by_cell, noise_for_preset, simulate_group
+from touchtrace.simulate import NOISE_PRESETS, campaign_specs, gen_trajectories, group_by_cell, noise_for_preset, simulate_by_cell
 from touchtrace.trajectory import CSV_HEADER, Trajectory, read_csv
 
 
@@ -210,6 +212,25 @@ def test_summary_json_schema():
     assert payload["anova"]["df"] == [2, 357]
 
 
+def test_summary_json_refuses_a_number_that_is_not_finite():
+    results = _fake_results()
+    # each texture's trials share one mean and the textures differ: F is inf, which JSON cannot carry
+    level = {"mousepad": 1.0, "wood": 2.0, "jeans": 3.0}
+    summary = summarize_campaign([dataclasses.replace(r, mean_pos_err_mm=level[r.spec.texture]) for r in results])
+    assert summary.anova.F == math.inf
+    with pytest.raises(ValueError, match=r"^summary anova\.F is not finite: inf$"):
+        summary.to_json()
+    # a cell's moments past the float range: fsum's intermediate overflow, a square, a product
+    for damage, field in (
+        (dict(pos_err_sigma=1.2e153), "per_size.12.pos_sigma"),
+        (dict(ori_err_sigma=1e155), "per_size.12.ori_sigma"),
+        (dict(mean_ori_err_deg=1e307), "per_size.12.mean_ori_err_deg"),
+    ):
+        wide = [dataclasses.replace(r, **damage) if r.spec.size_mm == 12 else r for r in results]
+        with pytest.raises(ValueError, match=rf"^summary {re.escape(field)} is not finite: inf$"):
+            summarize_campaign(wide).to_json()
+
+
 def test_metrics_json_schema():
     r = _fake_results()[0]
     payload = json.loads(r.metrics_json())
@@ -238,10 +259,11 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("preset", NOISE_PRESETS)
 def test_group_scoring_equals_groups_of_one(preset):
+    blocks = {i: block for i, _, block in simulate_by_cell(MIXED_SPECS, noise_for_preset(preset))}
     for cell in group_by_cell(MIXED_SPECS):
         group = [MIXED_SPECS[i] for i in cell]
-        truth, blocks = simulate_group(group, noise_for_preset(preset, TEXTURES[group[0].texture]))
-        replayed = replay_lockstep(blocks)
+        truth = gen_trajectories(group)
+        replayed = replay_lockstep([blocks[i] for i in cell])
         pred = Trajectory.stack([replayed[k].pointer for k in range(len(group))])
         results = evaluate_trials(group, pred, truth)
         assert results == [evaluate_trial(spec, pred.trial(k), truth.trial(k)) for k, spec in enumerate(group)]

@@ -136,6 +136,9 @@ def test_euler_gimbal_lock_convention():
     e = to_euler(axis_angle_quat(EY, 90.0))
     assert e.pitch == pytest.approx(90.0, abs=1e-6)
     assert e.roll == 0.0
+    for pitch in (90.0, -90.0):  # either lock recovers the yaw
+        e = to_euler(from_euler(EulerAngles(yaw=30.0, pitch=pitch, roll=0.0)))
+        assert (e.yaw, e.pitch, e.roll) == (pytest.approx(30.0, abs=1e-6), pitch, 0.0)
 
 
 def test_angle_between_basics():

@@ -205,6 +205,17 @@ def test_raycast_empty_scene():
     assert raycast_select(Vec3(0, 0, 0), IDENTITY_QUAT, Scene(())) is None
 
 
+def test_raycast_from_inside_a_sphere_hits_its_far_side():
+    # the near root lies behind the origin; the far one, at t = 2, is closer than the sphere beyond
+    scene = Scene(
+        (
+            SceneObject("beyond", Sphere(Vec3(3.5, 0, 0), 1.0)),
+            SceneObject("around", Sphere(Vec3(0, 0, 0), 2.0)),
+        )
+    )
+    assert raycast_select(Vec3(0, 0, 0), IDENTITY_QUAT, scene) == "around"
+
+
 def test_raycast_miss_by_margin():
     scene = Scene((SceneObject("s", Sphere(Vec3(10, 2.0, 0), 1.0)),))
     assert raycast_select(Vec3(0, 0, 0), IDENTITY_QUAT, scene) is None
@@ -215,6 +226,7 @@ def test_raycast_box_from_inside_and_outside():
     assert raycast_select(Vec3(0, 0, 0), IDENTITY_QUAT, scene) == "b"
     assert raycast_select(Vec3(3, 0, 0), IDENTITY_QUAT, scene) == "b"  # inside: exit face
     assert raycast_select(Vec3(5, 0, 0), IDENTITY_QUAT, scene) is None  # behind
+    assert raycast_select(Vec3(0, 5, 0), IDENTITY_QUAT, scene) is None  # parallel to the y slabs, outside them
 
 
 def _sampling_oracle(origin, direction, scene, step=0.1, max_range=60.0):

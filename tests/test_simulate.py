@@ -25,7 +25,6 @@ from touchtrace.simulate import (
     shape_path_length,
     simulate_by_cell,
     simulate_columns,
-    simulate_group,
     simulate_trial,
     synthesize_group,
     script_gesture_trace,
@@ -161,25 +160,12 @@ def test_group_by_cell_keys_on_everything_but_rep_tilt_and_seed():
         assert len({(s.texture, s.shape, s.size_mm) for s in (MIXED_SPECS[i] for i in cell)}) == 1
     for other in (spec_for(texture="jeans"), spec_for(size=21), TrialSpec("mousepad", 12, "hline", 1, 0.0, 9, rate_hz=60.0)):
         with pytest.raises(ValueError, match="share one grid cell"):
-            simulate_group([spec_for(), other], NoiseModel.zero())
-
-
-@pytest.mark.parametrize("preset", NOISE_PRESETS)
-def test_group_synthesis_equals_groups_of_one(preset):
-    for cell in group_by_cell(MIXED_SPECS):
-        group = [MIXED_SPECS[i] for i in cell]
-        noise = noise_for_preset(preset, TEXTURES[group[0].texture])
-        truth, blocks = simulate_group(group, noise)
-        assert len(blocks) == len(group)
-        for k, spec in enumerate(group):
-            one_truth, one_block = simulate_columns(spec, noise)
-            assert encode_frames(blocks[k]) == encode_frames(one_block)
-            for name in ("t_ms", "pos_mm", "quat"):
-                assert np.array_equal(getattr(truth.trial(k), name), getattr(one_truth, name))
+            gen_trajectories([spec_for(), other])
 
 
 @pytest.mark.parametrize("preset", NOISE_PRESETS)
 def test_simulate_by_cell_yields_each_trial_as_simulated_alone(preset):
+    """A cell's stack gives each trial the bytes and truth of a cell of one (``simulate_columns``)."""
     noise = noise_for_preset(preset)
     indices = []
     for i, truth, block in simulate_by_cell(MIXED_SPECS, noise):
@@ -189,6 +175,14 @@ def test_simulate_by_cell_yields_each_trial_as_simulated_alone(preset):
         for name in ("t_ms", "pos_mm", "quat"):
             assert np.array_equal(getattr(truth, name), getattr(one_truth, name))
     assert sorted(indices) == list(range(len(MIXED_SPECS)))
+
+
+def test_simulate_trial_models_only_the_default_device():
+    spec = spec_for()
+    _, frames = simulate_trial(spec, NoiseModel.zero())
+    assert simulate_trial(spec, NoiseModel.zero(), ScaleConfig())[1] == frames
+    with pytest.raises(ValueError, match=r"models one device; scales must be ScaleConfig\(\)"):
+        simulate_trial(spec, NoiseModel.zero(), ScaleConfig(counts_per_inch=800.0))
 
 
 def test_noise_preset_is_the_same_on_every_surface():
