@@ -199,6 +199,7 @@ def cmd_campaign(args) -> int:
     pointers = [r.pointer for r in replay_lockstep([columns for columns, _, _ in checked])]
     results = score_trials(specs, pointers, lambda group: Trajectory.stack([checked[i][1] for i in group]))
     texts = [_named(rel, result.metrics_json) for rel, result in zip(dirs, results)]
+    Path(args.out).unlink(missing_ok=True)  # a summary refused below leaves none, not the last run's
     for rel, text in zip(dirs, texts):
         (root / rel / "metrics.json").write_text(text + "\n", encoding="utf-8")
     summary = summarize_campaign(results)  # the grid check: a partial campaign's trials are scored and written

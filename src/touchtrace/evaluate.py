@@ -129,9 +129,13 @@ def one_way_anova(groups) -> AnovaResult:
     if any(len(g) < 2 for g in groups):
         raise ValueError("one_way_anova needs >= 2 values in each group")
     n_total = sum(len(g) for g in groups)
-    grand = sum(float(g.sum()) for g in groups) / n_total
-    ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
-    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range numpy gives inf, as ``_moments`` does
+        grand = sum(float(g.sum()) for g in groups) / n_total
+        ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+        try:
+            ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
+        except OverflowError:  # the float power raises where numpy's gives inf
+            ssb = math.inf
     df_b = 2
     df_w = n_total - 3
     msb = ssb / df_b

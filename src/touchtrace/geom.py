@@ -20,7 +20,9 @@ lockstep filter, pointer projection and the evaluation metrics):
 vector, and ``quat_matrices`` the rotation matrix, from whose entries
 Euler angles, touch-plane bases and the forward axes the metrics compare
 are all read. On floats, ``_unit`` is the one renormalization and
-``_integrate`` the one gyro step.
+``_integrate`` the one gyro step. ``_unit`` squares with ``**``, which
+calls the C library's ``pow``: the C library is part of the platform
+that pins the bytes (see ``quat_multiply``).
 """
 
 from __future__ import annotations
@@ -293,7 +295,8 @@ def quat_matrices(q):
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton products a ⊗ b, renormalized, as ``UnitQuat.multiply``.
 
-    ``a`` is (N,4); ``b`` is (N,4) or one (4,) quaternion for every row.
+    ``a`` is (N,4); ``b`` is (N,4) or one (4,) quaternion for every row. It squares with ``*`` and
+    ``_unit`` with ``pow``, so under glibc 2.36 about 0.04% of random products differ in the last bit.
     """
     w, x, y, z = _hamilton(*a.T, *b.T)
     out = np.empty((len(a), 4))

@@ -52,9 +52,10 @@ from .geom import (
     quat_multiply,
     rotate_vectors,
 )
-from .protocol import CalibratedSample
+from .protocol import CalibratedSample, ScaleConfig
 
 MAX_DT_S = 0.1
+_UNITS = ScaleConfig().imu_units  # the one device's per-LSB scales: raw accel, gyro, mag to g, deg/s, gauss
 
 
 @dataclass(frozen=True)
@@ -256,17 +257,15 @@ class OrientationFilter:
         return self.state
 
 
-def filter_stream(
-    cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray, units: np.ndarray
-) -> tuple[np.ndarray, FilterDiagnostics]:
+def filter_stream(cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray) -> tuple[np.ndarray, FilterDiagnostics]:
     """``OrientationFilter.advance`` over a whole stream: its attitudes (n, 4) and counters.
 
     ``t_ms`` (n,) holds the timestamps and ``imu_raw`` (n, 9) the raw
-    accel, gyro and mag channels of each sample, which ``units`` (9,)
-    scales to g, deg/s and gauss. Raises ValueError where ``advance`` does.
+    accel, gyro and mag channels of each sample, scaled by the device's
+    ``_UNITS`` to g, deg/s and gauss. Raises ValueError where ``advance`` does.
     """
     filt = OrientationFilter(cfg)
-    rows = zip(t_ms.tolist(), (imu_raw * units).tolist())
+    rows = zip(t_ms.tolist(), (imu_raw * _UNITS).tolist())
     return np.array([filt.advance(t, row[0:3], row[3:6], row[6:9]) for t, row in rows]), filt.diagnostics
 
 
@@ -417,7 +416,7 @@ def _assign(dst: np.ndarray, src: np.ndarray, rows: np.ndarray) -> None:
 
 
 def filter_streams(
-    cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray, units: np.ndarray, lengths: Sequence[int]
+    cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray, lengths: Sequence[int]
 ) -> tuple[np.ndarray, list[FilterDiagnostics]]:
     """``filter_stream`` over many streams at once: their attitudes (n, 4) and counters.
 
@@ -436,7 +435,7 @@ def filter_streams(
     m = len(lengths)
 
     # rows as lists for this line only: held through the loop, they cost the campaign ~0.25 MB of peak RSS
-    first = imu_raw[starts] * units
+    first = imu_raw[starts] * _UNITS
     q = np.array([initial_state(cfg, Vec3(*r[0:3]), Vec3(*r[6:9])).q.as_tuple() for r in first.tolist()])
     bias = np.zeros((m, 3))
     p = np.repeat(_init_covariance(cfg)[None], m, axis=0)
@@ -447,7 +446,7 @@ def filter_streams(
     for k in range(1, int(lengths[0])):
         n = int(np.searchsorted(-lengths, -k, side="left"))  # streams longer than k
         rows = starts[:n] + k  # sample k of each stream still running
-        imu = imu_raw[rows] * units
+        imu = imu_raw[rows] * _UNITS
         dt = (t_ms[rows] - t_ms[rows - 1]) / 1000.0
         accel, gyro, mag = imu[:, 0:3], imu[:, 3:6], imu[:, 6:9]
         running = q[:n], bias[:n], p[:n]  # views: the steps below update them in place

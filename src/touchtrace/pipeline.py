@@ -10,14 +10,15 @@ Two paths differ in how they run the orientation filter.
 through the streaming filter, then the gesture detector over its rows, in
 any ``ReplayConfig``. ``replay_lockstep`` runs many streams at once, one
 batched ``orientation.filter_streams`` step per sample index, in the
-campaign's one configuration: the fingerpad mount, the default filter and
-scales, no gestures. Both run ``check_timestamps`` first and end in
-``interaction.pointer_track``, which alone knows the touch plane and the
-mount rule. Both campaign runners, ``run_trials`` in memory and the CLI's
-``campaign`` over files, replay every trial through the lockstep path,
-bytes included, and score through ``score_trials``, a grid cell's tracks
-of one length as one stack against truth their caller supplies. No float
-operation mixes trials, so no result depends on its cell or its batch.
+campaign's one configuration: the fingerpad mount, the default filter, no
+gestures. Both run ``check_timestamps`` first, scale the raw IMU by the
+device's fixed scales and end in ``interaction.pointer_track``, which
+alone knows the touch plane and the mount rule. Both campaign runners,
+``run_trials`` in memory and the CLI's ``campaign`` over files, replay
+every trial through the lockstep path, bytes included, and score through
+``score_trials``, a grid cell's tracks of one length as one stack against
+truth their caller supplies. No float operation mixes trials, so no
+result depends on its cell or its batch.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .trajectory import Trajectory
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    scales: ScaleConfig = field(default_factory=ScaleConfig)
+    scales = ScaleConfig()  # a class constant, not a setting: the one device's scales, fixed by the wire format
     filter_config: FilterConfig = field(default_factory=FilterConfig)
     gesture_config: GestureConfig = field(default_factory=GestureConfig)
     mount: MountMode = MountMode.FINGERPAD
@@ -62,7 +63,7 @@ class ReplayResult:
     filter_diagnostics: FilterDiagnostics
 
 
-# the lockstep's one configuration, and the cylinder demo's: fingerpad, default filter and scales, no gestures
+# the lockstep's one configuration, and the cylinder demo's: fingerpad, default filter, no gestures
 _CAMPAIGN = ReplayConfig(with_gestures=False)
 
 
@@ -77,7 +78,7 @@ def replay_columns(columns: FrameColumns, config: ReplayConfig | None = None) ->
     config = config or ReplayConfig()
     t_ms = columns.t_ms
     check_timestamps(t_ms)
-    quat, diagnostics = filter_stream(config.filter_config, t_ms, columns.imu_raw, config.scales.imu_units)
+    quat, diagnostics = filter_stream(config.filter_config, t_ms, columns.imu_raw)
     events = []
     if config.with_gestures:
         rows = zip(t_ms.tolist(), *columns.dxdy.T.tolist(), columns.squal.tolist())
@@ -127,9 +128,7 @@ def replay_lockstep(streams: Sequence[FrameColumns]) -> list[ReplayResult]:
     lengths = [len(c) for c in streams]
     packed = FrameColumns.concat(streams)
     del streams  # a caller that keeps no reference frees the streams here
-    quat, diagnostics = filter_streams(
-        _CAMPAIGN.filter_config, packed.t_ms, packed.imu_raw, _CAMPAIGN.scales.imu_units, lengths
-    )
+    quat, diagnostics = filter_streams(_CAMPAIGN.filter_config, packed.t_ms, packed.imu_raw, lengths)
     bounds = np.cumsum(lengths)[:-1]
     split = (np.split(a, bounds) for a in (packed.t_ms, packed.dxdy, quat))
     return [_replayed(t_ms, dxdy, q, _CAMPAIGN, [], d) for t_ms, dxdy, q, d in zip(*split, diagnostics)]

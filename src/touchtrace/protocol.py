@@ -17,6 +17,7 @@ Frame layout (34 bytes, little-endian):
     [32:34]  uint16 CRC-16/CCITT-FALSE over bytes 0..31
 
 A ``.3dt`` trace file is just concatenated frames, exactly as on the wire.
+No field carries a scale: ``ScaleConfig`` holds the device's, as constants.
 
 A ``FrameColumns`` block, one integer array per channel, is what the
 campaign moves: ``encode_frames`` writes a block through one record
@@ -103,25 +104,17 @@ class SensorFrame:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Raw-LSB to physical-unit scales for the sensor channels."""
+    """The device's raw-LSB to physical-unit scales. No frame carries a scale, so the wire format
+    fixes them: class constants, not settings, and ``ScaleConfig()`` takes no argument."""
 
-    counts_per_inch: float = 400.0
-    accel_g_per_lsb: float = 1.0 / 16384.0
-    gyro_dps_per_lsb: float = 0.00875
-    mag_gauss_per_lsb: float = 1.0 / 1100.0
-
-    def __post_init__(self) -> None:
-        for name in ("counts_per_inch", "accel_g_per_lsb", "gyro_dps_per_lsb", "mag_gauss_per_lsb"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+    counts_per_inch = 400.0
+    accel_g_per_lsb = 1.0 / 16384.0
+    gyro_dps_per_lsb = 0.00875
+    mag_gauss_per_lsb = 1.0 / 1100.0
+    mm_per_count = 25.4 / counts_per_inch
 
     @property
-    def mm_per_count(self) -> float:
-        return 25.4 / self.counts_per_inch
-
-    @property
-    def imu_units(self) -> np.ndarray:
-        """Per-LSB scale of each raw IMU channel, (9,): accel, gyro, mag."""
+    def imu_units(self) -> np.ndarray:  # per-LSB scale of each raw IMU channel, (9,): accel, gyro, mag
         return np.repeat((self.accel_g_per_lsb, self.gyro_dps_per_lsb, self.mag_gauss_per_lsb), 3)
 
 

@@ -13,8 +13,8 @@ the rest, slip included. A cell's repetitions share one time base
 over the grid, synthesizes each cell as one ``(trials, frames)`` stack;
 each trial keeps its own seeded generator and no float operation mixes
 trials, so a trial's bytes are those it would get alone, in a cell of one
-(``simulate_columns``). The synthesizer models one device, the default
-``ScaleConfig``.
+(``simulate_columns``). The synthesizer models the one device, whose
+per-LSB scales are ``ScaleConfig``'s constants.
 """
 
 from __future__ import annotations
@@ -313,13 +313,9 @@ def simulate_columns(spec: TrialSpec, noise: NoiseModel) -> tuple[Trajectory, Fr
     return truth, block
 
 
-def simulate_trial(
-    spec: TrialSpec, noise: NoiseModel, scales: ScaleConfig | None = None
-) -> tuple[Trajectory, list[SensorFrame]]:
-    """``simulate_columns`` with the frames as a list. ``scales`` is kept only because the bench
-    harness still passes the default; the synthesizer models one device, so any other is an error."""
-    if scales not in (None, _SCALES):
-        raise ValueError(f"the synthesizer models one device; scales must be ScaleConfig(), got {scales!r}")
+def simulate_trial(spec: TrialSpec, noise: NoiseModel, scales=None) -> tuple[Trajectory, list[SensorFrame]]:
+    """``simulate_columns`` with the frames as a list. ``scales`` is ignored, kept only because the
+    bench harness passes it: ``ScaleConfig()`` takes no setting, and the synthesizer models its one device."""
     truth, block = simulate_columns(spec, noise)
     return truth, block.frames()
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import read_events_jsonl, run_commands
-from touchtrace.cli import load_config, main
+from touchtrace.cli import build_parser, load_config, main
 from touchtrace.evaluate import MAX_DROPPED_SHARE, evaluate_trial, match_truth
 from touchtrace.geom import Vec3
 from touchtrace.gestures import GestureConfig
@@ -17,7 +18,7 @@ from touchtrace.orientation import FilterConfig, OrientationFilter, filter_strea
 from touchtrace.pipeline import replay_bytes
 from touchtrace.protocol import FRAME_SIZE, ScaleConfig, apply_scales, decode_columns
 from touchtrace.simulate import NoiseModel, TrialSpec, draw_tilt, simulate_columns
-from touchtrace.trajectory import read_csv
+from touchtrace.trajectory import CSV_HEADER, read_csv
 
 
 def run(argv):
@@ -94,6 +95,15 @@ def test_eval_length_mismatch_is_data_error(tmp_path, capsys):
     code = run(["eval", "--pred", str(t1 / "truth.csv"), "--truth", str(t2 / "truth.csv")])
     assert code == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_eval_of_two_header_only_files_is_data_error(tmp_path, capsys):
+    pred, truth, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "m.json"
+    for path in (pred, truth):
+        path.write_text(CSV_HEADER + "\n")
+    assert run(["eval", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {pred} vs {truth}: cannot align empty trajectories\n"
+    assert not out.exists()
 
 
 def test_eval_names_a_prediction_time_with_no_truth_row(tmp_path, capsys):
@@ -342,6 +352,21 @@ def test_campaign_partial_grid_scores_then_reports_missing(tmp_path, capsys):
         assert metrics["mean_pos_err_mm"] <= 0.2
 
 
+def test_a_refused_campaign_leaves_no_summary_of_an_earlier_run(tmp_path, capsys, cli_campaign):
+    import shutil
+
+    camp, out = tmp_path / "camp", tmp_path / "s.json"
+    shutil.copytree(cli_campaign[0] / "camp", camp)
+    shutil.copy(cli_campaign[0] / "summary.json", out)  # a whole run's summary
+    manifest = json.loads((camp / "manifest.json").read_text())
+    manifest["trials"].pop()
+    (camp / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: campaign is missing 1 cells: jeans/84/circle/rep5\n"
+    assert not out.exists()  # the first run's summary would describe a grid this run did not score
+
+
 def test_campaign_scores_a_trial_that_lost_a_frame(tmp_path, capsys, cli_campaign):
     import shutil
 
@@ -500,10 +525,14 @@ def _set_field(name, value):
      _set_field("speed_mm_s", float("inf")),  # json writes Infinity
      _set_dir(5), _set_dir(str), _set_dir("../elsewhere"), _set_dir("a/../../elsewhere"),
      _set_field("rep", 1.5), _set_field("rep", True), _set_field("seed", 2.5),
-     _set_field("tilt_deg", True), _set_field("rate_hz", True), _set_field("speed_mm_s", True)],
+     _set_field("tilt_deg", True), _set_field("rate_hz", True), _set_field("speed_mm_s", True),
+     # values of the right type that TrialSpec refuses
+     _set_field("rep", 6), _set_field("tilt_deg", 91),
+     lambda p, _: {**p, "trials": [{**p["trials"][0], "shape": "cylinder", "size_mm": 0}]}],
     ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number",
          "dir-absolute", "dir-parent", "dir-parent-inside", "rep-as-float", "rep-as-bool", "seed-as-float",
-         "tilt-as-bool", "rate-as-bool", "speed-as-bool"],
+         "tilt-as-bool", "rate-as-bool", "speed-as-bool", "rep-past-the-grid", "tilt-past-90",
+         "cylinder-of-no-diameter"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     import shutil
@@ -539,6 +568,61 @@ def test_campaign_rejects_a_cell_listed_twice(tmp_path, capsys):
     capsys.readouterr()
     assert run(["campaign", "--dir", str(camp), "--out", str(tmp_path / "s.json")]) == 1
     assert "campaign has cell mousepad/12/hline/rep1 more than once" in capsys.readouterr().err
+
+
+TEXTURE_CHOICES = ["mousepad", "wood", "jeans"]
+# every subcommand's options: flag -> (value type, or "switch"; choices; default; required)
+CLI_OPTIONS = {
+    "simulate": {
+        "--texture": ("str", TEXTURE_CHOICES, None, False),
+        "--size": ("int", [12, 21, 42, 84], None, False),
+        "--shape": ("str", ["hline", "vline", "diag", "triangle", "square", "circle"], None, False),
+        "--rep": ("int", None, None, False),
+        "--tilt": ("float", None, None, False),
+        "--seed": ("int", None, None, True),
+        "--noise": ("str", ["zero", "default"], "default", False),
+        "--rate": ("float", None, None, False),
+        "--speed": ("float", None, None, False),
+        "--campaign": ("switch", None, False, False),
+        "--out": ("str", None, None, True),
+    },
+    "replay": {
+        "--in": ("str", None, None, True),
+        "--out": ("str", None, None, True),
+        "--mount": ("str", ["fingertip", "fingerpad", "ring"], "fingerpad", False),
+        "--filter-config": ("str", None, None, False),
+        "--gesture-config": ("str", None, None, False),
+        "--texture": ("str", TEXTURE_CHOICES, "mousepad", False),
+    },
+    "eval": {
+        "--pred": ("str", None, None, True),
+        "--truth": ("str", None, None, True),
+        "--out": ("str", None, None, False),
+    },
+    "campaign": {"--dir": ("str", None, None, True), "--out": ("str", None, None, True)},
+    "gesture": {
+        "--kind": ("str", ["tap", "doubletap", "press", "moving-tap-reject"], None, True),
+        "--out": ("str", None, None, True),
+        "--gesture-config": ("str", None, None, False),
+        "--texture": ("str", TEXTURE_CHOICES, "mousepad", False),
+    },
+}
+
+
+def test_cli_options_are_exactly_the_listed_ones():
+    # a change that adds or drops a flag, a choice or a default must change this list too
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        command: {
+            "/".join(a.option_strings): (
+                "switch" if isinstance(a, argparse._StoreTrueAction) else (a.type or str).__name__,
+                None if a.choices is None else list(a.choices), a.default, a.required,
+            )
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for command, parser in sub.choices.items()
+    }
+    assert found == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("option", [["--jobs", "1"], ["--mount", "ring"]], ids=["jobs", "mount"])
@@ -624,6 +708,8 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
         ("--gesture-config", "press_squal=500\n", ": need contact_squal <= press_squal <= 169"),
         ("--gesture-config", "tap_move_limit_counts=-1\n", ": tap_move_limit_counts must be >= 0"),
         ("--gesture-config", "doubletap_offset_counts=-3\n", ": doubletap_offset_counts must be >= 0"),
+        ("--gesture-config", "tap_window_ms=0\n", ": tap_window_ms must be > 0"),
+        ("--gesture-config", "doubletap_min_gap_ms=600\n", ": need 0 <= doubletap_min_gap_ms <= doubletap_max_gap_ms"),
     ],
     ids=[
         "filter-value",
@@ -646,6 +732,8 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys, flags):
         "gesture-press-above-max",
         "gesture-negative-move-limit",
         "gesture-negative-offset",
+        "gesture-zero-tap-window",
+        "gesture-min-gap-above-max",
     ],
 )
 def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text, where):
@@ -710,12 +798,11 @@ def test_streaming_filter_stops_where_filter_stream_does(tmp_path, text, t_ms):
     config.write_text(text)
     cfg = load_config(config, FilterConfig)
     _, block = simulate_columns(TrialSpec("mousepad", 42, "circle", 1, draw_tilt(7), 7), NoiseModel.zero())
-    scales = ScaleConfig()
     with pytest.raises(ValueError) as streamed:
-        filter_stream(cfg, block.t_ms, block.imu_raw, scales.imu_units)
+        filter_stream(cfg, block.t_ms, block.imu_raw)
     filt = OrientationFilter(cfg)
     with pytest.raises(ValueError) as stepped:
         for frame in block.frames():
-            filt.process(apply_scales(frame, scales))
+            filt.process(apply_scales(frame, ScaleConfig()))
     assert str(streamed.value) == str(stepped.value)
     assert str(stepped.value).startswith(f"orientation filter left the float range at {t_ms} ms;")

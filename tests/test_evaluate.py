@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ def test_anova_three_groups_p_is_the_closed_form():
 def test_anova_extreme_f():
     assert 0.0 < one_way_anova([[0, 1], [1e8, 1e8 + 1], [2e8, 2e8 + 1]]).p < 1e-20
     assert one_way_anova([[0, 2], [1e-12, 2], [0, 2 + 1e-12]]).p == 1.0
+
+
+def test_anova_past_the_float_range_is_not_finite_and_the_summary_refuses_it():
+    # a group mean's square past the float range: F is inf, or nan where the spread within overflows too,
+    # with no OverflowError and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        between = one_way_anova([[1e200, 1e200, 1e200], [1, 2, 3], [4, 5, 6]])
+        both = one_way_anova([[1e200, 2e200, 3e200], [1, 2, 3], [4, 5, 6]])
+    assert (between.F, between.p) == (math.inf, 0.0)
+    assert math.isnan(both.F) and math.isnan(both.p)
+    summary = dataclasses.replace(summarize_campaign(_fake_results()), anova=both)
+    with pytest.raises(ValueError, match=r"^summary anova\.F is not finite: nan$"):
+        summary.to_json()
 
 
 @pytest.mark.parametrize("count", [2, 4])

@@ -27,8 +27,11 @@
 Under those versions, and an OpenBLAS kernel of the FMA family that
 recorded them (``Haswell`` and ``SkylakeX`` measured), every byte must
 match: the filter's small matmuls run in BLAS, and a kernel without fused
-multiply-adds rounds them differently, so every failure message names
-numpy's version, the BLAS library and the OpenBLAS core (``pinned_on``).
+multiply-adds rounds them differently. Python's float ``**`` calls the C
+library's ``pow``, which need not round a square as a product does, so
+the C library is part of the platform too (glibc 2.36 recorded them).
+Every failure message names numpy's version, the BLAS library, the
+OpenBLAS core and the C library (``pinned_on``).
 Under other versions the numbers in stdout and in the text files must
 agree within 1e-9 relative, the ``.3dt`` traces and the seed-7 trace
 digests (integers only) must match exactly, and the ``camp/``,
@@ -116,8 +119,9 @@ def pinned_on() -> str:
     except (TypeError, KeyError):  # a numpy before 1.25 only prints its config
         blas = "unknown"
     return (
-        f"golden files recorded under {_recorded_versions()} with an FMA OpenBLAS kernel (Haswell, SkylakeX); "
-        f"this run: numpy {np.__version__}, BLAS {blas}, OpenBLAS core {openblas_core()}"
+        f"golden files recorded under {_recorded_versions()} with an FMA OpenBLAS kernel (Haswell, SkylakeX) "
+        f"and glibc 2.36; this run: numpy {np.__version__}, BLAS {blas}, OpenBLAS core {openblas_core()}, "
+        f"C library {' '.join(platform.libc_ver()) or 'unknown'}"
     )
 
 

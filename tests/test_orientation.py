@@ -333,15 +333,20 @@ def scalar_run(stream):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_filter_streams_equals_streaming_filter(lengths, seed):
-    # packed in the order drawn, so the lockstep sort meets unsorted lengths
+    # packed in the order drawn, so the lockstep sort meets unsorted lengths; the lockstep reads the raw
+    # counts of each stream, quantized as the device would send them, and the reference their scaled rows
     rng = np.random.default_rng(seed)
     streams = [ragged_stream(rng, n) for n in lengths]
+    units = ScaleConfig().imu_units
     t_ms = np.concatenate([s[0] for s in streams])
-    imu = np.concatenate([np.hstack((accel, gyro, mag)) for _, gyro, accel, mag in streams])
-    quat, diagnostics = filter_streams(CFG, t_ms, imu, np.ones(9), lengths)
+    scaled = np.concatenate([np.hstack((accel, gyro, mag)) for _, gyro, accel, mag in streams]) / units
+    imu_raw = np.clip(np.rint(scaled), -32768, 32767).astype(np.int16)
+    quat, diagnostics = filter_streams(CFG, t_ms, imu_raw, lengths)
     assert len(diagnostics) == len(streams)
-    for stream, got, got_diagnostics in zip(streams, np.split(quat, np.cumsum(lengths)[:-1]), diagnostics):
-        expected, expected_diagnostics = scalar_run(stream)
+    bounds = np.cumsum(lengths)[:-1]
+    split = (np.split(a, bounds) for a in (t_ms, imu_raw * units, quat))
+    for t, imu, got, got_diagnostics in zip(*split, diagnostics):
+        expected, expected_diagnostics = scalar_run((t, imu[:, 3:6], imu[:, 0:3], imu[:, 6:9]))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert got_diagnostics == expected_diagnostics
 
@@ -357,7 +362,7 @@ def test_process_and_filter_stream_agree_bit_for_bit():
     for name, block, _ in replay_streams():
         filt = OrientationFilter()
         stepped = np.array([filt.process(apply_scales(frame, scales)).q.as_tuple() for frame in block.frames()])
-        quat, diagnostics = filter_stream(FilterConfig(), block.t_ms, block.imu_raw, scales.imu_units)
+        quat, diagnostics = filter_stream(FilterConfig(), block.t_ms, block.imu_raw)
         assert stepped.tobytes() == quat.tobytes(), name
         assert filt.diagnostics == diagnostics, name
         counted[name] = diagnostics

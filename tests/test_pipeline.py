@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from touchtrace.pipeline import (
     score_trials,
 )
 from touchtrace.interaction import MountMode
-from touchtrace.orientation import FilterDiagnostics, OrientationFilter
-from touchtrace.protocol import FRAME_SIZE, FrameColumns, apply_scales, decode_columns, encode_frames
+from touchtrace.orientation import FilterDiagnostics, OrientationFilter, filter_stream, filter_streams
+from touchtrace.protocol import FRAME_SIZE, FrameColumns, ScaleConfig, apply_scales, decode_columns, encode_frames
 from touchtrace.simulate import (
     NoiseModel,
     TrialSpec,
@@ -47,6 +48,21 @@ def run_trial(spec, noise):
     result, _ = replay_bytes(encode_frames(block), ReplayConfig(with_gestures=False))
     assert result is not None
     return evaluate_trial(spec, result.pointer, truth)
+
+
+def test_the_device_scales_are_constants_not_settings():
+    # no frame carries a scale, so nothing in the package can set one
+    with pytest.raises(TypeError):
+        ScaleConfig(counts_per_inch=800.0)
+    with pytest.raises(TypeError):
+        ReplayConfig(scales=ScaleConfig())
+    assert ReplayConfig().scales == ScaleConfig()
+    assert list(inspect.signature(filter_stream).parameters) == ["cfg", "t_ms", "imu_raw"]
+    assert list(inspect.signature(filter_streams).parameters) == ["cfg", "t_ms", "imu_raw", "lengths"]
+    # the device's values, bit for bit
+    assert ScaleConfig().mm_per_count.hex() == "0x1.04189374bc6a8p-4"  # 25.4 / 400 counts per inch
+    units = ["0x1.0000000000000p-14"] * 3 + ["0x1.1eb851eb851ecp-7"] * 3 + ["0x1.dca01dca01dcap-11"] * 3
+    assert [u.hex() for u in ScaleConfig().imu_units.tolist()] == units  # 1/16384 g, 0.00875 deg/s, 1/1100 gauss
 
 
 def test_replay_emits_one_row_per_frame():

@@ -181,8 +181,6 @@ def test_simulate_trial_models_only_the_default_device():
     spec = spec_for()
     _, frames = simulate_trial(spec, NoiseModel.zero())
     assert simulate_trial(spec, NoiseModel.zero(), ScaleConfig())[1] == frames
-    with pytest.raises(ValueError, match=r"models one device; scales must be ScaleConfig\(\)"):
-        simulate_trial(spec, NoiseModel.zero(), ScaleConfig(counts_per_inch=800.0))
 
 
 def test_noise_preset_is_the_same_on_every_surface():
