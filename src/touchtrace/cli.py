@@ -194,12 +194,12 @@ def cmd_campaign(args) -> int:
     if not manifest.exists():
         raise ValueError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
+    Path(args.out).unlink(missing_ok=True)  # a campaign refused below leaves no summary, not the last run's
     # four passes: check every trial's files, replay them in lockstep, score them, then write
     checked = [_named(rel, _checked_trial, root / rel, spec) for rel, spec in zip(dirs, specs)]
     pointers = [r.pointer for r in replay_lockstep([columns for columns, _, _ in checked])]
     results = score_trials(specs, pointers, lambda group: Trajectory.stack([checked[i][1] for i in group]))
     texts = [_named(rel, result.metrics_json) for rel, result in zip(dirs, results)]
-    Path(args.out).unlink(missing_ok=True)  # a summary refused below leaves none, not the last run's
     for rel, text in zip(dirs, texts):
         (root / rel / "metrics.json").write_text(text + "\n", encoding="utf-8")
     summary = summarize_campaign(results)  # the grid check: a partial campaign's trials are scored and written

@@ -6,7 +6,7 @@ Conventions, fixed once for the whole package:
 * Quaternions are stored (w, x, y, z) and renormalized by every producing
   operation, so the unit-norm invariant is checkable after any call.
 * ``rotate_vector(q, v)`` maps a body-frame vector into the world frame;
-  the inverse mapping uses the conjugate.
+  the inverse mapping rotates by the conjugate (w, -x, -y, -z).
 * Euler angles are intrinsic Z-Y-X (yaw about world up, then pitch about
   the body lateral axis, then roll), in degrees. Pitch lies in [-90, +90];
   at gimbal lock the roll is defined to be zero.
@@ -89,9 +89,6 @@ class UnitQuat:
 
     def normalized(self) -> "UnitQuat":
         return UnitQuat(*_unit(self.w, self.x, self.y, self.z))
-
-    def conjugate(self) -> "UnitQuat":
-        return UnitQuat(self.w, -self.x, -self.y, -self.z)
 
     def multiply(self, other: "UnitQuat") -> "UnitQuat":
         """Hamilton product self ⊗ other, renormalized."""

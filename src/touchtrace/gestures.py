@@ -15,8 +15,8 @@ Everything is keyed off the optical sensor's surface-quality scalar
                  ``press_hold_ms`` without the tap's rise-and-fall
 
 A completed tap is withheld until the double-tap pairing window can no
-longer be satisfied; every event produced while a tap is withheld is
-buffered with it so the emitted stream stays timestamp-ordered.
+longer be satisfied, at the head of one list that also holds every event
+emitted after it, so the emitted stream stays timestamp-ordered.
 
 The thresholds default to the mousepad profile; other textures load
 their own numbers from a gesture-config file.
@@ -75,14 +75,6 @@ class GestureEvent:
         return json.dumps({"t_ms": self.t_ms, "kind": self.kind, "x": self.x, "y": self.y})
 
 
-@dataclass
-class _CompletedTap:
-    onset_ms: int
-    fall_ms: int
-    x: int
-    y: int
-
-
 class GestureDetector:
     """Deterministic per-stream state machine over sensor frames.
 
@@ -90,6 +82,11 @@ class GestureDetector:
     of stream to flush a still-withheld tap. Timestamps must not decrease;
     replay checks this once per stream, before the detector runs, so the
     detector does not.
+
+    A withheld tap is the ``Tap`` event it will become, at the head of
+    ``_held`` with every event emitted after it (``None``: none withheld).
+    A lapsed window, an unpaired second tap or :meth:`finish` releases the
+    whole list; a pairing tap releases its tail and appends ``DoubleTap``.
     """
 
     def __init__(self, config: GestureConfig | None = None):
@@ -103,58 +100,17 @@ class GestureDetector:
         self._onset_y = 0
         self._net_dx = 0
         self._net_dy = 0
-        self._peak_squal = 0
+        self._reached_tap_squal = False
         self._tap_alive = False
         # press bookkeeping
         self._press_run_start: int | None = None
         self._in_press = False
-        # double-tap pairing
-        self._pending: _CompletedTap | None = None
-        self._holdback: list[GestureEvent] = []
-
-    # -- emission helpers ------------------------------------------------
+        # double-tap pairing: the withheld tap's list and its onset time
+        self._held: list[GestureEvent] | None = None
+        self._held_onset = 0
 
     def _emit(self, out: list[GestureEvent], event: GestureEvent) -> None:
-        if self._pending is not None:
-            self._holdback.append(event)
-        else:
-            out.append(event)
-
-    def _flush_pending_as_tap(self, out: list[GestureEvent]) -> None:
-        tap = self._pending
-        assert tap is not None
-        self._pending = None
-        out.append(GestureEvent(TAP, tap.fall_ms, tap.x, tap.y))
-        out.extend(self._holdback)
-        self._holdback = []
-
-    def _candidate_may_pair(self) -> bool:
-        """Could the currently open contact still become the pairing tap?"""
-        if not (self._in_contact and self._tap_alive):
-            return False
-        gap = self._onset_t - self._pending.onset_ms  # type: ignore[union-attr]
-        return self.config.doubletap_min_gap_ms <= gap <= self.config.doubletap_max_gap_ms
-
-    def _on_tap(self, out: list[GestureEvent], tap: _CompletedTap) -> None:
-        cfg = self.config
-        if self._pending is None:
-            self._pending = tap
-            return
-        first = self._pending
-        gap = tap.onset_ms - first.onset_ms
-        paired = (
-            cfg.doubletap_min_gap_ms <= gap <= cfg.doubletap_max_gap_ms
-            and abs(tap.x - first.x) <= cfg.doubletap_offset_counts
-            and abs(tap.y - first.y) <= cfg.doubletap_offset_counts
-        )
-        if paired:
-            self._pending = None
-            out.extend(self._holdback)
-            self._holdback = []
-            out.append(GestureEvent(DOUBLE_TAP, tap.fall_ms, tap.x, tap.y))
-        else:
-            self._flush_pending_as_tap(out)
-            self._pending = tap
+        (out if self._held is None else self._held).append(event)
 
     # -- main entry points -----------------------------------------------
 
@@ -167,11 +123,19 @@ class GestureDetector:
         cfg = self.config
         out: list[GestureEvent] = []
 
-        # a withheld tap whose pairing window has lapsed becomes a plain Tap,
-        # unless an open contact might still complete as the pairing tap
-        if self._pending is not None and t - self._pending.onset_ms > cfg.doubletap_max_gap_ms:
-            if not self._candidate_may_pair():
-                self._flush_pending_as_tap(out)
+        # once the pairing window has lapsed the held list goes out whole,
+        # unless an open contact that began inside the window may still
+        # complete as the pairing tap
+        if (
+            self._held is not None
+            and t - self._held_onset > cfg.doubletap_max_gap_ms
+            and not (
+                self._in_contact
+                and self._tap_alive
+                and cfg.doubletap_min_gap_ms <= self._onset_t - self._held_onset <= cfg.doubletap_max_gap_ms
+            )
+        ):
+            out, self._held = self._held, None
 
         self._cum_x += dx
         self._cum_y += dy
@@ -184,13 +148,13 @@ class GestureDetector:
             # movement is judged from the frames after touchdown
             self._net_dx = 0
             self._net_dy = 0
-            self._peak_squal = squal
+            self._reached_tap_squal = squal >= cfg.tap_squal
             self._tap_alive = True
             self._emit(out, GestureEvent(CONTACT_BEGIN, t, self._cum_x, self._cum_y))
         elif self._in_contact and squal >= cfg.contact_squal:
             self._net_dx += dx
             self._net_dy += dy
-            self._peak_squal = max(self._peak_squal, squal)
+            self._reached_tap_squal |= squal >= cfg.tap_squal
 
         if self._in_contact and self._tap_alive:
             moved_too_far = (
@@ -216,22 +180,30 @@ class GestureDetector:
 
         if self._in_contact and squal < cfg.contact_squal:
             self._in_contact = False
-            tap_complete = (
-                self._tap_alive
-                and self._peak_squal >= cfg.tap_squal
-            )
             self._emit(out, GestureEvent(CONTACT_END, t, self._cum_x, self._cum_y))
-            if tap_complete:
-                self._on_tap(out, _CompletedTap(self._onset_t, t, self._onset_x, self._onset_y))
+            if self._tap_alive and self._reached_tap_squal:
+                held = self._held
+                if (
+                    held is not None
+                    and cfg.doubletap_min_gap_ms <= self._onset_t - self._held_onset <= cfg.doubletap_max_gap_ms
+                    and abs(self._onset_x - held[0].x) <= cfg.doubletap_offset_counts
+                    and abs(self._onset_y - held[0].y) <= cfg.doubletap_offset_counts
+                ):
+                    # the held Tap becomes half of the DoubleTap: only its tail goes out
+                    out += held[1:]
+                    out.append(GestureEvent(DOUBLE_TAP, t, self._onset_x, self._onset_y))
+                    self._held = None
+                else:
+                    out += held or []
+                    self._held = [GestureEvent(TAP, t, self._onset_x, self._onset_y)]
+                    self._held_onset = self._onset_t
             self._tap_alive = False
 
         return out
 
     def finish(self) -> list[GestureEvent]:
         """End of stream: a still-withheld tap can no longer pair."""
-        out: list[GestureEvent] = []
-        if self._pending is not None:
-            self._flush_pending_as_tap(out)
+        out, self._held = self._held or [], None
         return out
 
 

@@ -164,9 +164,9 @@ class DecoderDiagnostics:
 class DecoderState:
     """Streaming decoder state. Single-owner; one per stream."""
 
-    buffer: bytearray = field(default_factory=bytearray)
-    diagnostics: DecoderDiagnostics = field(default_factory=DecoderDiagnostics)
-    _skip_run_open: bool = False
+    buffer: bytearray = field(default_factory=bytearray, init=False)
+    diagnostics: DecoderDiagnostics = field(default_factory=DecoderDiagnostics, init=False)
+    _skip_run_open: bool = field(default=False, init=False)
 
     def _skip(self, n: int) -> None:
         if n <= 0:

@@ -367,6 +367,20 @@ def test_a_refused_campaign_leaves_no_summary_of_an_earlier_run(tmp_path, capsys
     assert not out.exists()  # the first run's summary would describe a grid this run did not score
 
 
+def test_a_campaign_refused_by_a_trial_error_leaves_no_summary_of_an_earlier_run(tmp_path, capsys, cli_campaign):
+    import shutil
+
+    camp, out = tmp_path / "camp", tmp_path / "s.json"
+    shutil.copytree(cli_campaign[0] / "camp", camp)
+    assert run(["campaign", "--dir", str(camp), "--out", str(out)]) == 0
+    assert out.exists()
+    (camp / "trial_005_mousepad_12_vline_r1" / "sensor.3dt").write_bytes(b"")
+    capsys.readouterr()
+    assert run(["campaign", "--dir", str(camp), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: trial_005_mousepad_12_vline_r1: no frames decoded\n"
+    assert not out.exists()  # the check pass refused the trial before any score of this run
+
+
 def test_campaign_scores_a_trial_that_lost_a_frame(tmp_path, capsys, cli_campaign):
     import shutil
 

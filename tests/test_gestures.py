@@ -250,13 +250,26 @@ def test_events_are_timestamp_ordered_and_positions_accumulate():
     for _ in range(400):
         rows.append((t, rng.choice([0, 0, 20, 45, 60]), rng.randint(-3, 3), rng.randint(-3, 3)))
         t += 20
-    events = run_detector(frames_from(rows), CFG)
+    trace = frames_from(rows)
+    _assert_timestamp_ordered(run_detector(trace, CFG), trace)
+
+
+def _assert_timestamp_ordered(events, trace):
     for a, b in zip(events, events[1:]):
         assert a.t_ms <= b.t_ms
-    assert all(0 <= e.t_ms <= t for e in events)
+    # a contact or press event carries the counts summed through a frame of its time
+    x = y = 0
+    sums_at = {}
+    for f in trace:
+        x, y = x + f.dx, y + f.dy
+        sums_at.setdefault(f.timestamp_ms, set()).add((x, y))
+    assert all(e.t_ms in sums_at for e in events)
+    assert all((e.x, e.y) in sums_at[e.t_ms] for e in events if e.kind not in (TAP, DOUBLE_TAP))
 
 
 def _random_trace(seed, n=300):
+    """Random SQUAL and deltas; steps of 20 ms, of 0 ms (a repeated timestamp)
+    and gaps past ``doubletap_max_gap_ms``, which lapse a withheld tap."""
     rng = random.Random(seed)
     rows = []
     t = 0
@@ -265,7 +278,8 @@ def _random_trace(seed, n=300):
         if rng.random() < 0.15:
             squal = rng.choice([0, 0, 5, 25, 45, 55])
         rows.append((t, squal, rng.randint(-4, 4), rng.randint(-4, 4)))
-        t += 20
+        step = rng.random()
+        t += 0 if step < 0.1 else rng.randint(CFG.doubletap_max_gap_ms + 1, 1500) if step < 0.15 else 20
     return frames_from(rows)
 
 
@@ -274,14 +288,21 @@ def test_determinism_and_split_invariance_sampled(seed):
     trace = _random_trace(seed)
     whole = run_detector(trace, CFG)
     assert whole == run_detector(trace, CFG)
+    _assert_timestamp_ordered(whole, trace)
 
-    cut = random.Random(seed * 7 + 1).randrange(1, len(trace))
+    # a stream split at any cut gives the whole stream's events: at every
+    # cut, what the detector has returned is a prefix of them, and none it
+    # still withholds is older than the longest a tap waits for its pair
+    # (plus one frame); the frames after the cut and finish() return the rest
+    longest_hold_ms = CFG.doubletap_max_gap_ms + CFG.tap_window_ms
     det = GestureDetector(CFG)
     split_events = []
-    for f in trace[:cut]:
-        split_events.extend(det.step(f))
-    for f in trace[cut:]:
-        split_events.extend(det.step(f))
+    for cut in range(1, len(trace) + 1):
+        split_events.extend(det.step(trace[cut - 1]))
+        assert split_events == whole[: len(split_events)]
+        withheld = whole[len(split_events) :]
+        if cut > 1 and withheld:
+            assert withheld[0].t_ms >= trace[cut - 2].timestamp_ms - longest_hold_ms
     split_events.extend(det.finish())
     assert split_events == whole
 

@@ -41,7 +41,7 @@ CFG = FilterConfig()
 
 def body_measurements(q_true: UnitQuat, cfg: FilterConfig = CFG):
     """Noise-free accel/mag a device at orientation q_true would report."""
-    q_conj = q_true.conjugate()
+    q_conj = UnitQuat(q_true.w, -q_true.x, -q_true.y, -q_true.z)
     return rotate_vector(q_conj, GRAVITY_WORLD), rotate_vector(q_conj, cfg.mag_reference)
 
 

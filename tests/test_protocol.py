@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from touchtrace.protocol import (
     FRAME_SIZE,
     SQUAL_MAX,
+    DecoderDiagnostics,
     DecoderState,
     FrameColumns,
     ScaleConfig,
@@ -213,6 +214,17 @@ def test_incremental_feed_equals_one_shot():
         collected.extend(state.feed(data[start : start + 13]))
     state.flush()
     assert collected == one_shot == original
+
+
+@pytest.mark.parametrize(
+    "name, value", [("buffer", bytearray()), ("diagnostics", DecoderDiagnostics()), ("_skip_run_open", True)]
+)
+def test_decoder_state_takes_no_arguments(name, value):
+    # the buffer, counters and skip-run flag are state the decoder makes for itself
+    with pytest.raises(TypeError):
+        DecoderState(**{name: value})
+    state = DecoderState()
+    assert state.buffer == bytearray() and state.diagnostics == DecoderDiagnostics()
 
 
 def test_diagnostics_json_schema():
