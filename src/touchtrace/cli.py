@@ -194,7 +194,8 @@ def cmd_campaign(args) -> int:
     if not manifest.exists():
         raise ValueError(f"{manifest} not found; run `simulate --campaign` first")
     _, _, specs, dirs = read_manifest(manifest)
-    Path(args.out).unlink(missing_ok=True)  # a campaign refused below leaves no summary, not the last run's
+    for path in [Path(args.out), *(root / rel / "metrics.json" for rel in dirs)]:
+        path.unlink(missing_ok=True)  # a campaign refused below leaves no scores, not the last run's
     # four passes: check every trial's files, replay them in lockstep, score them, then write
     checked = [_named(rel, _checked_trial, root / rel, spec) for rel, spec in zip(dirs, specs)]
     pointers = [r.pointer for r in replay_lockstep([columns for columns, _, _ in checked])]

@@ -200,41 +200,25 @@ def _integrate(q, rx: float, ry: float, rz: float) -> tuple[float, float, float,
 
 
 def quat_from_matrix(m: list[list[float]]) -> UnitQuat:
-    """Quaternion of a 3x3 rotation matrix (Shepperd's branching)."""
+    """Quaternion of a 3x3 rotation matrix (Shepperd's method).
+
+    A positive trace gives w by 4w² = 1 + trace, else the largest diagonal entry m[i][i] gives q_i by
+    4q_i² = 1 + m[i][i] - m[j][j] - m[k][k]; the rest are off-diagonal differences and sums over that root.
+    """
+    diff = [m[(a + 2) % 3][(a + 1) % 3] - m[(a + 1) % 3][(a + 2) % 3] for a in range(3)]
     trace = m[0][0] + m[1][1] + m[2][2]
     if trace > 0.0:
         s = math.sqrt(trace + 1.0) * 2.0
-        q = UnitQuat(
-            0.25 * s,
-            (m[2][1] - m[1][2]) / s,
-            (m[0][2] - m[2][0]) / s,
-            (m[1][0] - m[0][1]) / s,
-        )
-    elif m[0][0] > m[1][1] and m[0][0] > m[2][2]:
-        s = math.sqrt(1.0 + m[0][0] - m[1][1] - m[2][2]) * 2.0
-        q = UnitQuat(
-            (m[2][1] - m[1][2]) / s,
-            0.25 * s,
-            (m[0][1] + m[1][0]) / s,
-            (m[0][2] + m[2][0]) / s,
-        )
-    elif m[1][1] > m[2][2]:
-        s = math.sqrt(1.0 + m[1][1] - m[0][0] - m[2][2]) * 2.0
-        q = UnitQuat(
-            (m[0][2] - m[2][0]) / s,
-            (m[0][1] + m[1][0]) / s,
-            0.25 * s,
-            (m[1][2] + m[2][1]) / s,
-        )
-    else:
-        s = math.sqrt(1.0 + m[2][2] - m[0][0] - m[1][1]) * 2.0
-        q = UnitQuat(
-            (m[1][0] - m[0][1]) / s,
-            (m[0][2] + m[2][0]) / s,
-            (m[1][2] + m[2][1]) / s,
-            0.25 * s,
-        )
-    return q.normalized()
+        return UnitQuat(0.25 * s, *(d / s for d in diff)).normalized()
+    i = 0 if m[0][0] > m[1][1] and m[0][0] > m[2][2] else 1 if m[1][1] > m[2][2] else 2
+    j, k = (i + 1) % 3, (i + 2) % 3
+    lo, hi = sorted((j, k))
+    s = math.sqrt(1.0 + m[i][i] - m[lo][lo] - m[hi][hi]) * 2.0
+    q = [diff[i] / s, 0.0, 0.0, 0.0]
+    q[1 + i] = 0.25 * s
+    q[1 + j] = (m[i][j] + m[j][i]) / s
+    q[1 + k] = (m[i][k] + m[k][i]) / s
+    return UnitQuat(*q).normalized()
 
 
 def from_euler(e: EulerAngles) -> UnitQuat:

@@ -126,18 +126,10 @@ def triad_orientation(accel_g: Vec3, mag_gauss: Vec3, mag_reference: Vec3) -> Un
         raise ValueError("triad construction degenerate: field parallel to gravity")
     w2 = w2.normalized()
     b2 = b2.normalized()
-    w3 = w1.cross(w2)
-    b3 = b1.cross(b2)
+    w = (w1.as_tuple(), w2.as_tuple(), w1.cross(w2).as_tuple())
+    b = (b1.as_tuple(), b2.as_tuple(), b1.cross(b2).as_tuple())
     # R = W B^T with W, B holding the triads as columns
-    rot = [
-        [
-            w1.as_tuple()[r] * b1.as_tuple()[c]
-            + w2.as_tuple()[r] * b2.as_tuple()[c]
-            + w3.as_tuple()[r] * b3.as_tuple()[c]
-            for c in range(3)
-        ]
-        for r in range(3)
-    ]
+    rot = [[w[0][r] * b[0][c] + w[1][r] * b[1][c] + w[2][r] * b[2][c] for c in range(3)] for r in range(3)]
     return quat_from_matrix(rot)
 
 

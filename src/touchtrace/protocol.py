@@ -71,18 +71,6 @@ class SensorFrame:
     mag_raw: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        a, g, m = self.accel_raw, self.gyro_raw, self.mag_raw
-        if (  # one test of every field at once; the checks below name the first one out of range
-            0 <= self.squal <= SQUAL_MAX
-            and 0 <= self.timestamp_ms <= 0xFFFFFFFF
-            and -32768 <= self.dx <= 32767
-            and -32768 <= self.dy <= 32767
-            and len(a) == len(g) == len(m) == 3
-            and -32768 <= a[0] <= 32767 and -32768 <= a[1] <= 32767 and -32768 <= a[2] <= 32767
-            and -32768 <= g[0] <= 32767 and -32768 <= g[1] <= 32767 and -32768 <= g[2] <= 32767
-            and -32768 <= m[0] <= 32767 and -32768 <= m[1] <= 32767 and -32768 <= m[2] <= 32767
-        ):
-            return
         if not 0 <= self.squal <= SQUAL_MAX:
             raise ValueError(f"squal must be in [0, {SQUAL_MAX}], got {self.squal}")
         if not 0 <= self.timestamp_ms <= 0xFFFFFFFF:

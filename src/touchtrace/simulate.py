@@ -40,6 +40,8 @@ SHAPE_NAMES = ("hline", "vline", "diag", "triangle", "square", "circle")
 REPS = 5
 CYLINDER_SHAPE = "cylinder"  # curved-surface wrap demo; not in the campaign grid
 _SQUAL_JITTER = 6.0  # SQUAL standard deviation on every surface
+MAX_RATE_HZ = 1000.0  # the wire's timestamps are whole ms: past 1 kHz two frames would share one
+MAX_TRACE_FRAMES = 2**18  # per trial or fixture: 87 min at 50 Hz, 8.9 MB of wire frames
 
 
 # each drawing surface's mean SQUAL, the one thing surfaces differ in; synthesis clips SQUAL to 50..90
@@ -127,6 +129,14 @@ class TrialSpec:
         for name in ("rate_hz", "speed_mm_s"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.rate_hz > MAX_RATE_HZ:
+            raise ValueError(f"rate_hz must be <= {MAX_RATE_HZ:g}, the wire's 1 ms resolution, got {self.rate_hz}")
+        frames = _time_steps(self)[3]
+        if not frames <= MAX_TRACE_FRAMES:
+            raise ValueError(
+                f"a {self.size_mm} mm {self.shape} at {self.speed_mm_s} mm/s and {self.rate_hz} Hz takes "
+                f"{frames:.6g} frames, more than the {MAX_TRACE_FRAMES} a trace may hold"
+            )
 
 
 def _shape_vertices(shape: str, s: float) -> np.ndarray:
@@ -176,12 +186,20 @@ def group_by_cell(specs: list[TrialSpec]) -> list[list[int]]:
     return list(cells.values())
 
 
-def time_base(spec: TrialSpec) -> tuple[np.ndarray, np.ndarray]:
-    """A trial's frame times (ms) and the arc length (mm) traced at each: a frame per step at constant speed."""
+def _time_steps(spec: TrialSpec) -> tuple[float, float, float, float]:
+    """A trial's frame period (s), step (mm), path length (mm) and frame count: one frame at the start
+    and one per step begun. The count is a float, inf for a step that underflows to 0, so that
+    ``TrialSpec`` can bound it before ``time_base`` allocates anything."""
     dt = 1.0 / spec.rate_hz
     step = spec.speed_mm_s * dt
     length = shape_path_length(spec.shape, spec.size_mm)
-    frames = np.arange(int(math.ceil(length / step - 1e-9)) + 1)
+    return dt, step, length, (float(np.ceil(length / step - 1e-9)) + 1.0 if step > 0.0 else math.inf)
+
+
+def time_base(spec: TrialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A trial's frame times (ms) and the arc length (mm) traced at each: a frame per step at constant speed."""
+    dt, step, length, count = _time_steps(spec)
+    frames = np.arange(int(count))
     return np.round(frames * (1000.0 * dt)).astype(np.int64), np.minimum(frames * step, length)
 
 
@@ -368,7 +386,7 @@ def read_manifest(path) -> tuple[int, str, list[TrialSpec], list[str]]:
         return payload["campaign_seed"], payload["noise"], specs, dirs
     except KeyError as exc:
         raise ValueError(f"{path}: malformed manifest: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ValueError(f"{path}: malformed manifest: {exc}") from exc
 
 
@@ -436,6 +454,8 @@ def script_gesture_trace(kind: str, cfg: GestureConfig | None = None) -> list[Se
             raise _no_fixture(kind, cfg, "tap_window_ms", "press_hold_ms", "tap_move_limit_counts")
         segments = [lead, (n - moving, hi, 0), (moving, hi, step), tail]
 
+    if sum(count for count, _, _ in segments) > MAX_TRACE_FRAMES:
+        raise _no_fixture(kind, cfg, "press_hold_ms" if kind == "press" else "doubletap_max_gap_ms")
     frames: list[SensorFrame] = []
     for count, squal, dx in segments:
         for _ in range(count):

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import signal
 import tempfile
 from pathlib import Path
 
@@ -314,6 +316,36 @@ def test_gesture_fixture_no_frame_grid_fits_is_data_error(tmp_path, capsys):
     assert not trace.exists()
 
 
+@contextlib.contextmanager
+def _returns_within(seconds):
+    """Fail the test, rather than hang it, when its body runs past ``seconds``."""
+
+    def stop(signum, frame):
+        pytest.fail(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "kind, key", [("press", "press_hold_ms"), ("tap", "doubletap_max_gap_ms"), ("moving-tap-reject", "doubletap_max_gap_ms")]
+)
+def test_gesture_refuses_a_fixture_past_the_frame_cap_at_once(tmp_path, capsys, kind, key):
+    cfg = tmp_path / "gestures.cfg"
+    cfg.write_text(f"{key}=99999999999999999999\n")
+    trace = tmp_path / "g.3dt"
+    with _returns_within(2.0):  # the length is summed before the first frame is built
+        code = run(["gesture", "--kind", kind, "--gesture-config", str(cfg), "--out", str(trace)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: no {kind} fixture of 20 ms frames fits {key}=99999999999999999999\n"
+    assert not trace.exists()
+
+
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     code = run(["replay", "--in", str(tmp_path / "nope.3dt"), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -379,6 +411,7 @@ def test_a_campaign_refused_by_a_trial_error_leaves_no_summary_of_an_earlier_run
     assert run(["campaign", "--dir", str(camp), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: trial_005_mousepad_12_vline_r1: no frames decoded\n"
     assert not out.exists()  # the check pass refused the trial before any score of this run
+    assert not list(camp.rglob("metrics.json"))  # nor does any trial keep the first run's score
 
 
 def test_campaign_scores_a_trial_that_lost_a_frame(tmp_path, capsys, cli_campaign):
@@ -542,11 +575,12 @@ def _set_field(name, value):
      _set_field("tilt_deg", True), _set_field("rate_hz", True), _set_field("speed_mm_s", True),
      # values of the right type that TrialSpec refuses
      _set_field("rep", 6), _set_field("tilt_deg", 91),
-     lambda p, _: {**p, "trials": [{**p["trials"][0], "shape": "cylinder", "size_mm": 0}]}],
+     lambda p, _: {**p, "trials": [{**p["trials"][0], "shape": "cylinder", "size_mm": 0}]},
+     lambda p, _: {**p, "trials": [{**p["trials"][0], "shape": "cylinder", "size_mm": 10**400}]}],
     ids=["trial-without-dir", "no-trials", "rep-as-text", "top-level-array", "speed-as-infinity", "dir-as-number",
          "dir-absolute", "dir-parent", "dir-parent-inside", "rep-as-float", "rep-as-bool", "seed-as-float",
          "tilt-as-bool", "rate-as-bool", "speed-as-bool", "rep-past-the-grid", "tilt-past-90",
-         "cylinder-of-no-diameter"],
+         "cylinder-of-no-diameter", "cylinder-past-the-float-range"],
 )
 def test_campaign_malformed_manifest_is_data_error(tmp_path, capsys, damage):
     import shutil
@@ -686,6 +720,30 @@ def test_simulate_rejects_non_finite_rate_and_speed(tmp_path, capsys, flag, valu
     assert err.startswith(f"error: {field} must be finite and > 0")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"rate_hz": 1e308, "speed_mm_s": 1e-308}, "rate_hz must be <= 1000, the wire's 1 ms resolution, got 1e+308"),
+        ({"speed_mm_s": 1e-6},
+         "a 42 mm circle at 1e-06 mm/s and 50.0 Hz takes 6.59734e+09 frames, more than the 262144 a trace may hold"),
+    ],
+    ids=["rate-past-the-wire-clock", "frames-past-the-cap"],
+)
+def test_simulate_and_campaign_refuse_a_trace_past_the_bounds(tmp_path, capsys, values, message):
+    flags = [arg for name, value in values.items() for arg in ({"rate_hz": "--rate"}.get(name, "--speed"), repr(value))]
+    out = tmp_path / "t"
+    assert run(["simulate", "--seed", "1", "--tilt", "10", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    # the manifest reader builds the same TrialSpec, so a campaign refuses such an entry in the same words
+    entry = {"index": 0, **dataclasses.asdict(TrialSpec("mousepad", 42, "circle", 1, 10.0, 1)), **values, "dir": "t"}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"campaign_seed": 1, "noise": "default", "trials": [entry]}))
+    assert run(["campaign", "--dir", str(tmp_path), "--out", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: malformed manifest: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [manifest]
 
 
 @pytest.mark.parametrize("flags", [[], ["--tilt", "10"], ["--campaign"]], ids=["drawn-tilt", "given-tilt", "campaign"])

@@ -20,7 +20,7 @@ from touchtrace.gestures import (
     run_detector,
     write_events_jsonl,
 )
-from touchtrace.simulate import GESTURE_KINDS, script_gesture_trace
+from touchtrace.simulate import GESTURE_KINDS, MAX_TRACE_FRAMES, script_gesture_trace
 from touchtrace.protocol import SensorFrame, encode_frames
 
 CFG = GestureConfig()
@@ -136,6 +136,18 @@ def test_fixture_follows_its_config(kind, change):
 def test_fixture_that_no_frame_grid_fits_names_the_threshold(kind):
     with pytest.raises(ValueError, match="tap_window_ms=10"):
         script_gesture_trace(kind, dataclasses.replace(CFG, tap_window_ms=10))
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("press", "press_hold_ms"), ("tap", "doubletap_max_gap_ms"), ("doubletap", "doubletap_max_gap_ms"),
+     ("moving-tap-reject", "doubletap_max_gap_ms")],
+)
+@pytest.mark.parametrize("value", [10**20, 20 * MAX_TRACE_FRAMES])
+def test_fixture_longer_than_the_frame_cap_is_refused_before_it_is_built(kind, key, value):
+    # a press holds press_hold_ms, the other kinds stay lifted past doubletap_max_gap_ms: both set the length
+    with pytest.raises(ValueError, match=f"^no {kind} fixture of 20 ms frames fits {key}={value}$"):
+        script_gesture_trace(kind, dataclasses.replace(CFG, **{key: value}))
 
 
 @st.composite

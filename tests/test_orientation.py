@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import angle_between
+from touchtrace import orientation
 from touchtrace.cli import load_config
 from touchtrace.geom import (
     EX,
@@ -102,6 +103,52 @@ def test_update_accel_gate():
     s1, accepted = update_accel(s0, CFG, Vec3(0, 0, -2.5))
     assert not accepted
     assert s1 is s0
+
+
+def _raw_stream(*rows):
+    """(t_ms, imu_raw) of samples 20 ms apart: a level first sample facing the reference field, then ``rows``,
+    each an (accel, mag) pair of raw triples with the gyro at rest."""
+    level = ((0, 0, -16384), (220, 0, -440))  # (0, 0, -1) g and (0.2, 0, -0.4) gauss in LSBs
+    imu = [(*accel, 0, 0, 0, *mag) for accel, mag in (level, *rows)]
+    return np.arange(len(imu)) * 20, np.array(imu, dtype=np.int16)
+
+
+def test_an_accel_reading_exactly_at_the_gate_is_used():
+    # the gate skips a reading whose | |a| - 1 g | exceeds it, not one that equals it; with accel_gate=0.5
+    # the wire reaches the edge exactly: 24576 LSBs are 1.5 g, the next LSB is past it
+    cfg = FilterConfig(accel_gate=0.5)
+    lsb = ScaleConfig().accel_g_per_lsb
+    s0 = initial_state(cfg)
+    assert update_accel(s0, cfg, Vec3(24576 * lsb, 0, 0))[1]
+    assert not update_accel(s0, cfg, Vec3(24577 * lsb, 0, 0))[1]
+    t_ms, imu_raw = _raw_stream(((24576, 0, 0), (220, 0, -440)), ((24577, 0, 0), (220, 0, -440)))
+    assert filter_stream(cfg, t_ms, imu_raw)[1] == FilterDiagnostics(0, 1)
+    assert filter_streams(cfg, t_ms, imu_raw, [3])[1] == [FilterDiagnostics(0, 1)]
+
+
+def test_a_one_lsb_mag_field_is_measured():
+    # the magnetometer's smallest reading, one LSB (1/1100 gauss), is a field; only a zero field is skipped
+    s0 = initial_state(CFG)
+    s1, accepted = update_mag(s0, CFG, Vec3(ScaleConfig().mag_gauss_per_lsb, 0, 0))
+    assert accepted and s1.q != s0.q
+    assert update_mag(s0, CFG, Vec3(0, 0, 0)) == (s0, False)
+    for run in (lambda t, imu: filter_stream(CFG, t, imu)[0], lambda t, imu: filter_streams(CFG, t, imu, [2])[0]):
+        one_lsb, zero = (run(*_raw_stream(((0, 0, -16384), mag))) for mag in ((1, 0, 0), (0, 0, 0)))
+        assert not np.array_equal(one_lsb[1], zero[1])
+
+
+def test_predict_leaves_the_covariance_symmetric_to_the_bit():
+    s = initial_state(CFG, Vec3(0.3, -0.2, -0.93), Vec3(0.25, 0.1, -0.35))
+    for i in range(5):
+        s, _ = update_accel(s, CFG, Vec3(0.1 * i, -0.2, -0.97))
+        s, _ = update_mag(s, CFG, Vec3(0.2, 0.05 * i, -0.4))
+    assert not np.array_equal(s.covariance, s.covariance.T)  # the updates leave float noise across the diagonal
+    p = predict(s, CFG, Vec3(5, -3, 2), 0.02).covariance
+    assert np.array_equal(p, p.T)
+    # the lockstep's predict, in place on two rows of the same state
+    q, bias, p = (np.array([a, a], dtype=float) for a in (s.q.as_tuple(), s.gyro_bias_dps.as_tuple(), s.covariance))
+    orientation._batch_predict(q, bias, p, CFG, np.array([[5.0, -3.0, 2.0], [1.0, 2.0, 3.0]]), np.array([0.02, 0.05]))
+    assert all(np.array_equal(m, m.T) for m in p)
 
 
 def test_update_shrinks_covariance_trace():

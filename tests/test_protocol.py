@@ -168,6 +168,31 @@ def test_leading_garbage_resync():
     assert diag.bytes_skipped == 7
 
 
+def _fed_byte_by_byte(data: bytes) -> tuple[list[SensorFrame], DecoderDiagnostics]:
+    state = DecoderState()
+    frames = [frame for k in range(len(data)) for frame in state.feed(data[k : k + 1])]
+    state.flush()
+    return frames, state.diagnostics
+
+
+@pytest.mark.parametrize("decode", [decode_columns, _fed_byte_by_byte], ids=["decode_columns", "one-byte-feed"])
+def test_good_frames_between_two_skip_runs_end_the_first(decode):
+    # a good frame closes the skip run before it, so the junk after it is a second resync
+    good = encode_frames([_zero_frame(0), _zero_frame(20)])
+    frames, diag = decode(b"\x01\x02\x03" + good + b"\x04\x05" + encode_frame(_zero_frame(40)))
+    assert len(frames) == 3
+    assert (diag.frames, diag.resyncs, diag.bytes_skipped) == (3, 2, 5)
+
+
+def test_flush_ends_the_skip_run():
+    # a reader that flushes at a pause and feeds on counts the junk after the pause as a run of its own
+    state = DecoderState()
+    assert state.feed(b"\x01\x02") == []
+    state.flush()
+    assert state.feed(b"\x03" + encode_frame(_zero_frame())) == [_zero_frame()]
+    assert (state.diagnostics.resyncs, state.diagnostics.bytes_skipped) == (2, 3)
+
+
 def test_corrupted_byte_detected():
     raw = bytearray(encode_frame(_zero_frame()))
     raw[12] ^= 0xFF

@@ -9,6 +9,8 @@ from conftest import MIXED_SPECS, angle_between
 from touchtrace.protocol import ScaleConfig, encode_frames
 from touchtrace.simulate import (
     CYLINDER_SHAPE,
+    MAX_RATE_HZ,
+    MAX_TRACE_FRAMES,
     REPS,
     SHAPE_NAMES,
     SIZES_MM,
@@ -28,6 +30,7 @@ from touchtrace.simulate import (
     simulate_trial,
     synthesize_group,
     script_gesture_trace,
+    time_base,
     trial_streams,
     write_manifest,
 )
@@ -287,6 +290,24 @@ def test_trial_spec_validation():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         spec_for(seed=-1)
     assert spec_for(size=np.int64(21), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+def test_trial_spec_bounds_its_rate_and_frame_count():
+    # the wire's timestamps are whole ms: past 1 kHz two frames would share one
+    assert np.all(np.diff(time_base(dataclasses.replace(spec_for(), rate_hz=MAX_RATE_HZ))[0]) == 1)
+    with pytest.raises(ValueError, match=r"^rate_hz must be <= 1000, the wire's 1 ms resolution, got 1000.0000000000001$"):
+        dataclasses.replace(spec_for(), rate_hz=math.nextafter(MAX_RATE_HZ, math.inf))
+    # the cap holds time_base's own count, taken in float before anything is allocated
+    circle = spec_for("circle", 42)
+    at_cap = shape_path_length("circle", 42) * circle.rate_hz / (MAX_TRACE_FRAMES - 1)
+    assert len(time_base(dataclasses.replace(circle, speed_mm_s=at_cap))[0]) == MAX_TRACE_FRAMES
+    for speed, frames in ((at_cap * (1 - 1e-6), "262145"), (1e-6, "6.59734e+09"), (1e-308, "inf")):
+        message = f"^a 42 mm circle at {speed} mm/s and 50.0 Hz takes {frames} frames, more than the 262144 a trace may hold$"
+        with pytest.raises(ValueError, match=message.replace("+", r"\+")):
+            dataclasses.replace(circle, speed_mm_s=speed)
+    # a step that underflows to 0 takes no division
+    with pytest.raises(ValueError, match="at 5e-324 mm/s and 1000 Hz takes inf frames"):
+        dataclasses.replace(circle, rate_hz=1000, speed_mm_s=5e-324)
 
 
 def test_gesture_trace_kind_validation():
