@@ -258,7 +258,8 @@ def filter_stream(cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray) -> t
     """
     filt = OrientationFilter(cfg)
     rows = zip(t_ms.tolist(), (imu_raw * _UNITS).tolist())
-    return np.array([filt.advance(t, row[0:3], row[3:6], row[6:9]) for t, row in rows]), filt.diagnostics
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # advance's ValueError names the sample
+        return np.array([filt.advance(t, row[0:3], row[3:6], row[6:9]) for t, row in rows]), filt.diagnostics
 
 
 # -- the streaming step, on floats ------------------------------------------------

@@ -131,37 +131,29 @@ class TrialSpec:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.rate_hz > MAX_RATE_HZ:
             raise ValueError(f"rate_hz must be <= {MAX_RATE_HZ:g}, the wire's 1 ms resolution, got {self.rate_hz}")
-        frames = _time_steps(self)[3]
-        if not frames <= MAX_TRACE_FRAMES:
-            raise ValueError(
-                f"a {self.size_mm} mm {self.shape} at {self.speed_mm_s} mm/s and {self.rate_hz} Hz takes "
-                f"{frames:.6g} frames, more than the {MAX_TRACE_FRAMES} a trace may hold"
-            )
+        _time_steps(self)  # the trace's own bounds
 
 
-def _shape_vertices(shape: str, s: float) -> np.ndarray:
-    """Polyline vertices in plane coordinates; the callers trace the circle themselves."""
-    r2 = 1.0 / math.sqrt(2.0)
-    if shape == "hline":
-        pts = [(0, 0), (s, 0)]
-    elif shape == "vline":
-        pts = [(0, 0), (0, s)]
-    elif shape == "diag":
-        pts = [(0, 0), (s * r2, s * r2)]
-    elif shape == "triangle":
-        pts = [(0, 0), (s, 0), (s / 2, s * math.sqrt(3) / 2), (0, 0)]
-    elif shape == "square":
-        pts = [(0, 0), (s, 0), (s, s), (0, s), (0, 0)]
-    else:
+def _polyline(shape: str, size: float) -> tuple[list[tuple[float, float]], list[float]]:
+    """A polyline shape's vertices in plane coordinates and the path length at each, its steps summed in
+    sequence; the callers trace the circle themselves."""
+    s, o, r2 = float(size), (0.0, 0.0), 1.0 / math.sqrt(2.0)
+    shapes = {
+        "hline": [o, (s, 0.0)],
+        "vline": [o, (0.0, s)],
+        "diag": [o, (s * r2, s * r2)],
+        "triangle": [o, (s, 0.0), (s / 2, s * math.sqrt(3) / 2), o],
+        "square": [o, (s, 0.0), (s, s), (0.0, s), o],
+    }
+    if shape not in shapes:
         raise ValueError(f"unknown shape {shape!r}")
-    return np.array(pts, dtype=float)
+    verts = shapes[shape]
+    steps = ((x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in itertools.pairwise(verts))
+    return verts, list(itertools.accumulate((math.sqrt(dx * dx + dy * dy) for dx, dy in steps), initial=0.0))
 
 
 def shape_path_length(shape: str, size_mm: float) -> float:
-    if shape in ("circle", CYLINDER_SHAPE):
-        return math.pi * size_mm
-    verts = _shape_vertices(shape, size_mm)
-    return float(np.sum(np.linalg.norm(np.diff(verts, axis=0), axis=1)))
+    return math.pi * size_mm if shape in ("circle", CYLINDER_SHAPE) else _polyline(shape, size_mm)[1][-1]
 
 
 def _local_coords(shape: str, size_mm: float, arcs: np.ndarray) -> np.ndarray:
@@ -170,12 +162,8 @@ def _local_coords(shape: str, size_mm: float, arcs: np.ndarray) -> np.ndarray:
         r = size_mm / 2.0
         theta = math.pi + arcs / r  # start at (0, 0), sweep the full circle
         return np.stack([size_mm / 2.0 + r * np.cos(theta), r * np.sin(theta)], axis=1)
-    verts = _shape_vertices(shape, size_mm)
-    seg = np.linalg.norm(np.diff(verts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    x = np.interp(arcs, cum, verts[:, 0])
-    y = np.interp(arcs, cum, verts[:, 1])
-    return np.stack([x, y], axis=1)
+    verts, cum = _polyline(shape, size_mm)
+    return np.stack([np.interp(arcs, cum, axis) for axis in zip(*verts)], axis=1)
 
 
 def group_by_cell(specs: list[TrialSpec]) -> list[list[int]]:
@@ -187,20 +175,30 @@ def group_by_cell(specs: list[TrialSpec]) -> list[list[int]]:
 
 
 def _time_steps(spec: TrialSpec) -> tuple[float, float, float, float]:
-    """A trial's frame period (s), step (mm), path length (mm) and frame count: one frame at the start
-    and one per step begun. The count is a float, inf for a step that underflows to 0, so that
-    ``TrialSpec`` can bound it before ``time_base`` allocates anything."""
+    """A trial's frame period (ms), step (mm), path length (mm) and frame count: one frame at the start
+    and one per step begun. Raises ValueError, before ``time_base`` allocates anything, for a step past
+    the float range, a count past ``MAX_TRACE_FRAMES`` (counted in float: inf for a step that underflows
+    to 0) or a last timestamp that ``time_base`` would not round to a uint32 ms."""
     dt = 1.0 / spec.rate_hz
-    step = spec.speed_mm_s * dt
+    step, period_ms = spec.speed_mm_s * dt, 1000.0 * dt
     length = shape_path_length(spec.shape, spec.size_mm)
-    return dt, step, length, (float(np.ceil(length / step - 1e-9)) + 1.0 if step > 0.0 else math.inf)
+    trace = f"a {spec.size_mm} mm {spec.shape} at {spec.speed_mm_s} mm/s and {spec.rate_hz} Hz"
+    if not step < math.inf:
+        raise ValueError(f"{trace} steps {step:.6g} mm a frame, past the float range")
+    count = float(np.ceil(length / step - 1e-9)) + 1.0 if step > 0.0 else math.inf
+    if not count <= MAX_TRACE_FRAMES:
+        raise ValueError(f"{trace} takes {count:.6g} frames, more than the {MAX_TRACE_FRAMES} a trace may hold")
+    last_ms = (count - 1.0) * period_ms  # as time_base writes it, so one frame inf ms apart reads nan
+    if not last_ms < 2**32 - 0.5:
+        raise ValueError(f"{trace} stamps its frames {period_ms:.6g} ms apart up to {last_ms:.6g} ms, past uint32")
+    return period_ms, step, length, count
 
 
 def time_base(spec: TrialSpec) -> tuple[np.ndarray, np.ndarray]:
     """A trial's frame times (ms) and the arc length (mm) traced at each: a frame per step at constant speed."""
-    dt, step, length, count = _time_steps(spec)
+    period_ms, step, length, count = _time_steps(spec)
     frames = np.arange(int(count))
-    return np.round(frames * (1000.0 * dt)).astype(np.int64), np.minimum(frames * step, length)
+    return np.round(frames * period_ms).astype(np.int64), np.minimum(frames * step, length)
 
 
 def gen_trajectories(specs: list[TrialSpec]) -> Trajectory:
@@ -217,11 +215,11 @@ def gen_trajectories(specs: list[TrialSpec]) -> Trajectory:
     if spec.shape == CYLINDER_SHAPE:  # one wrap, whatever the tilt
         pos, quat = (np.tile(a, (len(specs), 1, 1)) for a in _cylinder_path(spec, arcs))
     else:
-        tilts = [axis_angle_quat(EY, s.tilt_deg) for s in specs]
-        rot = np.array([quat_matrices(q.as_tuple()) for q in tilts])[:, None]
+        tilts = np.array([axis_angle_quat(EY, s.tilt_deg).as_tuple() for s in specs])[:, None]
+        rot = quat_matrices(tilts)
         local = _local_coords(spec.shape, float(spec.size_mm), arcs)
         pos = local[:, 0:1] * rot[..., 0] + local[:, 1:2] * rot[..., 1]
-        quat = np.repeat(np.array([q.as_tuple() for q in tilts])[:, None], len(arcs), axis=1)
+        quat = np.repeat(tilts, len(arcs), axis=1)
     return Trajectory(np.tile(t_ms, (len(specs), 1)), pos, quat)
 
 
@@ -265,7 +263,7 @@ def synthesize_group(
     mid = quat_matrices(quat_midpoints(truth.quat))
     along = [np.einsum("...i,...i->...", dp, mid[..., j]) for j in range(3)]  # the plane's u, v, n
     off_plane = np.abs(along[2])
-    tol = 1e-6 * np.maximum(1.0, np.linalg.norm(dp, axis=-1))
+    tol = 1e-6 * np.maximum(1.0, np.sqrt(np.sum(dp * dp, axis=-1)))  # each step's length
     if np.any(off_plane > tol):
         at = np.unravel_index(np.argmax(off_plane - tol), off_plane.shape)
         raise ValueError(f"truth leaves the touch plane at step {at[-1]}: {off_plane[at]:.3g} mm off-plane")

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import signal
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from touchtrace.gestures import GestureConfig
 from touchtrace.orientation import FilterConfig, OrientationFilter, filter_stream
 from touchtrace.pipeline import replay_bytes
 from touchtrace.protocol import FRAME_SIZE, ScaleConfig, apply_scales, decode_columns
-from touchtrace.simulate import NoiseModel, TrialSpec, draw_tilt, simulate_columns
+from touchtrace.simulate import GESTURE_KINDS, NoiseModel, TrialSpec, draw_tilt, simulate_columns
 from touchtrace.trajectory import CSV_HEADER, read_csv
 
 
@@ -728,8 +730,21 @@ def test_simulate_rejects_non_finite_rate_and_speed(tmp_path, capsys, flag, valu
         ({"rate_hz": 1e308, "speed_mm_s": 1e-308}, "rate_hz must be <= 1000, the wire's 1 ms resolution, got 1e+308"),
         ({"speed_mm_s": 1e-6},
          "a 42 mm circle at 1e-06 mm/s and 50.0 Hz takes 6.59734e+09 frames, more than the 262144 a trace may hold"),
+        # one frame, whose truth row was 0 * inf = NaN
+        ({"rate_hz": 0.001, "speed_mm_s": 1e308},
+         "a 42 mm circle at 1e+308 mm/s and 0.001 Hz steps inf mm a frame, past the float range"),
+        ({"rate_hz": 1e-6, "speed_mm_s": 1e308},
+         "a 42 mm circle at 1e+308 mm/s and 1e-06 Hz steps inf mm a frame, past the float range"),
+        # frames 1e311 ms apart: the cast of a NaN or inf timestamp was refused only after numpy warned
+        ({"rate_hz": 1e-308, "speed_mm_s": 1.0},
+         "a 42 mm circle at 1.0 mm/s and 1e-308 Hz stamps its frames inf ms apart up to nan ms, past uint32"),
+        ({"rate_hz": 1e-308, "speed_mm_s": 1e-308},
+         "a 42 mm circle at 1e-308 mm/s and 1e-308 Hz stamps its frames inf ms apart up to inf ms, past uint32"),
+        ({"rate_hz": 0.001, "speed_mm_s": 1e-5},
+         "a 42 mm circle at 1e-05 mm/s and 0.001 Hz stamps its frames 1e+06 ms apart up to 1.3195e+10 ms, past uint32"),
     ],
-    ids=["rate-past-the-wire-clock", "frames-past-the-cap"],
+    ids=["rate-past-the-wire-clock", "frames-past-the-cap", "step-past-the-float-range", "step-past-the-float-range-2",
+         "one-frame-inf-ms-apart", "frames-inf-ms-apart", "last-frame-past-uint32"],
 )
 def test_simulate_and_campaign_refuse_a_trace_past_the_bounds(tmp_path, capsys, values, message):
     flags = [arg for name, value in values.items() for arg in ({"rate_hz": "--rate"}.get(name, "--speed"), repr(value))]
@@ -823,43 +838,42 @@ def test_replay_config_errors_name_file_and_line(tmp_path, capsys, option, text,
 
 
 # valid but extreme filter configs, with the time of the sample whose step breaks the filter
-_EXTREME_FILTER_CONFIGS = pytest.mark.parametrize(
+_EXTREME_FILTER_CASES = [
+    pytest.param("accel_noise=1e-9\n", 20, id="zero-division-accel-noise"),
+    pytest.param("mag_reference=1e10,0,-4e10\n", 40, id="zero-division-mag-reference"),
+    pytest.param("init_attitude_sigma_deg=1e200\n", 0, id="overflow-init-attitude"),
+    pytest.param("init_bias_sigma_dps=1e160\n", 0, id="overflow-init-bias"),
+    pytest.param("bias_random_walk=1e170\n", 20, id="overflow-bias-walk"),
+    pytest.param("accel_noise=1e150\n", 20, id="nan-accel-noise"),
+    pytest.param("init_attitude_sigma_deg=1e150\n", 20, id="nan-init-attitude"),
+]
+_EXTREME_FILTER_CONFIGS = pytest.mark.parametrize("text, t_ms", _EXTREME_FILTER_CASES)
+
+
+@pytest.mark.parametrize(
     "text, t_ms",
-    [
-        ("accel_noise=1e-9\n", 20),
-        ("mag_reference=1e10,0,-4e10\n", 40),
-        ("init_attitude_sigma_deg=1e200\n", 0),
-        ("init_bias_sigma_dps=1e160\n", 0),
-        ("bias_random_walk=1e170\n", 20),
-        ("accel_noise=1e150\n", 20),
-        ("init_attitude_sigma_deg=1e150\n", 20),
-    ],
-    ids=[
-        "zero-division-accel-noise",
-        "zero-division-mag-reference",
-        "overflow-init-attitude",
-        "overflow-init-bias",
-        "overflow-bias-walk",
-        "nan-accel-noise",
-        "nan-init-attitude",
+    _EXTREME_FILTER_CASES + [
+        # numpy's matmul overflows here; filter_stream keeps its warning off stderr
+        pytest.param("mag_reference=1e308,0,-0.4\n", 20, id="matmul-overflow-mag-reference"),
+        pytest.param("mag_reference=-1e308,0,-0.4\n", 20, id="matmul-overflow-negative-mag-reference"),
     ],
 )
-
-
-@_EXTREME_FILTER_CONFIGS
 def test_replay_stops_when_an_extreme_filter_config_breaks_the_filter(tmp_path, capsys, text, t_ms):
     # valid but extreme values: the filter's arithmetic divides by zero,
-    # overflows or turns the attitude to NaN at the named sample
+    # overflows or turns the attitude to NaN at the named sample, and stderr holds that one line
     trial = tmp_path / "trial"
     assert run(["simulate", "--seed", "7", "--noise", "zero", "--out", str(trial)]) == 0
     config = tmp_path / "extreme.cfg"
     config.write_text(text)
     capsys.readouterr()
     out = tmp_path / "out"
-    assert run(["replay", "--in", str(trial / "sensor.3dt"), "--out", str(out), "--filter-config", str(config)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: orientation filter left the float range at {t_ms} ms")
-    assert "Traceback" not in err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["replay", "--in", str(trial / "sensor.3dt"), "--out", str(out), "--filter-config", str(config)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: orientation filter left the float range at {t_ms} ms; the filter config is too extreme\n"
+    )
     assert not out.exists()
 
 
@@ -878,3 +892,74 @@ def test_streaming_filter_stops_where_filter_stream_does(tmp_path, text, t_ms):
             filt.process(apply_scales(frame, ScaleConfig()))
     assert str(streamed.value) == str(stepped.value)
     assert str(stepped.value).startswith(f"orientation filter left the float range at {t_ms} ms;")
+
+
+# Every numeric input a command reads, at the extremes of the float and int ranges. Each call must end
+# in exit 0, or in exit 1 with one ``error:`` line, warn nothing and return within _CALL_BOUND_S: the frame
+# cap bounds the work a trace or fixture may ask for; the slowest call here, `simulate --speed=1` (6,599
+# frames), takes about 0.03 s on a 2-vCPU machine.
+_EXTREMES = ("0", "1e-308", "-1e-308", "1e308", "-1e308", str(2**63), str(10**20), "nan", "inf", "-1", "1")
+_CALL_BOUND_S = 5.0
+
+
+def _ends_cleanly(argv):
+    """``main(argv)`` in process: exit 0 with nothing on stderr, or exit 1 with one ``error:`` line; no warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, _returns_within(_CALL_BOUND_S):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    assert code in (0, 1), argv
+    lines = err.getvalue().splitlines()
+    assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rate=st.none() | st.sampled_from(_EXTREMES),
+    speed=st.none() | st.sampled_from(_EXTREMES),
+    tilt=st.none() | st.sampled_from(_EXTREMES),
+    seed=st.sampled_from([v for v in _EXTREMES if v.lstrip("-").isdigit()]),  # argparse reads --seed as an int
+)
+def test_every_simulate_number_ends_in_exit_0_or_one_error_line(rate, speed, tilt, seed):
+    flags = [f"--{name}={value}" for name, value in (("rate", rate), ("speed", speed), ("tilt", tilt)) if value]
+    with tempfile.TemporaryDirectory() as tmp:
+        _ends_cleanly(["simulate", f"--seed={seed}", *flags, "--out", str(Path(tmp) / "t")])
+
+
+@pytest.fixture(scope="module")
+def tap_trace(tmp_path_factory):
+    """A 41-frame scripted tap."""
+    trace = tmp_path_factory.mktemp("tap") / "tap.3dt"
+    assert run(["gesture", "--kind", "tap", "--out", str(trace)]) == 0
+    return trace
+
+
+def _config_lines(cls):
+    """One ``key=value`` line per key of ``cls`` and extreme value; a vector takes it in one component at a time."""
+    for f in dataclasses.fields(cls):
+        for value in _EXTREMES:
+            if not isinstance(f.default, Vec3):
+                yield f"{f.name}={value}"
+                continue
+            for i in range(3):
+                parts = [repr(c) for c in f.default.as_tuple()]
+                parts[i] = value
+                yield f"{f.name}={','.join(parts)}"
+
+
+@pytest.mark.parametrize("command", ("replay",) + GESTURE_KINDS)
+def test_every_config_number_ends_in_exit_0_or_one_error_line(tap_trace, tmp_path, command):
+    # the whole space, about 600 calls of 4 ms: each key of each config file a command reads, at each extreme
+    if command == "replay":
+        argv = ["replay", "--in", str(tap_trace), "--out", str(tmp_path / "out")]
+        configs = [("--gesture-config", GestureConfig), ("--filter-config", FilterConfig)]
+    else:
+        argv = ["gesture", "--kind", command, "--out", str(tmp_path / "g.3dt")]
+        configs = [("--gesture-config", GestureConfig)]
+    config = tmp_path / "config"
+    for option, cls in configs:
+        for line in _config_lines(cls):
+            config.write_text(line + "\n")
+            _ends_cleanly([*argv, option, str(config)])

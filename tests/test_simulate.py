@@ -73,6 +73,29 @@ def test_shape_lengths():
     assert shape_path_length("circle", 10) == pytest.approx(math.pi * 10)
 
 
+@pytest.mark.parametrize(
+    "shape, corners",
+    [
+        ("hline", [(0, 0), (12, 0)]),
+        ("vline", [(0, 0), (0, 12)]),
+        ("diag", [(0, 0), (12 / math.sqrt(2), 12 / math.sqrt(2))]),
+        ("triangle", [(0, 0), (12, 0), (6, 6 * math.sqrt(3)), (0, 0)]),
+        ("square", [(0, 0), (12, 0), (12, 12), (0, 12), (0, 0)]),
+    ],
+    ids=["hline", "vline", "diag", "triangle", "square"],
+)
+def test_polylines_visit_their_corners_in_order(shape, corners):
+    # on a level plane the trace passes each corner, in order, at the path length walked to it
+    truth = gen_trajectories([spec_for(shape, 12)]).trial(0)
+    _, arcs = time_base(spec_for(shape, 12))
+    walked = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(corners, axis=0).T))])
+    assert shape_path_length(shape, 12) == pytest.approx(walked[-1], abs=1e-12)
+    for corner, length in zip(corners, walked):
+        k = int(np.argmin(np.abs(arcs - length)))
+        assert arcs[k] == pytest.approx(length, abs=1e-9)  # a 12 mm side is 20 steps of 0.6 mm
+        assert truth.pos_mm[k] == pytest.approx([*corner, 0.0], abs=1e-9)
+
+
 def test_orientation_equals_plane_attitude_and_tilt():
     spec = spec_for("circle", 21, tilt=30.0)
     truth = gen_trajectories([spec]).trial(0)
@@ -308,6 +331,29 @@ def test_trial_spec_bounds_its_rate_and_frame_count():
     # a step that underflows to 0 takes no division
     with pytest.raises(ValueError, match="at 5e-324 mm/s and 1000 Hz takes inf frames"):
         dataclasses.replace(circle, rate_hz=1000, speed_mm_s=5e-324)
+
+
+def test_trial_spec_bounds_its_step_and_last_timestamp():
+    circle = spec_for("circle", 42)
+    # a step past the float range is refused before time_base writes 0 * inf = NaN into the truth
+    with pytest.raises(ValueError, match=r"^a 42 mm circle at 1e\+308 mm/s and 0.001 Hz steps inf mm a frame, past"):
+        dataclasses.replace(circle, rate_hz=0.001, speed_mm_s=1e308)
+    # one frame: its timestamp is 0 ms whatever the period, unless the period itself is inf
+    t_ms, arcs = time_base(dataclasses.replace(circle, rate_hz=1e-300))
+    assert t_ms.tolist() == [0] and arcs.tolist() == [0.0]
+    with pytest.raises(ValueError, match="stamps its frames inf ms apart up to nan ms, past uint32$"):
+        dataclasses.replace(circle, rate_hz=1e-308, speed_mm_s=1.0)
+    # two frames: the last timestamp is the period, and time_base rounds it half to even
+    rate = 1000.0 / (2**32 - 0.5)
+    while 1000.0 * (1.0 / rate) < 2**32 - 0.5:
+        rate = math.nextafter(rate, 0.0)
+    below = math.nextafter(rate, math.inf)  # the largest period that rounds to 2**32 - 1 ms
+    assert 1000.0 * (1.0 / below) < 2**32 - 0.5 <= 1000.0 * (1.0 / rate)
+    hline = spec_for("hline", 12)
+    t_ms, _ = time_base(dataclasses.replace(hline, rate_hz=below, speed_mm_s=24.0 * below))
+    assert t_ms.tolist() == [0, 2**32 - 1]
+    with pytest.raises(ValueError, match=r"hline at .* stamps its frames 4.29497e\+09 ms apart up to 4.29497e\+09 ms, past"):
+        dataclasses.replace(hline, rate_hz=rate, speed_mm_s=24.0 * rate)
 
 
 def test_gesture_trace_kind_validation():
