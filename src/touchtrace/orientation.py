@@ -150,6 +150,7 @@ def initial_state(
 
 _EYE3 = np.eye(3)
 _Q_CACHE: dict[tuple[float, float, float], np.ndarray] = {}
+_F_CACHE: dict[float, np.ndarray] = {}
 
 
 def _process_noise(cfg: FilterConfig, dt: float) -> np.ndarray:
@@ -159,6 +160,15 @@ def _process_noise(cfg: FilterConfig, dt: float) -> np.ndarray:
     if q is None:
         q = _Q_CACHE[key] = np.diag(_noise_per_second(cfg) * dt)
     return q
+
+
+def _transition(dt: float) -> np.ndarray:
+    """F with a zero attitude block: identity on the bias, -dt coupling; cached like the process noise."""
+    f = _F_CACHE.get(dt)
+    if f is None:
+        f = _F_CACHE[dt] = np.eye(6)
+        f[0, 3] = f[1, 4] = f[2, 5] = -dt
+    return f
 
 
 def _noise_per_second(cfg: FilterConfig) -> np.ndarray:
@@ -244,8 +254,10 @@ class OrientationFilter:
         return floats[0]
 
     def process(self, sample: CalibratedSample) -> FilterState:
-        """``advance`` over a ``CalibratedSample``: the state after it."""
-        self.advance(sample.timestamp_ms, *(v.as_tuple() for v in (sample.accel_g, sample.gyro_dps, sample.mag_gauss)))
+        """``advance`` over a ``CalibratedSample``: the state after it; no numpy warning, as in ``filter_stream``."""
+        triples = (v.as_tuple() for v in (sample.accel_g, sample.gyro_dps, sample.mag_gauss))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.advance(sample.timestamp_ms, *triples)
         return self.state
 
 
@@ -257,17 +269,18 @@ def filter_stream(cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray) -> t
     ``_UNITS`` to g, deg/s and gauss. Raises ValueError where ``advance`` does.
     """
     filt = OrientationFilter(cfg)
-    rows = zip(t_ms.tolist(), (imu_raw * _UNITS).tolist())
+    imu = imu_raw * _UNITS
+    rows = zip(t_ms.tolist(), imu[:, 0:3].tolist(), imu[:, 3:6].tolist(), imu[:, 6:9].tolist())
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # advance's ValueError names the sample
-        return np.array([filt.advance(t, row[0:3], row[3:6], row[6:9]) for t, row in rows]), filt.diagnostics
+        return np.array([filt.advance(t, accel, gyro, mag) for t, accel, gyro, mag in rows]), filt.diagnostics
 
 
 # -- the streaming step, on floats ------------------------------------------------
 #
 # The state is q (w, x, y, z) and the gyro bias (deg/s) as float tuples and
-# P as a (6, 6) array. Every product of matrices stays a numpy matmul, on
-# the operands and in the order written here: numpy's small matmuls go
-# through BLAS, whose kernels use fused multiply-adds, so a sum of float
+# P as a (6, 6) array. Every product of matrices is an np.dot, on the operands
+# and in the order written here: np.dot makes the same BLAS call as `@` without
+# its ufunc dispatch. BLAS kernels use fused multiply-adds, so a sum of float
 # products written out in Python would differ from them in the last bits.
 
 
@@ -295,14 +308,15 @@ def _predict(q, bias, p, cfg: FilterConfig, gyro, dt_s: float):
     rx, ry, rz = ox * _DEG * dt, oy * _DEG * dt, oz * _DEG * dt
     q = _integrate(q, rx, ry, rz)
 
-    # error transition: dtheta' = Phi dtheta - dt * dbias
-    f = np.zeros((6, 6))
+    # dtheta' = Phi dtheta - dt * dbias, on a copy of the shared template: np.dot releases the GIL
+    f = _transition(dt).copy()
     f[:3, :3] = _rotvec_matrix_t(rx, ry, rz)
-    f[3, 3] = f[4, 4] = f[5, 5] = 1.0
-    f[0, 3] = f[1, 4] = f[2, 5] = -dt
 
-    p = f @ p @ f.T + _process_noise(cfg, dt)
-    return q, 0.5 * (p + p.T)
+    p = np.dot(np.dot(f, p), f.T)  # fresh, so written in place below
+    p += _process_noise(cfg, dt)
+    p = p + p.T  # not p += p.T: numpy would buffer the overlapping operand, a slower copy
+    p *= 0.5
+    return q, p
 
 
 def _rotvec_matrix_t(rx: float, ry: float, rz: float) -> np.ndarray:
@@ -314,7 +328,7 @@ def _rotvec_matrix_t(rx: float, ry: float, rz: float) -> np.ndarray:
         return _EYE3 - sk
     a = math.sin(angle) / angle
     b = (1.0 - math.cos(angle)) / (angle * angle)
-    return (_EYE3 + a * sk + b * (sk @ sk)).T
+    return (_EYE3 + a * sk + b * np.dot(sk, sk)).T
 
 
 def _update_accel(q, bias, p, cfg: FilterConfig, accel):
@@ -341,15 +355,15 @@ def _vector_update(q, bias, p, z, reference, sigma: float):
     hx, hy, hz = _rotate(w, -x, -y, -zq, *reference)  # predicted body-frame observation
 
     h_skew = np.array((0.0, -hz, hy, hz, 0.0, -hx, -hy, hx, 0.0)).reshape(3, 3)  # [h]x
-    pht = p[:, :3] @ h_skew.T  # P H^T, 6x3
-    s = h_skew @ pht[:3, :]  # H P H^T; add R on the diagonal below
+    pht = np.dot(p[:, :3], h_skew.T)  # P H^T, 6x3
+    s = np.dot(h_skew, pht[:3, :])  # H P H^T; add R on the diagonal below
     r = sigma * sigma
     (s00, s01, s02), (_, s11, s12), (_, _, s22) = s.tolist()
     i00, i01, i02, i11, i12, i22 = _sym3_inverse(s00 + r, s01, s02, s11 + r, s12, s22 + r)
     s_inv = np.array((i00, i01, i02, i01, i11, i12, i02, i12, i22)).reshape(3, 3)
-    k = pht @ s_inv  # 6x3 Kalman gain
+    k = np.dot(pht, s_inv)  # 6x3 Kalman gain
     zx, zy, zz = z
-    delta = k @ np.array((zx - hx, zy - hy, zz - hz))
+    delta = np.dot(k, np.array((zx - hx, zy - hy, zz - hz)))
 
     d0, d1, d2, d3, d4, d5 = delta.tolist()
     q_new = _unit(*_hamilton(*q, *_unit(1.0, 0.5 * d0, 0.5 * d1, 0.5 * d2)))
@@ -358,7 +372,7 @@ def _vector_update(q, bias, p, z, reference, sigma: float):
 
     # (I - K H) P via H P = (P H^T)^T; the residual asymmetry is float
     # noise at ~1e-18 and predict re-symmetrizes once per sample
-    return q_new, bias_new, p - k @ pht.T
+    return q_new, bias_new, p - np.dot(k, pht.T)
 
 
 def _sym3_inverse(s00, s01, s02, s11, s12, s22):

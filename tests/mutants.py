@@ -7,7 +7,7 @@ temporary directory, applies one mutant there, runs tier-1 with ``-x``
 ``faults`` workload reads the decoder's counters), and prints the first
 failing test or ``SURVIVED``. It uses the standard library only and
 never edits the tree it runs from. A mutant takes about 25 s on a
-2-vCPU machine, the whole list about ten minutes::
+2-vCPU machine, the whole list about fifteen minutes::
 
     python3 tests/mutants.py          # every mutant
     python3 tests/mutants.py 3 14     # mutants 3 and 14 (0-based)
@@ -53,11 +53,12 @@ MUTANTS = (
     Mutant(_ORI, "mz * mz) < 1e-9:", "mz * mz) < 1e-3:", "streaming mag update ignores a one-LSB field (1/1100 gauss)"),
     Mutant(_ORI, "_norms(mag) >= 1e-9)", "_norms(mag) >= 1e-3)",
            "lockstep mag update ignores a one-LSB field (1/1100 gauss)"),
-    Mutant(_ORI, "return q, 0.5 * (p + p.T)", "return q, p",
-           "streaming predict drops the covariance re-symmetrization"),
+    Mutant(_ORI, "    p = p + p.T  # not p += p.T: numpy would buffer the overlapping operand, a slower copy\n"
+           "    p *= 0.5\n", "", "streaming predict drops the covariance re-symmetrization"),
     Mutant(_ORI, "_assign(p, 0.5 * (p_new + p_new.transpose(0, 2, 1)), moving)", "_assign(p, p_new, moving)",
            "lockstep predict drops the covariance re-symmetrization"),
-    Mutant(_ORI, 'with np.errstate(over="ignore", invalid="ignore", divide="ignore"):', "with np.errstate():",
+    Mutant(_ORI, 'with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # advance',
+           "with np.errstate():  # advance",
            "filter_stream lets numpy warn before it names the sample that left the float range"),
     # -- the decoder's counters
     Mutant(_PROTO, "                self.diagnostics.frames += 1\n                self._skip_run_open = False\n",
@@ -98,6 +99,33 @@ MUTANTS = (
            "the triangle's apex leaves the equilateral triangle"),
     Mutant(_SIM, "quat = np.repeat(tilts, len(arcs), axis=1)", "quat = np.repeat(tilts[::-1], len(arcs), axis=1)",
            "a cell's trials take each other's tilts"),
+    # -- the streaming step's np.dot form, and its per-sample adapter
+    Mutant(_ORI, "f[0, 3] = f[1, 4] = f[2, 5] = -dt", "f[0, 3] = f[1, 4] = f[2, 5] = dt",
+           "the transition template couples the attitude to the bias with +dt"),
+    Mutant(_ORI, "b * np.dot(sk, sk)).T", "b * np.dot(sk, sk))",
+           "the large-angle attitude block is written untransposed"),
+    Mutant(_ORI, "    p += _process_noise(cfg, dt)\n", "",
+           "streaming predict drops the process noise"),
+    Mutant(_ORI, "f = _transition(dt).copy()", "f = _transition(dt)",
+           "each step writes its attitude block into the shared, cached template"),
+    Mutant(_ORI, 'with np.errstate(over="ignore", invalid="ignore", divide="ignore"):\n            self.advance(',
+           "with np.errstate():\n            self.advance(",
+           "process lets numpy warn before it names the sample that left the float range"),
+    # -- rotation algebra, the CSV format and the config reader
+    Mutant("src/touchtrace/geom.py", "q[1 + j] = (m[i][j] + m[j][i]) / s", "q[1 + j] = (m[i][j] - m[j][i]) / s",
+           "Shepperd's rule takes a difference where its non-positive-trace branch needs a sum"),
+    Mutant("src/touchtrace/geom.py", "sign = np.where(w < 0, -1.0, 1.0)", "sign = np.where(w < 0, 1.0, 1.0)",
+           "a relative rotation vector takes the long way round where the quaternion's sign flips"),
+    Mutant("src/touchtrace/trajectory.py", "if not -(2**63) <= stamp < 2**63:", "if not -(2**63) <= stamp <= 2**63:",
+           "read_csv lets a t_ms of 2**63 through its row check"),
+    Mutant("src/touchtrace/trajectory.py", '_CSV_ROW = "%d" + ",%.10g" * 7', '_CSV_ROW = "%d" + ",%.9g" * 7',
+           "the CSV rows keep 9 significant digits, not 10"),
+    Mutant("src/touchtrace/cli.py", "target = override if prefix == texture else {}",
+           "target = override if prefix == texture else base", "a key for another surface sets this surface's value"),
+    Mutant("src/touchtrace/cli.py", "return cls(**{**base, **override})", "return cls(**{**override, **base})",
+           "a plain key overrides the surface's own"),
+    Mutant("src/touchtrace/cli.py", 'if not line or line.startswith("#"):', "if not line:",
+           "the config reader parses a comment line as a key"),
 )
 
 

@@ -846,18 +846,14 @@ _EXTREME_FILTER_CASES = [
     pytest.param("bias_random_walk=1e170\n", 20, id="overflow-bias-walk"),
     pytest.param("accel_noise=1e150\n", 20, id="nan-accel-noise"),
     pytest.param("init_attitude_sigma_deg=1e150\n", 20, id="nan-init-attitude"),
+    # numpy's np.dot overflows here; filter_stream and OrientationFilter.process keep its warning off stderr
+    pytest.param("mag_reference=1e308,0,-0.4\n", 20, id="matmul-overflow-mag-reference"),
+    pytest.param("mag_reference=-1e308,0,-0.4\n", 20, id="matmul-overflow-negative-mag-reference"),
 ]
 _EXTREME_FILTER_CONFIGS = pytest.mark.parametrize("text, t_ms", _EXTREME_FILTER_CASES)
 
 
-@pytest.mark.parametrize(
-    "text, t_ms",
-    _EXTREME_FILTER_CASES + [
-        # numpy's matmul overflows here; filter_stream keeps its warning off stderr
-        pytest.param("mag_reference=1e308,0,-0.4\n", 20, id="matmul-overflow-mag-reference"),
-        pytest.param("mag_reference=-1e308,0,-0.4\n", 20, id="matmul-overflow-negative-mag-reference"),
-    ],
-)
+@_EXTREME_FILTER_CONFIGS
 def test_replay_stops_when_an_extreme_filter_config_breaks_the_filter(tmp_path, capsys, text, t_ms):
     # valid but extreme values: the filter's arithmetic divides by zero,
     # overflows or turns the attitude to NaN at the named sample, and stderr holds that one line

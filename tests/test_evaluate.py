@@ -319,6 +319,7 @@ def test_read_csv_names_a_bad_header_or_the_first_malformed_row(tmp_path):
             f"{path}: could not convert string to float: 'x' in row '20,1,2,x,1,0,0,0'"
         ),
         f"{CSV_HEADER}\n{good}\n{2**70},1,2,3,1,0,0,0": f"{path}: t_ms out of int64 range in row '{2**70},1,2,3,1,0,0,0'",
+        f"{CSV_HEADER}\n{good}\n{2**63},1,2,3,1,0,0,0": f"{path}: t_ms out of int64 range in row '{2**63},1,2,3,1,0,0,0'",
         f"{CSV_HEADER}\n{good}\n{-(2**63) - 1},1,2,3,1,0,0,0": (
             f"{path}: t_ms out of int64 range in row '{-(2**63) - 1},1,2,3,1,0,0,0'"
         ),

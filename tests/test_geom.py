@@ -211,6 +211,14 @@ def test_rotating_x_equals_the_first_matrix_column_bit_for_bit(quats):
     assert np.allclose(axes, column, rtol=0.0, atol=1e-300)
 
 
+@given(unit_quats, unit_quats)
+def test_relative_rotation_vector_takes_the_short_way_whatever_the_signs(a, b):
+    # q and -q are one rotation, so the step between two poses is at most pi rad, however each is signed
+    q = np.array([a.as_tuple(), b.as_tuple()])
+    for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        assert np.linalg.norm(quat_relative_rotvec(q * np.array(signs)[:, None])) <= math.pi + 1e-12
+
+
 def test_quaternion_array_helpers_run_along_the_frame_axis_bit_for_bit():
     rng = np.random.default_rng(7)
     stacks = [_random_quats(rng, 4 * 30).reshape(4, 30, 4)]  # random signs: midpoints flip some

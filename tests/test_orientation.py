@@ -8,6 +8,7 @@ from conftest import angle_between
 from touchtrace import orientation
 from touchtrace.cli import load_config
 from touchtrace.geom import (
+    _DEG,
     EX,
     EY,
     EZ,
@@ -15,6 +16,10 @@ from touchtrace.geom import (
     IDENTITY_QUAT,
     UnitQuat,
     Vec3,
+    _hamilton,
+    _integrate,
+    _rotate,
+    _unit,
     axis_angle_quat,
     quat_multiply,
     rotate_vector,
@@ -26,6 +31,8 @@ from touchtrace.orientation import (
     FilterDiagnostics,
     FilterState,
     OrientationFilter,
+    _noise_per_second,
+    _sym3_inverse,
     filter_stream,
     filter_streams,
     initial_state,
@@ -415,6 +422,134 @@ def test_process_and_filter_stream_agree_bit_for_bit():
         counted[name] = diagnostics
     assert counted["gap"] == FilterDiagnostics(clamped_dt=1, gated_accel=0)
     assert counted["gated-accel"] == FilterDiagnostics(clamped_dt=0, gated_accel=5)
+
+
+# -- the streaming step held to its matmul form ----------------------------------
+#
+# The streaming step as it was written with the matmul operator, on the same operands
+# in the same order. The filter routes its products through np.dot, which makes the
+# same CBLAS calls; both run on whatever BLAS kernel this host picks, so the test
+# below holds the bits where the golden digests skip.
+
+
+def matmul_step(q, bias, p, cfg: FilterConfig, diagnostics: FilterDiagnostics, dt: float, gyro, accel, mag):
+    if dt > 0.0:
+        if dt > MAX_DT_S:
+            diagnostics.clamped_dt += 1
+        q, p = matmul_predict(q, bias, p, cfg, gyro, dt)
+    ax, ay, az = accel
+    if abs(math.sqrt(ax * ax + ay * ay + az * az) - 1.0) > cfg.accel_gate:
+        diagnostics.gated_accel += 1
+    else:
+        q, bias, p = matmul_vector_update(q, bias, p, accel, GRAVITY_WORLD.as_tuple(), cfg.accel_noise)
+    mx, my, mz = mag
+    if math.sqrt(mx * mx + my * my + mz * mz) < 1e-9:
+        return q, bias, p
+    return matmul_vector_update(q, bias, p, mag, cfg.mag_reference.as_tuple(), cfg.mag_noise)
+
+
+def matmul_predict(q, bias, p, cfg: FilterConfig, gyro, dt_s: float):
+    dt = min(dt_s, MAX_DT_S)
+    (gx, gy, gz), (bx, by, bz) = gyro, bias
+    ox, oy, oz = gx - bx, gy - by, gz - bz
+    rx, ry, rz = ox * _DEG * dt, oy * _DEG * dt, oz * _DEG * dt
+    q = _integrate(q, rx, ry, rz)
+    f = np.zeros((6, 6))
+    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+    sk = np.array((0.0, -rz, ry, rz, 0.0, -rx, -ry, rx, 0.0)).reshape(3, 3)
+    if angle < 1e-3:
+        f[:3, :3] = np.eye(3) - sk
+    else:
+        a = math.sin(angle) / angle
+        b = (1.0 - math.cos(angle)) / (angle * angle)
+        f[:3, :3] = (np.eye(3) + a * sk + b * (sk @ sk)).T
+    f[3, 3] = f[4, 4] = f[5, 5] = 1.0
+    f[0, 3] = f[1, 4] = f[2, 5] = -dt
+    p = f @ p @ f.T + np.diag(_noise_per_second(cfg) * dt)
+    return q, 0.5 * (p + p.T)
+
+
+def matmul_vector_update(q, bias, p, z, reference, sigma: float):
+    w, x, y, zq = q
+    hx, hy, hz = _rotate(w, -x, -y, -zq, *reference)
+    h_skew = np.array((0.0, -hz, hy, hz, 0.0, -hx, -hy, hx, 0.0)).reshape(3, 3)
+    pht = p[:, :3] @ h_skew.T
+    s = h_skew @ pht[:3, :]
+    r = sigma * sigma
+    (s00, s01, s02), (_, s11, s12), (_, _, s22) = s.tolist()
+    i00, i01, i02, i11, i12, i22 = _sym3_inverse(s00 + r, s01, s02, s11 + r, s12, s22 + r)
+    k = pht @ np.array((i00, i01, i02, i01, i11, i12, i02, i12, i22)).reshape(3, 3)
+    zx, zy, zz = z
+    d0, d1, d2, d3, d4, d5 = (k @ np.array((zx - hx, zy - hy, zz - hz))).tolist()
+    q_new = _unit(*_hamilton(*q, *_unit(1.0, 0.5 * d0, 0.5 * d1, 0.5 * d2)))
+    bx, by, bz = bias
+    return q_new, (bx + d3 / _DEG, by + d4 / _DEG, bz + d5 / _DEG), p - k @ pht.T
+
+
+def matmul_run(cfg: FilterConfig, t_ms: np.ndarray, imu_raw: np.ndarray):
+    """The matmul-form filter over a raw stream: its attitudes, counters and final (q, bias, P)."""
+    rows = (imu_raw * ScaleConfig().imu_units).tolist()
+    state = initial_state(cfg, Vec3(*rows[0][0:3]), Vec3(*rows[0][6:9]))
+    floats = state.q.as_tuple(), state.gyro_bias_dps.as_tuple(), state.covariance
+    diagnostics = FilterDiagnostics()
+    quat = [floats[0]]
+    for k in range(1, len(rows)):
+        dt = (int(t_ms[k]) - int(t_ms[k - 1])) / 1000.0
+        row = rows[k]
+        floats = matmul_step(*floats, cfg, diagnostics, dt, row[3:6], row[0:3], row[6:9])
+        quat.append(floats[0])
+    return np.array(quat), diagnostics, floats
+
+
+# a tight filter trusts its measurements and moves its state far more per sample than the default
+TIGHT = FilterConfig(gyro_noise_density=0.3, bias_random_walk=0.03, accel_noise=0.02, mag_noise=0.01, accel_gate=0.05)
+
+
+@st.composite
+def raw_streams(draw):
+    """(t_ms, imu_raw) of a stream whose gyro rates span the 1e-3 rad small-angle threshold, with
+    duplicate timestamps, steps of 1-20 ms, gaps over MAX_DT_S, accel outside the gate and zero mag."""
+    steps = draw(st.lists(st.just(0) | st.integers(1, 20) | st.integers(101, 2000), min_size=1, max_size=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(steps) + 1
+    t_ms = int(rng.integers(0, 10_000)) + np.cumsum([0] + steps)
+    q_true = axis_angle_quat(Vec3(*rng.normal(size=3)), float(rng.uniform(-180, 180)))
+    accel, mag = (np.array(v.as_tuple()) for v in body_measurements(q_true))
+    accel = (accel + rng.normal(0.0, 0.05, (n, 3))) * rng.choice([1.0, 1.0, 1.0, 0.0, 0.5, 1.6], (n, 1))
+    mag = (mag + rng.normal(0.0, 0.01, (n, 3))) * rng.choice([1.0, 1.0, 1.0, 0.0], (n, 1))
+    # rates of 1 to 30,000 LSB of 8.75 mdps: at 20 ms the threshold sits near 327 LSB, at 100 ms near 65
+    axes = rng.normal(size=(n, 3))
+    gyro = axes / np.linalg.norm(axes, axis=1, keepdims=True) * 10.0 ** rng.uniform(0.0, 4.45, (n, 1)) * 8.75e-3
+    scaled = np.hstack((accel, gyro, mag)) / ScaleConfig().imu_units
+    return t_ms, np.clip(np.rint(scaled), -32768, 32767).astype(np.int16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=raw_streams(), cfg=st.sampled_from([FilterConfig(), TIGHT]))
+def test_streaming_step_equals_its_matmul_form_bit_for_bit(stream, cfg):
+    t_ms, imu_raw = stream
+    quat, diagnostics, (q, bias, p) = matmul_run(cfg, t_ms, imu_raw)
+    streamed, streamed_diagnostics = filter_stream(cfg, t_ms, imu_raw)
+    assert streamed.tobytes() == quat.tobytes()
+    assert streamed_diagnostics == diagnostics
+    filt = OrientationFilter(cfg)
+    held = []  # every covariance the filter handed out, with its bytes then: none may be written in place
+    for t, row in zip(t_ms.tolist(), (imu_raw * ScaleConfig().imu_units).tolist()):
+        filt.advance(t, row[0:3], row[3:6], row[6:9])
+        held.append((filt.state.covariance, filt.state.covariance.tobytes()))
+    state = filt.state
+    assert (state.q.as_tuple(), state.gyro_bias_dps.as_tuple()) == (q, bias)
+    assert state.covariance.tobytes() == p.tobytes()
+    assert filt.diagnostics == diagnostics
+    assert all(covariance.tobytes() == was for covariance, was in held)
+    # nor the cached transition templates and process noise the steps shared
+    for dt, f in orientation._F_CACHE.items():
+        template = np.eye(6)
+        template[0, 3] = template[1, 4] = template[2, 5] = -dt
+        assert f.tobytes() == template.tobytes()
+    for (gyro_noise, bias_walk, dt), noise in orientation._Q_CACHE.items():
+        cached_cfg = FilterConfig(gyro_noise_density=gyro_noise, bias_random_walk=bias_walk)
+        assert noise.tobytes() == np.diag(_noise_per_second(cached_cfg) * dt).tobytes()
 
 
 # -- the filter held to its own covariance ------------------------------------
